@@ -1,8 +1,7 @@
 """Gradient-constrained diffusion-transport solver for traveling sand dunes.
 
 Avalanche dynamics are an L2-projection flow onto the slope-constrained
-cone; wind transport is a nonlocal upwind flux.  See the README for the
-model and the CLI entry points.
+cone; wind transport is a nonlocal upwind flux.
 """
 
 from .constitutive import GammaProfile, HProfile, gamma_eval, h_eval, lipschitz_bound
@@ -12,7 +11,7 @@ from .projection import (
     MultiplierField,
     NonConvergedError,
     ProjectionResult,
-    project_dykstra,
+    project_path,
     project_pdhg,
     resolvent_step,
 )
@@ -35,7 +34,7 @@ __all__ = [
     "build_kernel",
     "nonlocal_slope",
     "project_pdhg",
-    "project_dykstra",
+    "project_path",
     "resolvent_step",
 ]
 

@@ -1,21 +1,36 @@
 """Exact L2 projection onto the slope-constrained cone, with multiplier.
 
-Two independent routes compute the same projection.  ``project_pdhg`` is a
-primal-dual (Chambolle-Pock) iteration on
+Every projection solves
 
     min_u  0.5 ||u - v||^2  +  indicator(every edge slope of u <= lam)
 
-that works in any dimension.  ``project_dykstra`` runs Dykstra's
-alternating projections over the family of two-variable slope constraints
-and is available in 1D as a cross-check oracle.  Both enforce every
-nearest-neighbour slope of the zero-extended field, including the edges
-crossing the boundary, so the feasible set is exactly the admissible cone
-(slope bound plus the distance cone bound it implies).
+over all nearest-neighbour slopes of the zero-extended field, including
+the edges crossing the boundary, so the feasible set is exactly the
+admissible cone (slope bound plus the distance cone bound it implies).
 
-The multiplier field m is recovered from the converged dual vector: at a
-node whose slope constraint is active the dual magnitude equals m * lam,
-so m = |dual| / lam there and is exactly zero on inactive nodes (the dual
-shrinkage produces hard zeros).
+Two independent routes compute it:
+
+* ``project_pdhg``, a primal-dual (Chambolle-Pock) iteration, works in any
+  dimension and either constraint mode.  Its iteration count grows with
+  the grid, because the conditioning of the edge-difference operator does.
+* ``project_path`` works in 1D only.  There the cone is polyhedral and
+  ``D D^T`` (D the edge differences) is tridiagonal, so one primal-dual
+  active-set (semismooth Newton) step is one banded solve.  Started from
+  the previous time step's dual, the active set usually settles in one or
+  two solves.  When it does not settle within ``NEWTON_MAX_STEPS`` solves,
+  an exact dynamic program over the path (L2 Lipschitz regression) gives
+  the projection in a finite number of operations, with no tolerance.
+
+The stepper's resolvent takes the 1D route on 1D grids: between time
+steps the active set changes little, so a step costs one or two banded
+solves whatever the grid size, where PDHG needs hundreds to thousands of
+iterations.  PDHG stays the 2D solver, the 1D oracle the tests hold the
+1D route to, and the verifier's projection.  Both routes finish with the
+same duality-gap certificate, so ``converged`` means the same for both.
+
+The multiplier field m is recovered from the dual vector: at a node whose
+slope constraint is active the dual magnitude equals m * lam, so
+m = |dual| / lam there and is exactly zero on inactive nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
 from .grid import (
     CONSTRAINT_MODES,
@@ -38,6 +54,9 @@ SLACK_TOL = 1e-6
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
+# Banded solves the 1D active-set iteration may take before the exact
+# path dynamic program takes over.
+NEWTON_MAX_STEPS = 8
 
 
 class NonConvergedError(RuntimeError):
@@ -247,6 +266,25 @@ def _finalize(
     )
 
 
+def _fixed_point(geom: _ConeGeometry, v: HeightField) -> ProjectionResult:
+    """An admissible input is its own projection with zero multiplier."""
+    return ProjectionResult(
+        u=v.copy(),
+        m=MultiplierField.zeros(v.grid),
+        iterations=0,
+        primal_dual_gap=0.0,
+        constraint_violation=0.0,
+        converged=True,
+        dual=geom.zeros_dual(),
+    )
+
+
+def _within_tol(viol: float, gap: float, err: float, lam: float, tol: float, floor: float) -> bool:
+    """Certified error at most ``tol`` (or gap at the rounding floor), and
+    slope violation within ``TOL_CONSTRAINT``."""
+    return (err <= tol or gap <= floor) and viol <= lam * TOL_CONSTRAINT + TOL_CONSTRAINT
+
+
 def project_pdhg(
     v: HeightField,
     lam: float,
@@ -273,17 +311,8 @@ def project_pdhg(
     geom = _ConeGeometry(v.grid, mode)
     vvals = v.values
 
-    # An admissible input is its own projection with zero multiplier.
     if geom.max_norm(geom.apply(vvals)) <= lam:
-        return ProjectionResult(
-            u=v.copy(),
-            m=MultiplierField.zeros(v.grid),
-            iterations=0,
-            primal_dual_gap=0.0,
-            constraint_violation=0.0,
-            converged=True,
-            dual=geom.zeros_dual(),
-        )
+        return _fixed_point(geom, v)
 
     L = geom.op_norm
     tau = 2.0 / L
@@ -316,7 +345,7 @@ def project_pdhg(
 
         if it % check_every == 0:
             viol, _, gap, err = _certificate(geom, vvals, x, q, lam)
-            if (err <= tol or gap <= floor) and viol <= lam * TOL_CONSTRAINT + TOL_CONSTRAINT:
+            if _within_tol(viol, gap, err, lam, tol, floor):
                 converged = True
                 break
             # Restart the extrapolation when the gap stops shrinking
@@ -334,104 +363,143 @@ def project_pdhg(
     return _finalize(geom, v, x, q, lam, it, converged)
 
 
-def _block_edges(n: int):
-    """Partition edges 0..n into even/odd blocks of variable-disjoint
-    constraints; edge e couples nodes (e-1, e), edges 0 and n are the
-    boundary pins."""
-    evens = np.arange(0, n + 1, 2)
-    odds = np.arange(1, n + 1, 2)
-    out = []
-    for block in (evens, odds):
-        interior = block[(block >= 1) & (block <= n - 1)]
-        out.append(
-            {
-                "pairs": interior,  # edge index e; nodes (e-1, e)
-                "pin_left": bool(block[0] == 0),
-                "pin_right": bool(block[-1] == n),
-            }
-        )
-    return out
+def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray):
+    """Primal-dual active-set (semismooth Newton) iteration on the 1D dual.
+
+    Each step takes the active edges and their signs from
+    ``z = q + c D u``, with ``u = v - D^T q`` and ``c = dx^2 / 2``, then
+    solves ``(D D^T)_AA q_A = (D v)_A - lam s_A`` with ``q = 0`` off the
+    active set.  ``D D^T`` is tridiagonal: ``2 / dx^2`` on the diagonal
+    (``1 / dx^2`` on the boundary edges 0 and n), ``-1 / dx^2`` beside it.
+    A pattern that repeats is an exact KKT point.
+
+    Returns ``(u, q, solves)``; ``u`` and ``q`` are None when no pattern
+    repeated within ``NEWTON_MAX_STEPS`` solves, or when every edge became
+    active (constants span the kernel of ``D D^T``, so it is singular).
+    """
+    dx = geom.grid.spacing[0]
+    c = 0.5 * dx * dx
+    dv = geom.apply(vvals)
+    diag = np.full(dv.size, 2.0)
+    diag[0] = diag[-1] = 1.0
+    pattern, solves = None, 0
+    while True:
+        u = vvals - geom.adjoint(q)
+        z = q + c * geom.apply(u)
+        active = np.abs(z) > c * lam
+        signs = np.sign(z[active])
+        if (
+            pattern is not None
+            and np.array_equal(active, pattern[0])
+            and np.array_equal(signs, pattern[1])
+        ):
+            return u, q, solves
+        if solves == NEWTON_MAX_STEPS or active.all():
+            return None, None, solves
+        pattern = (active, signs)
+        # The active block of dx^2 D D^T: nonzero off the diagonal only
+        # between adjacent edges.
+        idx = np.flatnonzero(active)
+        rhs = (dv[idx] - lam * signs) * (dx * dx)
+        q = np.zeros_like(dv)
+        if idx.size == 1:  # solveh_banded rejects a 1x1 system
+            q[idx] = rhs / diag[idx]
+        elif idx.size:
+            band = np.zeros((2, idx.size))
+            band[0, 1:] = np.where(np.diff(idx) == 1, -1.0, 0.0)
+            band[1] = diag[idx]
+            q[idx] = solveh_banded(band, rhs, check_finite=False)
+        solves += 1
 
 
-def _project_block(y: np.ndarray, block, c: float) -> np.ndarray:
-    """Closed-form projection onto one block of independent constraints."""
-    e = block["pairs"]
-    if e.size:
-        a = e - 1
-        d = y[e] - y[a]
-        shift = (d - np.clip(d, -c, c)) / 2.0
-        y[a] += shift
-        y[e] -= shift
-    if block["pin_left"]:
-        y[0] = min(max(y[0], -c), c)
-    if block["pin_right"]:
-        y[-1] = min(max(y[-1], -c), c)
-    return y
+def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
+    """Exact 1D projection by dynamic programming along the path.
+
+    With ``h = lam dx`` and the zero boundary values at both ends, the
+    value function ``F_i(x) = (x - v_i)^2 / 2 + min_{|y - x| <= h} F_{i-1}(y)``
+    is convex and piecewise quadratic, with ``F_0`` defined on ``[-h, h]``.
+    Its derivative is kept as segments between ``knots``, linear from
+    ``left`` to ``right`` on each and free to jump between them.  Taking the
+    minimum over the window shifts the derivative's negative part by
+    ``-h`` and its positive part by ``+h``, with a zero segment of width
+    ``2h`` between them at the minimiser ``x*``.  The backtrack clips each
+    ``x*_{i-1}`` to the window around ``u_i``, starting from ``u_n = 0``.
+
+    The dual follows from ``v - u = D^T q`` up to a constant: the median
+    gauge minimises ``|q|_1``, so it is a dual optimum.  Returns ``(u, q)``.
+    """
+    dx = geom.grid.spacing[0]
+    h = lam * dx
+    n = vvals.size
+    knots = np.array([-h, h])
+    left = knots[:-1] - vvals[0]
+    right = knots[1:] - vvals[0]
+    xstar = []
+    for i in range(n):
+        k = int(np.argmax(right >= 0.0))
+        if right[k] < 0.0:  # decreasing throughout: minimiser at the right end
+            k = right.size
+        elif left[k] < 0.0:  # zero inside segment k: split it there
+            x = knots[k] - left[k] * (knots[k + 1] - knots[k]) / (right[k] - left[k])
+            knots = np.insert(knots, k + 1, x)
+            left = np.insert(left, k + 1, 0.0)
+            right = np.insert(right, k, 0.0)
+            k += 1
+        xstar.append(float(knots[k]))
+        if i + 1 == n:
+            break
+        knots = np.concatenate((knots[: k + 1] - h, knots[k:] + h))
+        left = np.concatenate((left[:k], [0.0], left[k:])) + (knots[:-1] - vvals[i + 1])
+        right = np.concatenate((right[:k], [0.0], right[k:])) + (knots[1:] - vvals[i + 1])
+
+    u = np.empty(n)
+    nxt = 0.0
+    for i in range(n - 1, -1, -1):
+        nxt = min(max(xstar[i], nxt - h), nxt + h)
+        u[i] = nxt
+    p = np.concatenate(([0.0], -dx * np.cumsum(vvals - u)))
+    return u, p - np.median(p)
 
 
-def project_dykstra(
+def project_path(
     v: HeightField,
     lam: float,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    warm_dual=None,
 ) -> ProjectionResult:
-    """Dykstra's alternating projections onto the 1D slope constraints.
+    """Projection of a 1D ``v`` onto the lam-cone, exact up to rounding.
 
-    The pairwise constraints |u_{i+1} - u_i| <= lam dx (plus the boundary
-    pins |u| <= lam dx at both ends) are split into two blocks of
-    variable-disjoint edges, each projected in closed form.  Dykstra's
-    correction vectors make the cycle converge to the exact projection
-    onto the intersection; for this polyhedral family the rate is linear.
-    ``max_iter`` counts full sweeps.
+    The active-set Newton iteration starts from ``warm_dual`` (zero if
+    None) and usually settles in one or two banded solves when the dual of
+    a nearby projection is passed.  If it does not settle, or its result
+    fails the certificate, the exact path dynamic program replaces it.
+    ``iterations`` counts the banded solves, plus one if the dynamic
+    program ran; an admissible input returns itself with 0.  ``converged``
+    has the meaning it has in :func:`project_pdhg`.
     """
     if v.grid.dim != 1:
-        raise ValueError("project_dykstra supports 1D grids only")
+        raise ValueError("project_path supports 1D grids only")
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
     geom = _ConeGeometry(v.grid, "isotropic")
-    n = v.grid.counts[0]
-    dx = v.grid.spacing[0]
-    c = lam * dx
+    vvals = v.values
+    if geom.max_norm(geom.apply(vvals)) <= lam:
+        return _fixed_point(geom, v)
 
-    block_a, block_b = _block_edges(n)
-    x = v.values.copy()
-    p = np.zeros(n)
-    r = np.zeros(n)
+    floor = _gap_floor(vvals)
 
-    stop_change = max(tol * 1e-2, 1e-15)
-    sweeps = 0
-    converged = False
-    while sweeps < max_iter:
-        sweeps += 1
-        x_old = x
-        w = x + p
-        y = _project_block(w.copy(), block_a, c)
-        p = w - y
-        w2 = y + r
-        x = _project_block(w2.copy(), block_b, c)
-        r = w2 - x
-        if sweeps % 4 == 0 or sweeps == max_iter:
-            change = float(np.max(np.abs(x - x_old)))
-            if change <= stop_change:
-                viol = max(0.0, geom.max_norm(geom.apply(x)) - lam)
-                if viol <= lam * TOL_CONSTRAINT + TOL_CONSTRAINT:
-                    converged = True
-                    break
+    def certified(x, q) -> bool:
+        viol, _, gap, err = _certificate(geom, vvals, x, q, lam)
+        return _within_tol(viol, gap, err, lam, tol, floor)
 
-    # Per-edge duals from the correction vectors: within each block the
-    # constraints touch disjoint nodes, so the correction at the right
-    # node of edge e is exactly its displacement scalar.
-    q = np.zeros(n + 1)
-    for corr, block in ((p, block_a), (r, block_b)):
-        e = block["pairs"]
-        if e.size:
-            q[e] = dx * corr[e]
-        if block["pin_left"]:
-            q[0] = dx * corr[0]
-        if block["pin_right"]:
-            q[n] = -dx * corr[n - 1]
-
-    return _finalize(geom, v, x, q, lam, sweeps, converged)
+    q0 = geom.zeros_dual() if warm_dual is None else np.asarray(warm_dual, dtype=float)
+    x, q, solves = _path_newton(geom, vvals, lam, q0)
+    converged = x is not None and certified(x, q)
+    if not converged:
+        x, q = _path_dp(geom, vvals, lam)
+        solves += 1
+        converged = certified(x, q)
+    return _finalize(geom, v, x, q, lam, solves, converged)
 
 
 def resolvent_step(
@@ -447,15 +515,20 @@ def resolvent_step(
     """One implicit Euler step of the constrained flow.
 
     Solves ``(u - u_prev)/dt + normal_cone(u) owns g`` by projecting
-    ``u_prev + dt * g`` onto the cone.  The returned multiplier is the
+    ``u_prev + dt * g`` onto the cone: with :func:`project_path` in 1D
+    (where the two modes coincide and ``max_iter`` is unused), with
+    :func:`project_pdhg` otherwise.  The returned multiplier is the
     time-step-scaled dual ``m / dt``, the effective diffusion density of
     the step; the raw projection multiplier is ``m * dt``.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     predicted = HeightField(u_prev.grid, u_prev.values + dt * np.asarray(g, dtype=float))
-    res = project_pdhg(
-        predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual
-    )
+    if predicted.grid.dim == 1:
+        res = project_path(predicted, lam, tol=tol, warm_dual=warm_dual)
+    else:
+        res = project_pdhg(
+            predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual
+        )
     res.m = MultiplierField(res.m.grid, res.m.values / dt)
     return res

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
     MultiplierField,
     NonConvergedError,
+    project_path,
     project_pdhg,
     resolvent_step,
 )
@@ -178,21 +180,32 @@ def source_eval(spec: SourceSpec, grid: Grid, t: float) -> np.ndarray:
         else:
             box = masks[0][:, None] & masks[1][None, :]
         return np.where(box, spec.rate, 0.0)
-    table = _load_table(spec.path)
-    times, rows = table
+    times, rows = _load_table(spec.path)
+    if rows.shape[1] != grid.node_count:
+        raise ValueError(
+            f"tabulated source {spec.path!r} has {rows.shape[1]} rate columns, "
+            f"the grid has {grid.node_count} nodes"
+        )
     idx = int(np.searchsorted(times, t, side="right") - 1)
     idx = min(max(idx, 0), rows.shape[0] - 1)
     return rows[idx].reshape(grid.shape)
 
 
-_TABLE_CACHE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+# path -> ((mtime_ns, size), times, rows); a rewritten file is read again.
+_TABLE_CACHE: dict[str, tuple[tuple[int, int], np.ndarray, np.ndarray]] = {}
 
 
 def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
-    if path not in _TABLE_CACHE:
+    """Times and per-node rate rows of a tabulated source file."""
+    st = os.stat(path)
+    stamp = (st.st_mtime_ns, st.st_size)
+    cached = _TABLE_CACHE.get(path)
+    if cached is None or cached[0] != stamp:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
-        _TABLE_CACHE[path] = (data[:, 0], data[:, 1:])
-    return _TABLE_CACHE[path]
+        if np.any(np.diff(data[:, 0]) <= 0.0):
+            raise ValueError(f"tabulated source {path!r}: times must strictly increase")
+        cached = _TABLE_CACHE[path] = (stamp, data[:, 0], data[:, 1:])
+    return cached[1], cached[2]
 
 
 def transport_flux(
@@ -395,9 +408,12 @@ def run(
 
     if n_steps > 0 and not admissible(u0, params.lam, numerics.constraint_mode):
         logger.warning("initial data is not admissible; projecting onto the cone")
-        u0 = project_pdhg(
-            u0, params.lam, tol=numerics.proj_tol, mode=numerics.constraint_mode
-        ).u
+        if grid.dim == 1:
+            u0 = project_path(u0, params.lam, tol=numerics.proj_tol).u
+        else:
+            u0 = project_pdhg(
+                u0, params.lam, tol=numerics.proj_tol, mode=numerics.constraint_mode
+            ).u
 
     traj = Trajectory(
         params=params,

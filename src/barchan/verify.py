@@ -159,9 +159,9 @@ def make_test_functions(
         xis.append(project_pdhg(scaled, lam, mode=mode).u)
     xis = xis[:count]
 
-    for xi in xis:
-        assert admissible(xi, lam, mode)
-        assert np.max(np.abs(xi.values)) <= lam * grid.diameter + 1e-9
+    for i, xi in enumerate(xis):
+        if not admissible(xi, lam, mode) or np.max(np.abs(xi.values)) > lam * grid.diameter + 1e-9:
+            raise RuntimeError(f"test function {i} is not admissible for lam={lam}, mode={mode!r}")
     return TestFunctionSet(xis=xis, seed=seed)
 
 

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barchan.grid import (
     HeightField,
@@ -12,7 +16,10 @@ from barchan.projection import (
     M_TOL,
     SLACK_TOL,
     MultiplierField,
-    project_dykstra,
+    _ConeGeometry,
+    _path_dp,
+    _path_newton,
+    project_path,
     project_pdhg,
     resolvent_step,
 )
@@ -34,7 +41,7 @@ def truncate(z, k):
     return np.clip(z, -k, k)
 
 
-@pytest.mark.parametrize("solver", [project_pdhg, project_dykstra])
+@pytest.mark.parametrize("solver", [project_pdhg, project_path])
 def test_admissible_input_is_fixed_point(solver):
     g = make_grid(1, 1.0, 15)
     lam = 1.0
@@ -45,7 +52,7 @@ def test_admissible_input_is_fixed_point(solver):
     assert res.converged
 
 
-@pytest.mark.parametrize("solver", [project_pdhg, project_dykstra])
+@pytest.mark.parametrize("solver", [project_pdhg, project_path])
 def test_zero_maps_to_zero(solver):
     g = make_grid(1, 1.0, 9)
     res = solver(HeightField.zeros(g), 0.7)
@@ -53,14 +60,14 @@ def test_zero_maps_to_zero(solver):
     np.testing.assert_array_equal(res.m.values, 0.0)
 
 
-def test_spike_pdhg_matches_dykstra():
+def test_spike_pdhg_matches_path():
     g = make_grid(1, 1.0, 31)
     v = HeightField.zeros(g)
     v.values[15] = 2.0
     rp = project_pdhg(v, 1.0, tol=1e-8)
-    rd = project_dykstra(v, 1.0, tol=1e-8)
-    assert rp.converged and rd.converged
-    assert np.max(np.abs(rp.u.values - rd.u.values)) <= 1e-6
+    rx = project_path(v, 1.0, tol=1e-8)
+    assert rp.converged and rx.converged
+    assert np.max(np.abs(rp.u.values - rx.u.values)) <= 1e-6
 
 
 def test_hand_enumerated_qp():
@@ -71,7 +78,7 @@ def test_hand_enumerated_qp():
     g = make_grid(1, 0.4, 3)
     v = HeightField(g, np.array([0.0, 0.5, 0.0]))
     expected = np.array([0.1, 0.2, 0.1])
-    for solver in (project_pdhg, project_dykstra):
+    for solver in (project_pdhg, project_path):
         res = solver(v, 1.0, tol=1e-10)
         np.testing.assert_allclose(res.u.values, expected, atol=1e-7)
 
@@ -82,7 +89,7 @@ def test_pin_only_case():
     # other nodes stay at their unconstrained optimum 0
     g = make_grid(1, 0.4, 3)
     v = HeightField(g, np.array([0.0, 0.0, 0.5]))
-    for solver in (project_pdhg, project_dykstra):
+    for solver in (project_pdhg, project_path):
         res = solver(v, 1.0, tol=1e-10)
         np.testing.assert_allclose(res.u.values, [0.0, 0.0, 0.1], atol=1e-6)
         assert admissible(res.u, 1.0)
@@ -96,12 +103,12 @@ def test_agreement_on_random_fields():
         v = HeightField(g, rng.uniform(0.3, 1.5) * rng.normal(size=n))
         lam = float(rng.choice([0.5, 1.0]))
         rp = project_pdhg(v, lam, tol=1e-8)
-        rd = project_dykstra(v, lam, tol=1e-8)
-        assert rp.converged and rd.converged
-        assert np.max(np.abs(rp.u.values - rd.u.values)) <= 1e-6
+        rx = project_path(v, lam, tol=1e-8)
+        assert rp.converged and rx.converged
+        assert np.max(np.abs(rp.u.values - rx.u.values)) <= 1e-6
 
 
-@pytest.mark.parametrize("solver", [project_pdhg, project_dykstra])
+@pytest.mark.parametrize("solver", [project_pdhg, project_path])
 def test_variational_inequality_sampled(solver):
     # <v - u, xi - u> <= tol for admissible xi characterizes the projection
     rng = np.random.default_rng(3)
@@ -155,7 +162,7 @@ def test_untruncated_vi_2d_isotropic():
         assert np.vdot(v.values - res.u.values, xi.values - res.u.values) <= 1e-6
 
 
-@pytest.mark.parametrize("solver", [project_pdhg, project_dykstra])
+@pytest.mark.parametrize("solver", [project_pdhg, project_path])
 def test_nonexpansive(solver):
     rng = np.random.default_rng(17)
     g = make_grid(1, 1.0, 21)
@@ -215,10 +222,10 @@ def test_non_convergence_flagged():
     assert not res.converged
 
 
-def test_dykstra_rejects_2d():
+def test_path_rejects_2d():
     g = make_grid(2, (1.0, 1.0), (5, 5))
     with pytest.raises(ValueError, match="1D"):
-        project_dykstra(HeightField.zeros(g), 1.0)
+        project_path(HeightField.zeros(g), 1.0)
 
 
 def test_bad_lambda_rejected():
@@ -226,7 +233,7 @@ def test_bad_lambda_rejected():
     with pytest.raises(ValueError, match="lam"):
         project_pdhg(HeightField.zeros(g), 0.0)
     with pytest.raises(ValueError, match="lam"):
-        project_dykstra(HeightField.zeros(g), -1.0)
+        project_path(HeightField.zeros(g), -1.0)
 
 
 def test_resolvent_zero_drive_is_stationary():
@@ -282,3 +289,156 @@ def test_warm_start_does_not_change_limit():
     warm = project_pdhg(v, 1.0, warm_dual=cold.dual)
     assert np.max(np.abs(cold.u.values - warm.u.values)) <= 1e-6
     assert warm.iterations <= cold.iterations
+
+
+# --- project_path: active-set Newton with the exact path DP behind it ---
+
+
+def _path_case(n, seed, kind):
+    """A 1D input and its lam: white noise far outside the cone, or a
+    smooth hump whose steepest slope is 0.5 to 3 times lam."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, 1.0, n)
+    lam = float(rng.choice([0.5, 1.0, 2.0]))
+    if kind == "noise":
+        vals = rng.uniform(0.05, 2.0) * rng.normal(size=n)
+    else:
+        x = g.coords(0)
+        c, w = rng.uniform(0.3, 0.7), rng.uniform(0.15, 0.4)
+        # peak slope of height * (1 - s^2)^2 is about 1.54 height / w
+        height = rng.uniform(0.5, 3.0) * lam * w / 1.54
+        vals = height * np.clip(1.0 - ((x - c) / w) ** 2, 0.0, None) ** 2
+    return HeightField(g, vals), lam
+
+
+path_cases = st.tuples(
+    st.integers(3, 64), st.integers(0, 2**32 - 1), st.sampled_from(["noise", "hump"])
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(path_cases)
+def test_path_idempotent(case):
+    v, lam = _path_case(*case)
+    once = project_path(v, lam)
+    twice = project_path(once.u, lam)
+    assert twice.converged
+    np.testing.assert_allclose(twice.u.values, once.u.values, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(path_cases, st.integers(0, 2**32 - 1))
+def test_path_nonexpansive(case, seed):
+    a, lam = _path_case(*case)
+    b = HeightField(a.grid, a.values + np.random.default_rng(seed).normal(size=a.grid.shape))
+    pa, pb = project_path(a, lam).u, project_path(b, lam).u
+    assert np.linalg.norm(pa.values - pb.values) <= np.linalg.norm(a.values - b.values) + 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(path_cases)
+def test_path_result_invariants(case):
+    v, lam = _path_case(*case)
+    res = project_path(v, lam)
+    assert res.converged
+    assert res.constraint_violation <= 1e-8
+    assert admissible(res.u, lam)
+    assert np.all(res.m.values >= 0.0)
+    slack = node_slope_magnitude(res.u) < lam - SLACK_TOL
+    assert np.all(res.m.values[slack] <= M_TOL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.sampled_from(["noise", "hump"]))
+def test_path_matches_pdhg(n, seed, kind):
+    v, lam = _path_case(n, seed, kind)
+    rp = project_pdhg(v, lam, tol=1e-8)
+    rx = project_path(v, lam, tol=1e-8)
+    assert rp.converged and rx.converged
+    assert np.max(np.abs(rp.u.values - rx.u.values)) <= 1e-6
+
+
+@settings(max_examples=50, deadline=None)
+@given(path_cases, st.integers(0, 2**32 - 1))
+def test_path_warm_start_does_not_change_result(case, seed):
+    # warm-start from the dual of a nearby input, as the stepper does
+    v, lam = _path_case(*case)
+    jitter = 0.01 * np.random.default_rng(seed).normal(size=v.grid.shape)
+    nearby = HeightField(v.grid, v.values + jitter)
+    warm = project_path(v, lam, warm_dual=project_path(nearby, lam).dual)
+    cold = project_path(v, lam)
+    assert warm.converged and cold.converged
+    np.testing.assert_allclose(warm.u.values, cold.u.values, rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(path_cases)
+def test_path_newton_matches_dp(case):
+    v, lam = _path_case(*case)
+    geom = _ConeGeometry(v.grid, "isotropic")
+    u_dp, q_dp = _path_dp(geom, v.values, lam)
+    for start in (np.zeros(v.grid.counts[0] + 1), q_dp):
+        u_newton, _, _ = _path_newton(geom, v.values, lam, start)
+        if u_newton is not None:
+            assert np.max(np.abs(u_newton - u_dp)) <= 1e-10
+
+
+def test_path_all_active_qp():
+    # test_hand_enumerated_qp's input: all four edges are active, so D D^T
+    # restricted to them is singular and Newton must hand over to the DP.
+    # From v - u = D^T q, q = p - median(p) with p = (0, .01, -.02, -.01).
+    g = make_grid(1, 0.4, 3)
+    v = HeightField(g, np.array([0.0, 0.5, 0.0]))
+    geom = _ConeGeometry(g, "isotropic")
+    u_newton, _, _ = _path_newton(geom, v.values, 1.0, np.zeros(4))
+    assert u_newton is None
+    res = project_path(v, 1.0, tol=1e-10)
+    assert res.converged
+    np.testing.assert_allclose(res.u.values, [0.1, 0.2, 0.1], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.dual, [0.005, 0.015, -0.015, -0.005], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.m.values, [0.015, 0.015, 0.005], rtol=0.0, atol=1e-12)
+
+
+def test_path_single_active_edge():
+    # dx = 0.1, lam dx = 0.1: only the edge between nodes 1 and 2 (slope
+    # -1.2) is steep; the two nodes meet halfway, so u1, u2 = 0.03, -0.07,
+    # and v - u = D^T q gives q_2 = -0.001 on that edge alone.
+    g = make_grid(1, 0.6, 5)
+    v = HeightField(g, np.array([0.0, 0.04, -0.08, -0.02, 0.0]))
+    expected = [0.0, 0.03, -0.07, -0.02, 0.0]
+    geom = _ConeGeometry(g, "isotropic")
+    u_newton, q_newton, solves = _path_newton(geom, v.values, 1.0, np.zeros(6))
+    assert solves == 1
+    np.testing.assert_allclose(u_newton, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(q_newton, [0, 0, -0.001, 0, 0, 0], rtol=0.0, atol=1e-12)
+    u_dp, _ = _path_dp(geom, v.values, 1.0)
+    np.testing.assert_allclose(u_dp, expected, rtol=0.0, atol=1e-12)
+    res = project_path(v, 1.0)
+    assert res.converged and res.iterations == 1
+    np.testing.assert_allclose(res.m.values, [0, 0.001, 0, 0, 0], rtol=0.0, atol=1e-12)
+
+
+def test_path_n3_matches_active_set_enumeration():
+    # Independent oracle on n = 3: the projection is the feasible point
+    # nearest to v among the equality-constrained minimisers of every
+    # signed active set of the four edges.
+    g = make_grid(1, 0.4, 3)
+    dx, lam = g.spacing[0], 1.0
+    D = (np.eye(4, 3) - np.eye(4, 3, k=-1)) / dx
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        v = rng.uniform(-0.6, 0.6, size=3)
+        best = None
+        for signs in itertools.product((-1.0, 0.0, 1.0), repeat=4):
+            s = np.array(signs)
+            A = D[s != 0.0]
+            u = v.copy()
+            if A.shape[0]:
+                mu = np.linalg.lstsq(A @ A.T, A @ v - lam * s[s != 0.0], rcond=None)[0]
+                u = v - A.T @ mu
+            if np.max(np.abs(D @ u)) <= lam + 1e-9:
+                if best is None or np.sum((u - v) ** 2) < np.sum((best - v) ** 2):
+                    best = u
+        res = project_path(HeightField(g, v), lam)
+        assert res.converged
+        np.testing.assert_allclose(res.u.values, best, rtol=0.0, atol=1e-10)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,36 @@ def test_source_tabulated(tmp_path):
     s = SourceSpec("tabulated", path=str(path))
     np.testing.assert_array_equal(source_eval(s, g, 0.1), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(source_eval(s, g, 0.7), [4.0, 5.0, 6.0])
+
+
+def test_source_tabulated_rewritten_file_is_reread(tmp_path):
+    g = make_grid(1, 1.0, 3)
+    path = tmp_path / "src.csv"
+    path.write_text("0.0,1.0,2.0,3.0\n")
+    s = SourceSpec("tabulated", path=str(path))
+    np.testing.assert_array_equal(source_eval(s, g, 0.0), [1.0, 2.0, 3.0])
+    # same size; the modification time is moved on explicitly because a
+    # fast rewrite can land in the same filesystem timestamp tick
+    before = os.stat(path)
+    path.write_text("0.0,7.0,8.0,9.0\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+    np.testing.assert_array_equal(source_eval(s, g, 0.0), [7.0, 8.0, 9.0])
+
+
+def test_source_tabulated_column_count_checked(tmp_path):
+    g = make_grid(1, 1.0, 3)
+    path = tmp_path / "src.csv"
+    path.write_text("0.0,1.0,2.0\n0.5,4.0,5.0\n")
+    with pytest.raises(ValueError, match="2 rate columns"):
+        source_eval(SourceSpec("tabulated", path=str(path)), g, 0.1)
+
+
+def test_source_tabulated_times_must_increase(tmp_path):
+    g = make_grid(1, 1.0, 3)
+    path = tmp_path / "src.csv"
+    path.write_text("0.0,1.0,2.0,3.0\n0.5,4.0,5.0,6.0\n0.5,7.0,8.0,9.0\n")
+    with pytest.raises(ValueError, match="strictly increase"):
+        source_eval(SourceSpec("tabulated", path=str(path)), g, 0.1)
 
 
 def test_params_validation():

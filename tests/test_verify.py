@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from barchan import verify
 from barchan.constitutive import GammaProfile, HProfile
 from barchan.grid import HeightField, admissible, dist_to_boundary, make_grid
 from barchan.stepper import KernelSpec, ModelParams, SourceSpec, kernel_for, run
@@ -55,6 +56,19 @@ def test_test_functions_canonical_and_admissible():
     for xi in ts.xis:
         assert admissible(xi, lam)
         assert np.max(np.abs(xi.values)) <= lam * g.diameter + 1e-9
+
+
+def test_test_functions_inadmissible_member_raises(monkeypatch):
+    # a projection that leaves its input outside the cone must be reported
+    # by an exception that survives ``python -O``, not by an assert
+    class _Unprojected:
+        def __init__(self, v):
+            self.u = HeightField(v.grid, 10.0 * v.values)
+
+    monkeypatch.setattr(verify, "project_pdhg", lambda v, lam, mode: _Unprojected(v))
+    g = make_grid(1, 1.0, 31)
+    with pytest.raises(RuntimeError, match="not admissible"):
+        make_test_functions(g, 0.9, count=8, seed=3)
 
 
 def test_test_functions_2d():
