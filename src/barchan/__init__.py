@@ -11,6 +11,7 @@ from .projection import (
     MultiplierField,
     NonConvergedError,
     ProjectionResult,
+    project,
     project_path,
     project_pdhg,
     resolvent_step,
@@ -33,6 +34,7 @@ __all__ = [
     "lipschitz_bound",
     "build_kernel",
     "nonlocal_slope",
+    "project",
     "project_pdhg",
     "project_path",
     "resolvent_step",

@@ -2,24 +2,29 @@
 
 Height fields sample the open interior of an axis-aligned box; every
 boundary node carries an implicit Dirichlet value of zero, so fields are
-stored as plain arrays over interior nodes only.  The forward-difference
-gradient and backward-difference divergence defined here are exact
-negative adjoints of each other, which the cone projection relies on.
+stored as plain arrays over interior nodes only.
+
+``edge_slopes`` takes every nearest-neighbour difference of the
+zero-extended field, one array per axis in every dimension, including the
+differences that cross the boundary; bounding them makes the
+slope-constrained set identical to the admissible cone.  It and its exact
+adjoint ``edge_slopes_adjoint`` are the operator pair the cone projection
+relies on.  Each interior node hosts the forward difference to its next
+neighbour on every axis (``hosted``); only the first difference of an axis,
+which crosses the left/bottom boundary, has no host.
 
 Slope constraints come in two flavours, selected by ``mode``:
 
-* ``"isotropic"``: Euclidean norm of the per-node gradient vector,
-* ``"componentwise"``: each axis difference bounded separately.
+* ``"isotropic"``: Euclidean norm of each node's forward differences,
+* ``"componentwise"``: each difference bounded separately.
 
-The two coincide in 1D.  ``edge_slopes`` additionally exposes the
-differences that cross the left/bottom boundary, which the per-node
-forward gradient does not host; together with the zero boundary they make
-the slope-constrained set identical to the admissible cone.
+The two coincide in 1D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -64,10 +69,7 @@ class Grid:
         return (np.arange(self.counts[axis]) + 1.0) * self.spacing[axis]
 
     def meshgrid(self) -> list[np.ndarray]:
-        axes = [self.coords(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return axes
-        return list(np.meshgrid(*axes, indexing="ij"))
+        return list(np.meshgrid(*(self.coords(a) for a in range(self.dim)), indexing="ij"))
 
 
 def make_grid(
@@ -92,10 +94,10 @@ def make_grid(
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     ext = tuple(float(e) for e in np.atleast_1d(extents))
     cnt = tuple(int(c) for c in np.atleast_1d(counts))
-    if len(ext) == 1 and dim == 2:
-        ext = ext * 2
-    if len(cnt) == 1 and dim == 2:
-        cnt = cnt * 2
+    if len(ext) == 1:
+        ext = ext * dim
+    if len(cnt) == 1:
+        cnt = cnt * dim
     if len(ext) != dim or len(cnt) != dim:
         raise ValueError(
             f"extents/counts must have one entry per axis, got {ext}, {cnt}"
@@ -144,80 +146,80 @@ def dist_to_boundary(grid: Grid) -> np.ndarray:
     for a in range(grid.dim):
         x = grid.coords(a)
         per_axis.append(np.minimum(x, grid.extents[a] - x))
-    if grid.dim == 1:
-        return per_axis[0]
-    return np.minimum(per_axis[0][:, None], per_axis[1][None, :])
+    return reduce(np.minimum, np.meshgrid(*per_axis, indexing="ij", sparse=True))
 
 
-def grad_forward(field: HeightField) -> np.ndarray:
-    """Forward-difference gradient with zero ghost values beyond the boundary.
+def _along(axis: int, index) -> tuple:
+    """Index applying ``index`` along ``axis`` and taking every other axis whole."""
+    return (slice(None),) * axis + (index,)
 
-    Returns one gradient entry per interior node: shape ``(n,)`` in 1D and
-    ``(nx, ny, 2)`` in 2D (components along x then y).
+
+# Per-axis index tuples, built once (grids have one or two axes).
+_HEAD = tuple(_along(a, slice(None, -1)) for a in range(2))
+_TAIL = tuple(_along(a, slice(1, None)) for a in range(2))
+_FIRST = tuple(_along(a, 0) for a in range(2))
+_LAST = tuple(_along(a, -1) for a in range(2))
+
+
+def edge_slopes(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """All nearest-neighbour slopes of the zero-extended field, per axis.
+
+    Axis ``a`` gets ``counts[a] + 1`` differences along it, including the
+    two that cross the boundary, so bounding every entry by ``lam`` is
+    equivalent to membership in the admissible cone.  Returns a 1-tuple in
+    1D and ``(ex, ey)`` of shapes ``(nx + 1, ny)`` and ``(nx, ny + 1)`` in 2D.
     """
-    g = field.grid
-    v = field.values
-    if g.dim == 1:
-        return (np.concatenate([v[1:], [0.0]]) - v) / g.spacing[0]
-    gx = (np.vstack([v[1:, :], np.zeros((1, g.counts[1]))]) - v) / g.spacing[0]
-    gy = (np.hstack([v[:, 1:], np.zeros((g.counts[0], 1))]) - v) / g.spacing[1]
-    return np.stack([gx, gy], axis=-1)
+    out = []
+    for a, h in enumerate(grid.spacing):
+        shape = list(values.shape)
+        shape[a] += 1
+        # Filled in place: far cheaper than padding and np.diff on small grids.
+        e = np.empty(shape)
+        e[_HEAD[a]] = values
+        e[_LAST[a]] = 0.0
+        e[_TAIL[a]] -= values
+        e /= h
+        out.append(e)
+    return tuple(out)
 
 
-def div_backward(grid: Grid, p: np.ndarray) -> np.ndarray:
-    """Backward-difference divergence, the exact negative adjoint of
-    :func:`grad_forward`: ``<grad u, p> = -<u, div p>`` in the Euclidean
-    inner product (ghost value 0 on the left/bottom)."""
-    if grid.dim == 1:
-        return (p - np.concatenate([[0.0], p[:-1]])) / grid.spacing[0]
-    px, py = p[..., 0], p[..., 1]
-    dx = (px - np.vstack([np.zeros((1, grid.counts[1])), px[:-1, :]])) / grid.spacing[0]
-    dy = (py - np.hstack([np.zeros((grid.counts[0], 1)), py[:, :-1]])) / grid.spacing[1]
-    return dx + dy
-
-
-def edge_slopes(field: HeightField) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """All nearest-neighbour slopes of the zero-extended field.
-
-    Unlike :func:`grad_forward` this includes the differences that cross
-    the left/bottom boundary, so bounding every entry by ``lam`` is
-    equivalent to membership in the admissible cone.  Returns shape
-    ``(n + 1,)`` in 1D, or a pair ``(ex, ey)`` of shapes
-    ``(nx + 1, ny)`` and ``(nx, ny + 1)`` in 2D.
-    """
-    g = field.grid
-    v = field.values
-    if g.dim == 1:
-        return np.diff(np.concatenate([[0.0], v, [0.0]])) / g.spacing[0]
-    zx = np.zeros((1, g.counts[1]))
-    zy = np.zeros((g.counts[0], 1))
-    ex = np.diff(np.vstack([zx, v, zx]), axis=0) / g.spacing[0]
-    ey = np.diff(np.hstack([zy, v, zy]), axis=1) / g.spacing[1]
-    return ex, ey
-
-
-def edge_slopes_adjoint(
-    grid: Grid, q: np.ndarray | tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def edge_slopes_adjoint(grid: Grid, q: tuple[np.ndarray, ...]) -> np.ndarray:
     """Exact adjoint of :func:`edge_slopes` in the Euclidean inner product."""
-    if grid.dim == 1:
-        return (q[:-1] - q[1:]) / grid.spacing[0]
-    qx, qy = q
-    return (qx[:-1, :] - qx[1:, :]) / grid.spacing[0] + (
-        qy[:, :-1] - qy[:, 1:]
-    ) / grid.spacing[1]
+    out = None
+    for a, (qa, h) in enumerate(zip(q, grid.spacing)):
+        d = (qa[_HEAD[a]] - qa[_TAIL[a]]) / h
+        out = d if out is None else out + d
+    return out
+
+
+def hosted(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The edge entries hosted by interior nodes: per axis, the difference
+    from each node to its next neighbour (the forward difference).  The
+    first edge of each axis crosses the left/bottom boundary and has no
+    host (:func:`unhosted`).  The results are views."""
+    return tuple([qa[_TAIL[a]] for a, qa in enumerate(q)])
+
+
+def unhosted(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The first edge entries of each axis, those without a host node."""
+    return tuple([qa[_FIRST[a]] for a, qa in enumerate(q)])
+
+
+def paired(grid: Grid, mode: str) -> bool:
+    """Whether a node's forward differences are bounded together, by their
+    Euclidean norm (isotropic mode in 2D), rather than one by one
+    (componentwise mode, and 1D, where the two modes coincide)."""
+    return mode == "isotropic" and grid.dim > 1
 
 
 def node_slope_magnitude(field: HeightField, mode: str = "isotropic") -> np.ndarray:
-    """Per-node magnitude of the forward gradient under the given norm."""
+    """Per-node magnitude of the forward differences under the given norm."""
     if mode not in CONSTRAINT_MODES:
         raise ValueError(f"unknown constraint mode {mode!r}")
-    g = grad_forward(field)
-    if field.grid.dim == 1:
-        return np.abs(g)
-    if mode == "isotropic":
-        return np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)
-    return np.maximum(np.abs(g[..., 0]), np.abs(g[..., 1]))
+    g = hosted(edge_slopes(field.grid, field.values))
+    if paired(field.grid, mode):
+        return np.sqrt(reduce(np.add, [d * d for d in g]))
+    return reduce(np.maximum, [np.abs(d) for d in g])
 
 
 def max_slope(field: HeightField, mode: str = "isotropic") -> float:
@@ -243,18 +245,5 @@ def admissible(
     return bool(np.all(np.abs(field.values) <= bound + tol))
 
 
-def dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    """Discrete L2 inner product (cell-volume weighted)."""
-    return float(np.vdot(a, b)) * grid.cell_volume
-
-
-def norm_l1(grid: Grid, a: np.ndarray) -> float:
-    return float(np.sum(np.abs(a))) * grid.cell_volume
-
-
 def norm_l2(grid: Grid, a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a) * grid.cell_volume))
-
-
-def norm_linf(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .grid import Grid, HeightField
+from .grid import HeightField, edge_slopes
 
 KERNEL_PROFILES = ("triangle", "cosine_bump", "box")
 
@@ -110,15 +110,12 @@ def build_kernel(profile: str, radius: float, dx: float) -> DiscreteKernel:
 def _convolve_rows(g: np.ndarray, w: np.ndarray, method: str) -> np.ndarray:
     """Convolve along axis 0 with the stencil, keeping the 'full' output."""
     if method == "fft":
-        if g.ndim == 1:
-            return fftconvolve(g, w, mode="full")
-        return fftconvolve(g, w[:, None], mode="full", axes=0)
-    if g.ndim == 1:
-        return np.convolve(g, w, mode="full")
-    out = np.empty((g.shape[0] + w.size - 1, g.shape[1]))
-    for j in range(g.shape[1]):
-        out[:, j] = np.convolve(g[:, j], w, mode="full")
-    return out
+        return fftconvolve(g, w.reshape((-1,) + (1,) * (g.ndim - 1)), mode="full", axes=0)
+    cols = g.reshape(g.shape[0], -1)
+    out = np.empty((cols.shape[0] + w.size - 1, cols.shape[1]))
+    for j in range(cols.shape[1]):
+        out[:, j] = np.convolve(cols[:, j], w, mode="full")
+    return out.reshape(out.shape[:1] + g.shape[1:])
 
 
 def nonlocal_slope(
@@ -142,14 +139,7 @@ def nonlocal_slope(
     if method not in ("direct", "fft"):
         raise ValueError(f"unknown convolution method {method!r}")
 
-    v = field.values
-    if grid.dim == 1:
-        ext = np.concatenate([[0.0], v, [0.0]])
-        g = np.diff(ext) / dx  # slopes at offsets -1 .. n-1
-    else:
-        z = np.zeros((1, grid.counts[1]))
-        g = np.diff(np.vstack([z, v, z]), axis=0) / dx
-
+    g = edge_slopes(grid, field.values)[0]  # x-slopes at offsets -1 .. n-1
     c = _convolve_rows(g, kernel.weights, method) * dx
     k = kernel.half_width
     n = grid.counts[0]

@@ -21,12 +21,13 @@ Two independent routes compute it:
   an exact dynamic program over the path (L2 Lipschitz regression) gives
   the projection in a finite number of operations, with no tolerance.
 
-The stepper's resolvent takes the 1D route on 1D grids: between time
-steps the active set changes little, so a step costs one or two banded
-solves whatever the grid size, where PDHG needs hundreds to thousands of
-iterations.  PDHG stays the 2D solver, the 1D oracle the tests hold the
-1D route to, and the verifier's projection.  Both routes finish with the
-same duality-gap certificate, so ``converged`` means the same for both.
+``project``, which the stepper calls, takes the 1D route on 1D grids:
+between time steps the active set changes little, so a step costs one or
+two banded solves whatever the grid size, where PDHG needs hundreds to
+thousands of iterations.  PDHG stays the 2D solver, the 1D oracle the
+tests hold the 1D route to, and the verifier's projection.  Both routes
+finish with the same duality-gap certificate, so ``converged`` means the
+same for both.
 
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -46,7 +48,11 @@ from .grid import (
     TOL_CONSTRAINT,
     Grid,
     HeightField,
+    edge_slopes,
     edge_slopes_adjoint,
+    hosted,
+    paired,
+    unhosted,
 )
 
 M_TOL = 1e-6
@@ -93,7 +99,8 @@ class ProjectionResult:
     error it certifies (``sqrt(2 * gap)``), so it is comparable to ``tol``
     in field units.  ``constraint_violation`` is the max slope excess of
     the returned field, clamped at zero.  ``dual`` keeps the raw converged
-    dual vector; feeding it back as ``warm_dual`` of a nearby projection
+    dual vector as a per-axis tuple shaped like :func:`edge_slopes` (a
+    1-tuple in 1D); feeding it back as ``warm_dual`` of a nearby projection
     cuts its iteration count without changing the limit.
     """
 
@@ -103,117 +110,76 @@ class ProjectionResult:
     primal_dual_gap: float
     constraint_violation: float
     converged: bool
-    dual: object = None
+    dual: tuple[np.ndarray, ...] | None = None
+
+
+def _soft(x: np.ndarray, t: float) -> np.ndarray:
+    """Soft-threshold of scalar entries by magnitude, hard zeros below t."""
+    mag = np.abs(x)
+    return np.where(mag > t, x * (1.0 - t / np.maximum(mag, t)), 0.0)
 
 
 class _ConeGeometry:
-    """Edge-difference operator plus the dual norm machinery for one
-    grid/constraint-mode pair."""
+    """Dual norm machinery of the edge-slope constraints for one
+    grid/constraint-mode pair.  Dual vectors are per-axis tuples shaped
+    like :func:`edge_slopes`.
+
+    Every edge is its own constraint, except when ``paired``: then the
+    differences hosted by one interior node form a Euclidean pair, and only
+    the boundary-crossing first edge of each axis, which has no host, stays
+    scalar.
+    """
 
     def __init__(self, grid: Grid, mode: str):
         if mode not in CONSTRAINT_MODES:
             raise ValueError(f"unknown constraint mode {mode!r}")
         self.grid = grid
-        self.mode = mode
+        self.paired = paired(grid, mode)
         self.op_norm = 2.0 * math.sqrt(sum(1.0 / s**2 for s in grid.spacing))
 
-    def apply(self, values: np.ndarray):
-        # Same operator as grid.edge_slopes, on raw arrays (hot loop).
-        g = self.grid
-        if g.dim == 1:
-            return np.diff(np.concatenate([[0.0], values, [0.0]])) / g.spacing[0]
-        zx = np.zeros((1, g.counts[1]))
-        zy = np.zeros((g.counts[0], 1))
-        ex = np.diff(np.vstack([zx, values, zx]), axis=0) / g.spacing[0]
-        ey = np.diff(np.hstack([zy, values, zy]), axis=1) / g.spacing[1]
-        return ex, ey
+    def _pair_norm(self, q) -> np.ndarray:
+        return np.sqrt(reduce(np.add, [h * h for h in hosted(q)]))
 
-    def adjoint(self, q) -> np.ndarray:
-        return edge_slopes_adjoint(self.grid, q)
-
-    # Constraint grouping: in 1D (and componentwise 2D) every edge is its
-    # own constraint.  In isotropic 2D the x- and y-differences hosted by
-    # the same interior node form a Euclidean pair; the boundary-crossing
-    # differences have no partner and stay scalar.
-
-    def _paired(self, q):
-        qx, qy = q
-        return qx[1:, :], qy[:, 1:]
+    def _scalar(self, q) -> tuple[np.ndarray, ...]:
+        """The entries bounded one by one."""
+        return unhosted(q) if self.paired else q
 
     def max_norm(self, q) -> float:
-        if self.grid.dim == 1:
-            return float(np.max(np.abs(q)))
-        qx, qy = q
-        if self.mode == "componentwise":
-            return max(float(np.max(np.abs(qx))), float(np.max(np.abs(qy))))
-        cx, cy = self._paired(q)
-        core = np.sqrt(cx * cx + cy * cy)
-        return max(
-            float(core.max()),
-            float(np.max(np.abs(qx[0, :]))),
-            float(np.max(np.abs(qy[:, 0]))),
-        )
+        out = max([float(np.abs(s).max()) for s in self._scalar(q)])
+        if self.paired:
+            out = max(float(self._pair_norm(q).max()), out)
+        return out
 
     def dual_l1(self, q) -> float:
         """Sum of per-constraint magnitudes (support function weight)."""
-        if self.grid.dim == 1:
-            return float(np.sum(np.abs(q)))
-        qx, qy = q
-        if self.mode == "componentwise":
-            return float(np.sum(np.abs(qx)) + np.sum(np.abs(qy)))
-        cx, cy = self._paired(q)
-        return float(
-            np.sum(np.sqrt(cx * cx + cy * cy))
-            + np.sum(np.abs(qx[0, :]))
-            + np.sum(np.abs(qy[:, 0]))
-        )
+        out = float(self._pair_norm(q).sum()) if self.paired else 0.0
+        for s in self._scalar(q):
+            out += float(np.abs(s).sum())
+        return out
 
     def shrink(self, q, t: float):
         """prox of t * (sum of per-constraint magnitudes): magnitude
         soft-threshold, producing hard zeros below t."""
-        if self.grid.dim == 1:
-            mag = np.abs(q)
-            return np.where(mag > t, q * (1.0 - t / np.maximum(mag, t)), 0.0)
-        qx, qy = q
-        if self.mode == "componentwise":
-            mx, my = np.abs(qx), np.abs(qy)
-            return (
-                np.where(mx > t, qx * (1.0 - t / np.maximum(mx, t)), 0.0),
-                np.where(my > t, qy * (1.0 - t / np.maximum(my, t)), 0.0),
-            )
-        cx, cy = self._paired(q)
-        core = np.sqrt(cx * cx + cy * cy)
+        if not self.paired:
+            return tuple(_soft(qa, t) for qa in q)
+        core = self._pair_norm(q)
         factor = np.where(core > t, 1.0 - t / np.maximum(core, t), 0.0)
-        out_x = qx.copy()
-        out_y = qy.copy()
-        out_x[1:, :] = cx * factor
-        out_y[:, 1:] = cy * factor
-        bx = np.abs(qx[0, :])
-        by = np.abs(qy[:, 0])
-        out_x[0, :] = np.where(bx > t, qx[0, :] * (1.0 - t / np.maximum(bx, t)), 0.0)
-        out_y[:, 0] = np.where(by > t, qy[:, 0] * (1.0 - t / np.maximum(by, t)), 0.0)
-        return out_x, out_y
+        out = tuple(np.empty_like(qa) for qa in q)
+        for o, h in zip(hosted(out), hosted(q)):
+            o[...] = h * factor
+        for o, b in zip(unhosted(out), unhosted(q)):
+            o[...] = _soft(b, t)
+        return out
 
     def multiplier(self, q, lam: float) -> np.ndarray:
         """Per-node multiplier from the dual hosted by each interior node."""
-        if self.grid.dim == 1:
-            return np.abs(q[1:]) / lam
-        qx, qy = q
-        cx, cy = self._paired(q)
-        if self.mode == "componentwise":
-            return (np.abs(cx) + np.abs(cy)) / lam
-        return np.sqrt(cx * cx + cy * cy) / lam
+        if self.paired:
+            return self._pair_norm(q) / lam
+        return reduce(np.add, [np.abs(h) for h in hosted(q)]) / lam
 
-    def zeros_dual(self):
-        if self.grid.dim == 1:
-            return np.zeros(self.grid.counts[0] + 1)
-        nx, ny = self.grid.counts
-        return np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))
-
-    def copy_dual(self, q):
-        if self.grid.dim == 1:
-            return q.copy()
-        return q[0].copy(), q[1].copy()
+    def zeros_dual(self) -> tuple[np.ndarray, ...]:
+        n = self.grid.counts
+        return tuple(np.zeros(n[:a] + (n[a] + 1,) + n[a + 1 :]) for a in range(len(n)))
 
 
 def _certificate(geom: _ConeGeometry, vvals: np.ndarray, x: np.ndarray, q, lam: float):
@@ -223,10 +189,10 @@ def _certificate(geom: _ConeGeometry, vvals: np.ndarray, x: np.ndarray, q, lam: 
     Scaling x by lam / (lam + violation) restores exact feasibility because
     edge slopes are linear in the field.
     """
-    viol = max(0.0, geom.max_norm(geom.apply(x)) - lam)
+    viol = max(0.0, geom.max_norm(edge_slopes(geom.grid, x)) - lam)
     xf = x * (lam / (lam + viol)) if viol > 0.0 else x
     primal = 0.5 * float(np.sum((xf - vvals) ** 2))
-    aq = geom.adjoint(q)
+    aq = edge_slopes_adjoint(geom.grid, q)
     dual = (
         -lam * geom.dual_l1(q)
         - 0.5 * float(np.sum(aq * aq))
@@ -254,7 +220,7 @@ def _finalize(
     converged: bool,
 ) -> ProjectionResult:
     viol, xf, gap, err = _certificate(geom, v.values, x, q, lam)
-    out_viol = max(0.0, geom.max_norm(geom.apply(xf)) - lam)
+    out_viol = max(0.0, geom.max_norm(edge_slopes(geom.grid, xf)) - lam)
     return ProjectionResult(
         u=HeightField(geom.grid, xf.copy()),
         m=MultiplierField(geom.grid, geom.multiplier(q, lam)),
@@ -262,7 +228,7 @@ def _finalize(
         primal_dual_gap=err,
         constraint_violation=out_viol,
         converged=converged,
-        dual=geom.copy_dual(q),
+        dual=q,
     )
 
 
@@ -311,7 +277,7 @@ def project_pdhg(
     geom = _ConeGeometry(v.grid, mode)
     vvals = v.values
 
-    if geom.max_norm(geom.apply(vvals)) <= lam:
+    if geom.max_norm(edge_slopes(v.grid, vvals)) <= lam:
         return _fixed_point(geom, v)
 
     L = geom.op_norm
@@ -321,25 +287,20 @@ def project_pdhg(
 
     x = vvals.copy()
     xbar = x.copy()
-    q = geom.copy_dual(warm_dual) if warm_dual is not None else geom.zeros_dual()
+    q = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
 
     floor = _gap_floor(vvals)
     check_every = 16
     best_gap = math.inf
     stall = 0
 
-    def _dual_step(qq, xb):
-        if geom.grid.dim == 1:
-            return geom.shrink(qq + sigma * geom.apply(xb), sigma * lam)
-        ex, ey = geom.apply(xb)
-        return geom.shrink((qq[0] + sigma * ex, qq[1] + sigma * ey), sigma * lam)
-
     it = 0
     converged = False
     while it < max_iter:
         it += 1
-        q = _dual_step(q, xbar)
-        x_new = (x - tau * geom.adjoint(q) + tau * vvals) / (1.0 + tau)
+        ascent = zip(q, edge_slopes(v.grid, xbar))
+        q = geom.shrink(tuple(qa + sigma * ea for qa, ea in ascent), sigma * lam)
+        x_new = (x - tau * edge_slopes_adjoint(v.grid, q) + tau * vvals) / (1.0 + tau)
         xbar = x_new + theta * (x_new - x)
         x = x_new
 
@@ -377,15 +338,16 @@ def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarr
     repeated within ``NEWTON_MAX_STEPS`` solves, or when every edge became
     active (constants span the kernel of ``D D^T``, so it is singular).
     """
-    dx = geom.grid.spacing[0]
+    grid = geom.grid
+    dx = grid.spacing[0]
     c = 0.5 * dx * dx
-    dv = geom.apply(vvals)
+    (dv,) = edge_slopes(grid, vvals)
     diag = np.full(dv.size, 2.0)
     diag[0] = diag[-1] = 1.0
     pattern, solves = None, 0
     while True:
-        u = vvals - geom.adjoint(q)
-        z = q + c * geom.apply(u)
+        u = vvals - edge_slopes_adjoint(grid, (q,))
+        z = q + c * edge_slopes(grid, u)[0]
         active = np.abs(z) > c * lam
         signs = np.sign(z[active])
         if (
@@ -483,23 +445,39 @@ def project_path(
         raise ValueError(f"lam must be positive, got {lam}")
     geom = _ConeGeometry(v.grid, "isotropic")
     vvals = v.values
-    if geom.max_norm(geom.apply(vvals)) <= lam:
+    if geom.max_norm(edge_slopes(v.grid, vvals)) <= lam:
         return _fixed_point(geom, v)
 
     floor = _gap_floor(vvals)
 
     def certified(x, q) -> bool:
-        viol, _, gap, err = _certificate(geom, vvals, x, q, lam)
+        viol, _, gap, err = _certificate(geom, vvals, x, (q,), lam)
         return _within_tol(viol, gap, err, lam, tol, floor)
 
-    q0 = geom.zeros_dual() if warm_dual is None else np.asarray(warm_dual, dtype=float)
-    x, q, solves = _path_newton(geom, vvals, lam, q0)
+    (q0,) = geom.zeros_dual() if warm_dual is None else warm_dual
+    x, q, solves = _path_newton(geom, vvals, lam, np.asarray(q0, dtype=float))
     converged = x is not None and certified(x, q)
     if not converged:
         x, q = _path_dp(geom, vvals, lam)
         solves += 1
         converged = certified(x, q)
-    return _finalize(geom, v, x, q, lam, solves, converged)
+    return _finalize(geom, v, x, (q,), lam, solves, converged)
+
+
+def project(
+    v: HeightField,
+    lam: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    mode: str = "isotropic",
+    warm_dual=None,
+) -> ProjectionResult:
+    """Projection of ``v`` onto the lam-cone by the faster route for its
+    grid: :func:`project_path` in 1D (where the two modes coincide and
+    ``max_iter`` is unused), :func:`project_pdhg` otherwise."""
+    if v.grid.dim == 1:
+        return project_path(v, lam, tol=tol, warm_dual=warm_dual)
+    return project_pdhg(v, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
 
 
 def resolvent_step(
@@ -515,20 +493,14 @@ def resolvent_step(
     """One implicit Euler step of the constrained flow.
 
     Solves ``(u - u_prev)/dt + normal_cone(u) owns g`` by projecting
-    ``u_prev + dt * g`` onto the cone: with :func:`project_path` in 1D
-    (where the two modes coincide and ``max_iter`` is unused), with
-    :func:`project_pdhg` otherwise.  The returned multiplier is the
-    time-step-scaled dual ``m / dt``, the effective diffusion density of
-    the step; the raw projection multiplier is ``m * dt``.
+    ``u_prev + dt * g`` onto the cone with :func:`project`.  The returned
+    multiplier is the time-step-scaled dual ``m / dt``, the effective
+    diffusion density of the step; the raw projection multiplier is
+    ``m * dt``.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     predicted = HeightField(u_prev.grid, u_prev.values + dt * np.asarray(g, dtype=float))
-    if predicted.grid.dim == 1:
-        res = project_path(predicted, lam, tol=tol, warm_dual=warm_dual)
-    else:
-        res = project_pdhg(
-            predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual
-        )
+    res = project(predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
     res.m = MultiplierField(res.m.grid, res.m.values / dt)
     return res

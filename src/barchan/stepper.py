@@ -16,7 +16,8 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
     MultiplierField,
     NonConvergedError,
-    project_path,
-    project_pdhg,
+    project,
+    project_pdhg,  # noqa: F401  (perfbench/spans.py traces it under this name)
     resolvent_step,
 )
 
@@ -114,7 +115,6 @@ class Numerics:
     strict: bool = True
     constraint_mode: str = "isotropic"
     disable_projection: bool = False
-    warm_start: bool = True
 
 
 @dataclass
@@ -175,10 +175,7 @@ def source_eval(spec: SourceSpec, grid: Grid, t: float) -> np.ndarray:
                 m = np.zeros_like(m)
                 m[int(np.argmin(np.abs(x - c)))] = True
             masks.append(m)
-        if grid.dim == 1:
-            box = masks[0]
-        else:
-            box = masks[0][:, None] & masks[1][None, :]
+        box = reduce(np.logical_and, np.meshgrid(*masks, indexing="ij", sparse=True))
         return np.where(box, spec.rate, 0.0)
     times, rows = _load_table(spec.path)
     if rows.shape[1] != grid.node_count:
@@ -225,18 +222,15 @@ def transport_div(grid: Grid, flux: np.ndarray) -> np.ndarray:
     nonnegative wind speed; summed over the domain it telescopes to the
     outflow through the right wall.
     """
-    dx = grid.spacing[0]
-    if grid.dim == 1:
-        return (flux - np.concatenate([[0.0], flux[:-1]])) / dx
-    shifted = np.vstack([np.zeros((1, grid.counts[1])), flux[:-1, :]])
-    return (flux - shifted) / dx
+    div = flux.copy()
+    div[1:] -= flux[:-1]
+    div /= grid.spacing[0]
+    return div
 
 
 def transport_outflow(grid: Grid, flux: np.ndarray) -> float:
     """Mass flow rate out through the right wall (the telescoped sum)."""
-    if grid.dim == 1:
-        return float(flux[-1])
-    return float(np.sum(flux[-1, :]) * grid.spacing[1])
+    return float(flux[-1].sum() * math.prod(grid.spacing[1:]))
 
 
 def transport_speed_bound(params: ModelParams, grid: Grid, kernel: DiscreteKernel) -> float:
@@ -276,9 +270,24 @@ def cfl_dt(
 
 
 def _crest_index(values: np.ndarray, grid: Grid) -> int:
-    if grid.dim == 1:
-        return int(np.argmax(values))
-    return int(np.argmax(values[:, grid.counts[1] // 2]))
+    """Node of the highest point along the x line through the middle of
+    the other axes."""
+    return int(np.argmax(values[(slice(None),) + tuple(n // 2 for n in grid.counts[1:])]))
+
+
+def _checked_speed(
+    u: HeightField, dt: float, params: ModelParams, numerics: Numerics, kernel: DiscreteKernel
+) -> float:
+    """The CFL speed bound, once ``dt`` is checked against the stable step.
+
+    The bound covers every admissible height, so it holds for a whole run.
+    """
+    v_max = transport_speed_bound(params, u.grid, kernel)
+    if v_max > 0.0:
+        stable = cfl_dt(u, params, numerics, kernel)
+        if dt > stable * (1.0 + 1e-9):
+            raise CFLViolationError(f"dt={dt} exceeds the stable step {stable}")
+    return v_max
 
 
 def _advance(
@@ -288,16 +297,12 @@ def _advance(
     params: ModelParams,
     numerics: Numerics,
     kernel: DiscreteKernel,
+    v_max: float,
     warm_dual=None,
 ):
-    """One split step; returns (field, multiplier, diagnostics, dual)."""
+    """One split step of at most the checked ``dt``; returns (field,
+    multiplier, diagnostics, dual)."""
     grid = u.grid
-    v_max = transport_speed_bound(params, grid, kernel)
-    if v_max > 0.0 and dt > cfl_dt(u, params, numerics, kernel) * (1.0 + 1e-9):
-        raise CFLViolationError(
-            f"dt={dt} exceeds the stable step {cfl_dt(u, params, numerics, kernel)}"
-        )
-
     vol = grid.cell_volume
     f = source_eval(params.source, grid, t)
     flux = transport_flux(u, params, kernel)
@@ -370,13 +375,12 @@ def step(
     t: float,
     dt: float,
     params: ModelParams,
-    picard_iters: int = 1,
     numerics: Numerics = Numerics(),
 ) -> tuple[HeightField, MultiplierField]:
     """Advance one split step and return the new state and multiplier."""
-    numerics = replace(numerics, picard_iters=picard_iters)
     kernel = kernel_for(params, u.grid)
-    u_new, m, _, _ = _advance(u, t, dt, params, numerics, kernel)
+    v_max = _checked_speed(u, dt, params, numerics, kernel)
+    u_new, m, _, _ = _advance(u, t, dt, params, numerics, kernel, v_max)
     return u_new, m
 
 
@@ -389,10 +393,12 @@ def run(
     """Integrate from u0 to T, recording snapshots and diagnostics.
 
     A run with ``T == 0`` takes no step and returns ``u0`` as given.
-    Otherwise initial data outside the admissible cone is projected onto
-    it with a logged warning, and snapshot 0 holds the projection.  On a
-    numerical failure the partial trajectory is returned with ``failure``
-    set; strict mode stops at the failing step.
+    Otherwise a fixed ``dt`` above the stable step raises
+    :class:`CFLViolationError`, and initial data outside the admissible
+    cone is projected onto it with a logged warning, so snapshot 0 holds
+    the projection.  On a numerical failure the partial trajectory is
+    returned with ``failure`` set; strict mode stops at the failing
+    projection, the start projection included.
     """
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
@@ -406,14 +412,26 @@ def run(
     )
     n_steps = 0 if params.T == 0.0 else max(1, math.ceil(params.T / dt - 1e-12))
 
-    if n_steps > 0 and not admissible(u0, params.lam, numerics.constraint_mode):
-        logger.warning("initial data is not admissible; projecting onto the cone")
-        if grid.dim == 1:
-            u0 = project_path(u0, params.lam, tol=numerics.proj_tol).u
-        else:
-            u0 = project_pdhg(
-                u0, params.lam, tol=numerics.proj_tol, mode=numerics.constraint_mode
-            ).u
+    failure = None
+    if n_steps > 0:
+        v_max = _checked_speed(u0, dt, params, numerics, kernel)
+        if not admissible(u0, params.lam, numerics.constraint_mode):
+            logger.warning("initial data is not admissible; projecting onto the cone")
+            res = project(
+                u0,
+                params.lam,
+                tol=numerics.proj_tol,
+                max_iter=numerics.proj_max_iter,
+                mode=numerics.constraint_mode,
+            )
+            u0 = res.u
+            if not res.converged and numerics.strict:
+                failure = (
+                    "start projection not converged "
+                    f"(gap {res.primal_dual_gap:.3e} after {res.iterations} iterations)"
+                )
+                logger.error("run aborted: %s", failure)
+                n_steps = 0
 
     traj = Trajectory(
         params=params,
@@ -422,6 +440,7 @@ def run(
         snapshots=[Snapshot(0.0, u0.copy(), MultiplierField.zeros(grid))],
         steps=[],
         snapshot_every=snapshot_every,
+        failure=failure,
     )
 
     u = u0
@@ -430,15 +449,13 @@ def run(
         t_prev = (k - 1) * dt
         dt_k = dt if k < n_steps else params.T - (n_steps - 1) * dt
         try:
-            u, m, diag, dual = _advance(
-                u, t_prev, dt_k, params, numerics, kernel, warm_dual=warm
+            u, m, diag, warm = _advance(
+                u, t_prev, dt_k, params, numerics, kernel, v_max, warm_dual=warm
             )
         except NonConvergedError as exc:
             traj.failure = str(exc)
             logger.error("run aborted: %s", exc)
             break
-        if numerics.warm_start:
-            warm = dual
         traj.steps.append(diag)
         if k % snapshot_every == 0 or k == n_steps:
             traj.snapshots.append(Snapshot(t_prev + dt_k, u.copy(), m))

@@ -20,6 +20,7 @@ splitting, which makes the residual vanish identically on stationary runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from .grid import (
     HeightField,
     admissible,
     dist_to_boundary,
-    grad_forward,
+    edge_slopes,
+    hosted,
     node_slope_magnitude,
+    norm_l2,
 )
 from .kernels import DiscreteKernel
 from .projection import project_pdhg
@@ -43,10 +46,6 @@ from .stepper import (
 )
 
 COMP_TOL = 1e-6
-
-# Residual envelope constant for the wind-on hump scenario family, pinned
-# by the two-level refinement study in the acceptance suite.
-VI_ENVELOPE_C = 2.0
 
 
 @dataclass
@@ -128,24 +127,18 @@ def make_test_functions(
     """Canonical admissible fields (zero, the maximal cone, hats) plus
     random members built by projecting smoothed noise onto the cone."""
     dist = dist_to_boundary(grid)
-    # At ridge kinks of the 2D distance cone both forward differences hit
-    # -lam at once, so the discrete isotropic slope reaches lam * sqrt(2);
+    # At ridge kinks of the distance cone every forward difference hits
+    # -lam at once, so the discrete isotropic slope reaches lam * sqrt(dim);
     # the canonical members are scaled down accordingly in that mode.
-    kink = np.sqrt(2.0) if (grid.dim == 2 and mode == "isotropic") else 1.0
+    kink = np.sqrt(grid.dim) if mode == "isotropic" else 1.0
     xis = [HeightField.zeros(grid), HeightField(grid, lam / kink * dist)]
 
-    centers = [0.35, 0.6] if grid.dim == 1 else [(0.35, 0.5), (0.6, 0.45)]
-    for scale, c in zip((1.0, 0.5), centers):
-        if grid.dim == 1:
-            x = grid.coords(0)
-            w = min(c, grid.extents[0] - c) / 2.0
-            hat = np.maximum(0.0, lam * (w - np.abs(x - c)))
-        else:
-            X, Y = grid.meshgrid()
-            w = min(c[0], grid.extents[0] - c[0], c[1], grid.extents[1] - c[1]) / 2.0
-            hat = np.maximum(
-                0.0, lam / kink * (w - np.sqrt((X - c[0]) ** 2 + (Y - c[1]) ** 2))
-            )
+    # Hat centres, cut to the grid's axes.
+    for scale, c in zip((1.0, 0.5), [(0.35, 0.5), (0.6, 0.45)]):
+        c = c[: grid.dim]
+        w = min(min(ca, e - ca) for ca, e in zip(c, grid.extents)) / 2.0
+        r = np.sqrt(reduce(np.add, [(x - ca) ** 2 for x, ca in zip(grid.meshgrid(), c)]))
+        hat = np.maximum(0.0, lam / kink * (w - r))
         xis.append(HeightField(grid, scale * hat))
 
     rng = np.random.default_rng(seed)
@@ -188,9 +181,7 @@ def vi_residual(traj: Trajectory, xi: HeightField, k: float) -> np.ndarray:
         w = truncate(s1.u.values - xi.values, k)
         dphi = (energy(s1.u, xi, k) - energy(s0.u, xi, k)) / dt
         flux = transport_flux(s0.u, traj.params, kernel)
-        gx = grad_forward(HeightField(traj.grid, w))
-        if traj.grid.dim == 2:
-            gx = gx[..., 0]
+        gx = hosted(edge_slopes(traj.grid, w))[0]
         transport = float(np.sum(flux * gx)) * vol
         f = source_eval(traj.params.source, traj.grid, s0.t)
         source = float(np.sum(f * w)) * vol
@@ -270,10 +261,7 @@ def contraction_report(
         ]
     )
     l2 = np.array(
-        [
-            float(np.sqrt(np.sum((a.u.values - b.u.values) ** 2) * vol))
-            for a, b in zip(traj1.snapshots, traj2.snapshots)
-        ]
+        [norm_l2(grid, a.u.values - b.u.values) for a, b in zip(traj1.snapshots, traj2.snapshots)]
     )
     C = gronwall_constant(traj1.params, kernel_for(traj1.params, grid), grid)
     if l1[0] > 0.0:

@@ -383,6 +383,71 @@ def test_path_newton_matches_dp(case):
             assert np.max(np.abs(u_newton - u_dp)) <= 1e-10
 
 
+# --- project_pdhg in 2D, both constraint modes ---
+
+
+def _case_2d(nx, ny, seed, kind):
+    """A 2D input and its lam: noise far outside the cone, or a round
+    hump whose steepest slope is 0.5 to 3 times lam."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(2, (1.0, 1.0), (nx, ny))
+    lam = float(rng.choice([0.5, 1.0, 2.0]))
+    if kind == "noise":
+        vals = rng.uniform(0.05, 1.0) * rng.normal(size=(nx, ny))
+    else:
+        X, Y = g.meshgrid()
+        c, w = rng.uniform(0.3, 0.7, size=2), rng.uniform(0.2, 0.4)
+        height = rng.uniform(0.5, 3.0) * lam * w / 1.54
+        s2 = ((X - c[0]) ** 2 + (Y - c[1]) ** 2) / w**2
+        vals = height * np.clip(1.0 - s2, 0.0, None) ** 2
+    return HeightField(g, vals), lam
+
+
+cases_2d = st.tuples(
+    st.integers(3, 10),
+    st.integers(3, 10),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["noise", "hump"]),
+)
+modes = st.sampled_from(["isotropic", "componentwise"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(cases_2d, modes)
+def test_pdhg_2d_idempotent(case, mode):
+    v, lam = _case_2d(*case)
+    once = project_pdhg(v, lam, mode=mode)
+    twice = project_pdhg(once.u, lam, mode=mode)
+    assert once.converged and twice.converged
+    # each result is within the certified tol (1e-8) of the projection
+    np.testing.assert_allclose(twice.u.values, once.u.values, rtol=0.0, atol=2e-8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cases_2d, modes, st.integers(0, 2**32 - 1))
+def test_pdhg_2d_nonexpansive(case, mode, seed):
+    a, lam = _case_2d(*case)
+    noise = np.random.default_rng(seed).normal(size=a.grid.shape)
+    b = HeightField(a.grid, a.values + noise)
+    pa, pb = project_pdhg(a, lam, mode=mode), project_pdhg(b, lam, mode=mode)
+    assert pa.converged and pb.converged
+    lhs = np.linalg.norm(pa.u.values - pb.u.values)
+    assert lhs <= np.linalg.norm(a.values - b.values) + 2e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(cases_2d, modes)
+def test_pdhg_2d_result_invariants(case, mode):
+    v, lam = _case_2d(*case)
+    res = project_pdhg(v, lam, mode=mode)
+    assert res.converged
+    assert res.constraint_violation <= 1e-8
+    assert admissible(res.u, lam, mode=mode)
+    assert np.all(res.m.values >= 0.0)
+    slack = node_slope_magnitude(res.u, mode) < lam - SLACK_TOL
+    assert np.all(res.m.values[slack] <= M_TOL)
+
+
 def test_path_all_active_qp():
     # test_hand_enumerated_qp's input: all four edges are active, so D D^T
     # restricted to them is singular and Newton must hand over to the DP.
@@ -395,7 +460,7 @@ def test_path_all_active_qp():
     res = project_path(v, 1.0, tol=1e-10)
     assert res.converged
     np.testing.assert_allclose(res.u.values, [0.1, 0.2, 0.1], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(res.dual, [0.005, 0.015, -0.015, -0.005], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.dual[0], [0.005, 0.015, -0.015, -0.005], rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(res.m.values, [0.015, 0.015, 0.005], rtol=0.0, atol=1e-12)
 
 

@@ -160,6 +160,33 @@ def test_step_rejects_cfl_violation():
         step(u, 0.0, 1.0, p)
 
 
+def test_run_rejects_cfl_violation():
+    g = make_grid(1, 1.0, 31)
+    p = ModelParams(
+        lam=1.0, h=HProfile.smooth_ramp(), kernel=KernelSpec("triangle", 3 / 32), T=2.0, dt=1.0
+    )
+    with pytest.raises(CFLViolationError):
+        run(p, hump(g, 0.5, 0.2, 0.3))
+
+
+def test_run_start_projection_budget_and_strict_stop(caplog):
+    # A 2D start far outside the cone needs many PDHG iterations; with a
+    # budget of 3 the start projection cannot converge, so a strict run
+    # stops before step 1 and a lenient one carries on.
+    g = make_grid(2, (1.0, 1.0), (12, 12))
+    X, Y = g.meshgrid()
+    u0 = HeightField(g, np.exp(-40.0 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
+    p = ModelParams(lam=0.5, h=HProfile.zero(), kernel=KernelSpec("triangle", 3 / 13), T=0.1)
+    with caplog.at_level("ERROR"):
+        traj = run(p, u0, numerics=Numerics(proj_max_iter=3))
+    assert "start projection not converged" in traj.failure
+    assert "after 3 iterations" in traj.failure
+    assert traj.steps == [] and len(traj.snapshots) == 1
+    assert "run aborted" in caplog.text
+    lenient = run(p, u0, numerics=Numerics(proj_max_iter=3, strict=False))
+    assert lenient.failure is None and len(lenient.steps) == 1
+
+
 def test_run_T_zero_is_initial_state():
     g = make_grid(1, 1.0, 31)
     p = ModelParams(lam=1.0, h=HProfile.zero(), T=0.0, kernel=KernelSpec("triangle", 3 / 32))
@@ -305,8 +332,8 @@ def test_picard_inner_loop_insensitive():
     # between one sweep and the inner iteration is pinned by halving dt.
     diffs = []
     for dt in (dt0, dt0 / 2, dt0 / 4):
-        u_1, _ = step(u0, 0.0, dt, p, picard_iters=1)
-        u_3, _ = step(u0, 0.0, dt, p, picard_iters=3)
+        u_1, _ = step(u0, 0.0, dt, p, Numerics(picard_iters=1))
+        u_3, _ = step(u0, 0.0, dt, p, Numerics(picard_iters=3))
         diff = u_3.values - u_1.values
         q = 2.0 * L * dt / dx
         assert norm_l2(g, diff) <= (q + q * q) * dt * norm_l2(g, drive)
