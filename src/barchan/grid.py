@@ -23,6 +23,7 @@ The two coincide in 1D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -57,7 +58,7 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @property
     def diameter(self) -> float:
@@ -198,6 +199,14 @@ def hosted(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     first edge of each axis crosses the left/bottom boundary and has no
     host (:func:`unhosted`).  The results are views."""
     return tuple([qa[_TAIL[a]] for a, qa in enumerate(q)])
+
+
+def backward(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Per axis, the edge entry from each node's previous neighbour to the
+    node (its backward difference), shaped like the grid.  With
+    :func:`hosted` these are the two edges of each axis a node lies on.
+    The results are views."""
+    return tuple([qa[_HEAD[a]] for a, qa in enumerate(q)])
 
 
 def unhosted(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:

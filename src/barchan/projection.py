@@ -8,7 +8,7 @@ over all nearest-neighbour slopes of the zero-extended field, including
 the edges crossing the boundary, so the feasible set is exactly the
 admissible cone (slope bound plus the distance cone bound it implies).
 
-Two independent routes compute it:
+Three routes compute it:
 
 * ``project_pdhg``, a primal-dual (Chambolle-Pock) iteration, works in any
   dimension and either constraint mode.  Its iteration count grows with
@@ -20,14 +20,20 @@ Two independent routes compute it:
   two solves.  When it does not settle within ``NEWTON_MAX_STEPS`` solves,
   an exact dynamic program over the path (L2 Lipschitz regression) gives
   the projection in a finite number of operations, with no tolerance.
+* ``project_newton`` runs the same semismooth Newton method on the dual in
+  any dimension and either constraint mode, with the generalized Jacobian
+  of the paired (Euclidean) constraints; one step is one sparse LU solve
+  over the active constraints.  When it cannot certify within
+  ``NEWTON_MAX_STEPS`` solves, or an active block is singular, PDHG takes
+  over.
 
-``project``, which the stepper calls, takes the 1D route on 1D grids:
-between time steps the active set changes little, so a step costs one or
-two banded solves whatever the grid size, where PDHG needs hundreds to
-thousands of iterations.  PDHG stays the 2D solver, the 1D oracle the
-tests hold the 1D route to, and the verifier's projection.  Both routes
-finish with the same duality-gap certificate, so ``converged`` means the
-same for both.
+``project``, which the stepper calls, takes ``project_path`` on 1D grids
+and ``project_newton`` otherwise: between time steps the active set
+changes little, so a step costs two or three solves whatever the grid
+size, where PDHG needs hundreds to thousands of iterations.  PDHG stays the
+2D fallback, the oracle the tests hold both Newton routes to, and the
+verifier's projection.  Every route finishes with the same duality-gap
+certificate, so ``converged`` means the same for all.
 
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
@@ -36,18 +42,22 @@ m = |dual| / lam there and is exactly zero on inactive nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 from scipy.linalg import solveh_banded
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .grid import (
     CONSTRAINT_MODES,
     TOL_CONSTRAINT,
     Grid,
     HeightField,
+    backward,
     edge_slopes,
     edge_slopes_adjoint,
     hosted,
@@ -60,9 +70,10 @@ SLACK_TOL = 1e-6
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
-# Banded solves the 1D active-set iteration may take before the exact
-# path dynamic program takes over.
-NEWTON_MAX_STEPS = 8
+# Linear solves a Newton route may take before its fallback (the exact
+# path dynamic program in 1D, PDHG otherwise) takes over: twice the most
+# measured on a 64x64 dune, whose first time step starts cold and takes 8.
+NEWTON_MAX_STEPS = 16
 
 
 class NonConvergedError(RuntimeError):
@@ -97,7 +108,10 @@ class ProjectionResult:
 
     ``primal_dual_gap`` is the duality gap expressed as the L2 iterate
     error it certifies (``sqrt(2 * gap)``), so it is comparable to ``tol``
-    in field units.  ``constraint_violation`` is the max slope excess of
+    in field units.  ``iterations`` counts the work of the route that ran:
+    PDHG iterations, Newton solves (plus one for the path dynamic program,
+    or plus the PDHG iterations when PDHG took over from Newton), and 0 for
+    an admissible input.  ``constraint_violation`` is the max slope excess of
     the returned field, clamped at zero.  ``dual`` keeps the raw converged
     dual vector as a per-axis tuple shaped like :func:`edge_slopes` (a
     1-tuple in 1D); feeding it back as ``warm_dual`` of a nearby projection
@@ -169,6 +183,16 @@ class _ConeGeometry:
             o[...] = h * factor
         for o, b in zip(unhosted(out), unhosted(q)):
             o[...] = _soft(b, t)
+        return out
+
+    def group_norm(self, q) -> tuple[np.ndarray, ...]:
+        """Per-axis arrays holding, at every entry, the magnitude of the
+        constraint the entry belongs to (its pair's norm when paired)."""
+        out = tuple(np.abs(qa) for qa in q)
+        if self.paired:
+            core = self._pair_norm(q)
+            for o in hosted(out):
+                o[...] = core
         return out
 
     def multiplier(self, q, lam: float) -> np.ndarray:
@@ -464,6 +488,145 @@ def project_path(
     return _finalize(geom, v, x, (q,), lam, solves, converged)
 
 
+def _newton_matrix(geom: _ConeGeometry, z, mag, active, lam: float, t: float):
+    """``(M_A^{-1} - I) / c + D_A D_A^T`` as a CSC matrix over the active
+    entries, numbered axis by axis in C order, built by index arithmetic.
+
+    ``D D^T`` sums one outer product per node: on each axis a node lies on
+    the edge from its previous neighbour (coefficient ``1 / h_a``) and on
+    the edge it hosts (``-1 / h_a``).  ``M`` is the Jacobian of
+    ``shrink(., t)`` at ``z``, with ``t = c lam``: ``M_A^{-1} - I`` is
+    ``a / (1 - a) (I - zh zh^T)`` on an active pair, with ``a = t / |z_g|``
+    and ``zh = z_g / |z_g|``, and zero on a scalar constraint.
+    """
+    index = [np.full(m.shape, -1) for m in active]
+    n = 0
+    for ix, m in zip(index, active):
+        size = np.count_nonzero(m)
+        ix[m] = n + np.arange(size)
+        n += size
+    rows, cols, vals = [], [], []
+    ends = [(ix, 1.0 / h) for ix, h in zip(backward(index), geom.grid.spacing)]
+    ends += [(ix, -1.0 / h) for ix, h in zip(hosted(index), geom.grid.spacing)]
+    touched = reduce(np.logical_or, [ix >= 0 for ix, _ in ends])
+    ends = [(ix[touched], coef) for ix, coef in ends]
+    for (ia, ca), (ib, cb) in itertools.product(ends, repeat=2):
+        on = (ia >= 0) & (ib >= 0)
+        rows.append(ia[on])
+        cols.append(ib[on])
+        vals.append(np.full(np.count_nonzero(on), ca * cb))
+    if geom.paired:
+        core = hosted(mag)[0]
+        on = core > t
+        k = [ix[on] for ix in hosted(index)]
+        zh = [za[on] / core[on] for za in hosted(z)]
+        w = lam / (core[on] - t)  # a / ((1 - a) c)
+        for a, b in itertools.product(range(len(k)), repeat=2):
+            rows.append(k[a])
+            cols.append(k[b])
+            vals.append(w * (float(a == b) - zh[a] * zh[b]))
+    return csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+def _grid_newton(
+    geom: _ConeGeometry, vvals: np.ndarray, lam: float, q, max_steps: int, certified
+):
+    """Semismooth Newton iteration on the dual fixed point
+    ``q = shrink(q + c D u, c lam)`` with ``u = v - D^T q`` and
+    ``c = 2 / |D|^2`` (``h^2 / 4`` on a square grid).
+
+    Each step takes the active constraints from ``z = q + c D u`` (those
+    with ``|z_g| > c lam``), sets ``q = 0`` off them and solves
+
+        ((M_A^{-1} - I) / c + D_A D_A^T) q_A = (D v)_A - lam zh_A
+
+    with ``zh = z / |z_g|`` and ``M`` as in :func:`_newton_matrix`.  This is
+    the Newton step ``(M_A^{-1} - I + c D_A D_A^T) dq_A = -M_A^{-1} F_A +
+    c (D D^T)_AI q_I`` on ``F = q - shrink(z, c lam)`` solved for
+    ``q_A + dq_A``, because ``M_A^{-1} - I`` annihilates ``shrink(z)_A``.  On
+    scalar constraints it is the rule of :func:`_path_newton`.  On pairs
+    the Jacobian moves with ``z``, so a repeated active pattern is not yet a
+    KKT point: the iteration stops only when ``certified(u, q)`` holds.
+
+    Returns ``(u, q, solves)``; ``u`` and ``q`` are None when nothing was
+    certified within ``max_steps`` solves, or when a factorization was
+    singular (loops of active edges carry divergence-free duals).
+    """
+    grid = geom.grid
+    c = 2.0 / geom.op_norm**2
+    t = c * lam
+    dv = edge_slopes(grid, vvals)
+    solves = 0
+    u = vvals - edge_slopes_adjoint(grid, q)
+    while solves < max_steps:
+        z = tuple(qa + c * ea for qa, ea in zip(q, edge_slopes(grid, u)))
+        mag = geom.group_norm(z)
+        active = tuple(m > t for m in mag)
+        rhs = np.concatenate(
+            [d[m] - lam * za[m] / ma[m] for d, za, ma, m in zip(dv, z, mag, active)]
+        )
+        q = tuple(np.zeros_like(qa) for qa in q)
+        if rhs.size:
+            try:
+                q_act = splu(_newton_matrix(geom, z, mag, active, lam, t)).solve(rhs)
+            except RuntimeError:  # exactly singular
+                return None, None, solves
+            cuts = np.cumsum([np.count_nonzero(m) for m in active])[:-1]
+            for qa, m, part in zip(q, active, np.split(q_act, cuts)):
+                qa[m] = part
+        solves += 1
+        u = vvals - edge_slopes_adjoint(grid, q)
+        if certified(u, q):
+            return u, q, solves
+    return None, None, solves
+
+
+def project_newton(
+    v: HeightField,
+    lam: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    mode: str = "isotropic",
+    warm_dual=None,
+) -> ProjectionResult:
+    """Projection of ``v`` onto the lam-cone by semismooth Newton on the
+    dual, in any dimension and either constraint mode.
+
+    Starts from ``warm_dual`` (zero if None); from the dual of a nearby
+    projection it usually ends in two or three sparse solves.  When it
+    cannot certify within ``min(NEWTON_MAX_STEPS, max_iter)`` solves, or a
+    factorization is singular, :func:`project_pdhg` takes over from
+    ``warm_dual`` with the rest of the ``max_iter`` budget.  ``iterations``
+    counts the sparse solves plus any PDHG iterations, so it never exceeds
+    ``max_iter``; an admissible input returns itself with 0.
+    ``converged`` has the meaning it has in :func:`project_pdhg`.
+    """
+    if lam <= 0.0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    geom = _ConeGeometry(v.grid, mode)
+    vvals = v.values
+    if geom.max_norm(edge_slopes(v.grid, vvals)) <= lam:
+        return _fixed_point(geom, v)
+
+    floor = _gap_floor(vvals)
+
+    def certified(x, q) -> bool:
+        viol, _, gap, err = _certificate(geom, vvals, x, q, lam)
+        return _within_tol(viol, gap, err, lam, tol, floor)
+
+    q0 = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
+    x, q, solves = _grid_newton(geom, vvals, lam, q0, min(NEWTON_MAX_STEPS, max_iter), certified)
+    if x is None:
+        res = project_pdhg(
+            v, lam, tol=tol, max_iter=max_iter - solves, mode=mode, warm_dual=warm_dual
+        )
+        res.iterations += solves
+        return res
+    return _finalize(geom, v, x, q, lam, solves, True)
+
+
 def project(
     v: HeightField,
     lam: float,
@@ -474,10 +637,10 @@ def project(
 ) -> ProjectionResult:
     """Projection of ``v`` onto the lam-cone by the faster route for its
     grid: :func:`project_path` in 1D (where the two modes coincide and
-    ``max_iter`` is unused), :func:`project_pdhg` otherwise."""
+    ``max_iter`` is unused), :func:`project_newton` otherwise."""
     if v.grid.dim == 1:
         return project_path(v, lam, tol=tol, warm_dual=warm_dual)
-    return project_pdhg(v, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
+    return project_newton(v, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
 
 
 def resolvent_step(

@@ -30,7 +30,7 @@ from .constitutive import (
     h_sup,
     lipschitz_bound,
 )
-from .grid import Grid, HeightField, admissible, max_slope
+from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, max_slope
 from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
     MultiplierField,
@@ -115,6 +115,18 @@ class Numerics:
     strict: bool = True
     constraint_mode: str = "isotropic"
     disable_projection: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("cfl_number", "dt_max", "proj_tol"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("picard_iters", "proj_max_iter"):
+            if not (getattr(self, name) >= 1):
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (self.inner_tol >= 0.0):
+            raise ValueError(f"inner_tol must be nonnegative, got {self.inner_tol}")
+        if self.constraint_mode not in CONSTRAINT_MODES:
+            raise ValueError(f"unknown constraint_mode {self.constraint_mode!r}")
 
 
 @dataclass

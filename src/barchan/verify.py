@@ -158,7 +158,19 @@ def make_test_functions(
     return TestFunctionSet(xis=xis, seed=seed)
 
 
-def vi_residual(traj: Trajectory, xi: HeightField, k: float) -> np.ndarray:
+def _interval_drives(traj: Trajectory) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The wind flux and the source of every snapshot interval, both taken
+    at its older snapshot; they do not depend on the test function."""
+    if traj.snapshot_every != 1:
+        raise ValueError("verification runs need snapshot_every = 1")
+    kernel = kernel_for(traj.params, traj.grid)
+    return [
+        (transport_flux(s.u, traj.params, kernel), source_eval(traj.params.source, traj.grid, s.t))
+        for s in traj.snapshots[:-1]
+    ]
+
+
+def vi_residual(traj: Trajectory, xi: HeightField, k: float, drives=None) -> np.ndarray:
     """Per-interval residual of the truncated variational inequality.
 
     For consecutive snapshots the residual is
@@ -166,24 +178,24 @@ def vi_residual(traj: Trajectory, xi: HeightField, k: float) -> np.ndarray:
         [Phi(t1) - Phi(t0)] / dt - <F(t0), d/dx T_k(u1 - xi)> - <f(t0), T_k(u1 - xi)>
 
     with Phi the closed-form energy; nonpositive values up to the solver
-    tolerance mean the inequality holds on that interval.
+    tolerance mean the inequality holds on that interval.  ``drives`` takes
+    the interval fluxes and sources when the caller has them already
+    (:func:`vi_report` evaluates them once for all test functions).
     """
-    if traj.snapshot_every != 1:
-        raise ValueError("verification runs need snapshot_every = 1")
+    if drives is None:
+        drives = _interval_drives(traj)
     if xi.grid != traj.grid:
         raise ValueError("test function lives on a different grid")
-    kernel = kernel_for(traj.params, traj.grid)
     vol = traj.grid.cell_volume
-    out = np.empty(len(traj.snapshots) - 1)
-    for i in range(len(traj.snapshots) - 1):
+    phi = [energy(s.u, xi, k) for s in traj.snapshots]
+    out = np.empty(len(drives))
+    for i, (flux, f) in enumerate(drives):
         s0, s1 = traj.snapshots[i], traj.snapshots[i + 1]
         dt = s1.t - s0.t
         w = truncate(s1.u.values - xi.values, k)
-        dphi = (energy(s1.u, xi, k) - energy(s0.u, xi, k)) / dt
-        flux = transport_flux(s0.u, traj.params, kernel)
+        dphi = (phi[i + 1] - phi[i]) / dt
         gx = hosted(edge_slopes(traj.grid, w))[0]
         transport = float(np.sum(flux * gx)) * vol
-        f = source_eval(traj.params.source, traj.grid, s0.t)
         source = float(np.sum(f * w)) * vol
         out[i] = dphi - transport - source
     return out
@@ -195,13 +207,16 @@ def vi_report(
     tol: float,
     k_levels: tuple[float, ...] | None = None,
 ) -> VIReport:
+    """The worst :func:`vi_residual` of every (test function, k) pair; the
+    flux and source are evaluated once per snapshot interval for all pairs."""
     ks = k_levels if k_levels is not None else test_functions.k_levels
+    drives = _interval_drives(traj)
     records = []
     worst = -np.inf
     times = traj.times
     for idx, xi in enumerate(test_functions.xis):
         for k in ks:
-            res = vi_residual(traj, xi, k)
+            res = vi_residual(traj, xi, k, drives)
             j = int(np.argmax(res))
             records.append(VIRecord(idx, float(k), float(times[j + 1]), float(res[j])))
             worst = max(worst, float(res[j]))

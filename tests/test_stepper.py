@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from barchan import projection
 from barchan.constitutive import GammaProfile, HProfile
-from barchan.grid import HeightField, admissible, dist_to_boundary, make_grid, norm_l2
+from barchan.grid import HeightField, admissible, dist_to_boundary, make_grid, max_slope, norm_l2
 from barchan.kernels import nonlocal_slope
 from barchan.stepper import (
     CFLViolationError,
@@ -358,6 +359,35 @@ def test_run_2d_smoke():
         assert admissible(snap.u, 0.5)
 
 
+def test_run_2d_projections_settle_in_newton(monkeypatch):
+    # The 64x64 benchmark dune shrunk to 24x24: a windy hump that starts
+    # outside the cone.  Every projection, the start one included, must
+    # settle in Newton; a PDHG fallback keeps the answers but runs many
+    # times slower, so it is made to fail here.
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a 2D projection fell back to PDHG")
+
+    monkeypatch.setattr(projection, "project_pdhg", no_fallback)
+    g = make_grid(2, (1.0, 1.0), (24, 24))
+    X, Y = g.meshgrid()
+    r = np.sqrt((X - 0.4) ** 2 + (Y - 0.5) ** 2)
+    u0 = HeightField(g, 0.085 * np.clip(1.0 - (r / 0.25) ** 2, 0.0, 1.0) ** 2)
+    p = ModelParams(
+        lam=0.5,
+        h=HProfile.smooth_ramp(),
+        gamma=GammaProfile.identity(),
+        kernel=KernelSpec("triangle", 4 * g.spacing[0]),
+        T=0.01,
+    )
+    assert max_slope(u0) > p.lam
+    traj = run(p, u0)
+    assert traj.failure is None and len(traj.steps) == 6
+    for d in traj.steps:
+        assert 1 <= d.projection_iterations <= projection.NEWTON_MAX_STEPS
+    for snap in traj.snapshots:
+        assert admissible(snap.u, p.lam)
+
+
 def test_source_patch_point_fallback():
     g = make_grid(1, 1.0, 31)
     s = SourceSpec("patch", center=(0.5,), width=0.0, rate=2.0)
@@ -414,3 +444,23 @@ def test_params_validation():
         ModelParams(lam=1.0, dt=-0.1)
     with pytest.raises(ValueError, match="source"):
         SourceSpec("rain")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cfl_number", 0.0),
+        ("cfl_number", -0.5),
+        ("cfl_number", float("nan")),
+        ("dt_max", 0.0),
+        ("dt_max", -1.0),
+        ("picard_iters", 0),
+        ("proj_tol", 0.0),
+        ("proj_max_iter", 0),
+        ("inner_tol", -1e-12),
+        ("constraint_mode", "diagonal"),
+    ],
+)
+def test_numerics_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        Numerics(**{field: value})
