@@ -12,8 +12,6 @@ from .projection import (
     NonConvergedError,
     ProjectionResult,
     project,
-    project_newton,
-    project_path,
     project_pdhg,
     resolvent_step,
 )
@@ -36,9 +34,7 @@ __all__ = [
     "build_kernel",
     "nonlocal_slope",
     "project",
-    "project_newton",
     "project_pdhg",
-    "project_path",
     "resolvent_step",
 ]
 

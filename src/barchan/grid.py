@@ -254,5 +254,10 @@ def admissible(
     return bool(np.all(np.abs(field.values) <= bound + tol))
 
 
+def integrate(grid: Grid, a: np.ndarray) -> float:
+    """The nodal quadrature ``sum(a) * cell_volume`` of a field's values."""
+    return float(np.sum(a)) * grid.cell_volume
+
+
 def norm_l2(grid: Grid, a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(a * a) * grid.cell_volume))
+    return math.sqrt(integrate(grid, a * a))

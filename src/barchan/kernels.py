@@ -4,7 +4,8 @@ The wind velocity responds to ``K * du/dx``, the unit-mass kernel average
 of the windward slope over a ball of physical radius ``r``.  Kernels act
 along the x axis only (the wind direction); in 2D the same stencil is
 applied row-wise.  Fields are extended by zero outside the domain, which
-is the convention consistent with the Dirichlet boundary.
+is the convention consistent with the Dirichlet boundary.  The stencil is a
+few cells wide, so the average is a direct sum, exact up to rounding.
 """
 
 from __future__ import annotations
@@ -13,17 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .grid import HeightField, edge_slopes
 
 KERNEL_PROFILES = ("triangle", "cosine_bump", "box")
 
 NORMALIZATION_TOL = 1e-12
-
-# Direct summation is the deterministic baseline; the FFT path is worth it
-# only for stencils wider than this many cells.
-FFT_MIN_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,8 @@ def build_kernel(profile: str, radius: float, dx: float) -> DiscreteKernel:
     return DiscreteKernel(profile=profile, radius=radius, spacing=dx, weights=w)
 
 
-def _convolve_rows(g: np.ndarray, w: np.ndarray, method: str) -> np.ndarray:
+def _convolve_rows(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Convolve along axis 0 with the stencil, keeping the 'full' output."""
-    if method == "fft":
-        return fftconvolve(g, w.reshape((-1,) + (1,) * (g.ndim - 1)), mode="full", axes=0)
     cols = g.reshape(g.shape[0], -1)
     out = np.empty((cols.shape[0] + w.size - 1, cols.shape[1]))
     for j in range(cols.shape[1]):
@@ -118,15 +112,12 @@ def _convolve_rows(g: np.ndarray, w: np.ndarray, method: str) -> np.ndarray:
     return out.reshape(out.shape[:1] + g.shape[1:])
 
 
-def nonlocal_slope(
-    field: HeightField, kernel: DiscreteKernel, method: str = "direct"
-) -> np.ndarray:
+def nonlocal_slope(field: HeightField, kernel: DiscreteKernel) -> np.ndarray:
     """Kernel average of the forward-difference x-slope, ``(K * du/dx)(x)``.
 
     The field is extended by zero outside the domain, so the slope samples
-    include the differences crossing both boundaries.  ``method`` selects
-    direct summation (deterministic baseline) or FFT; ``"auto"`` uses FFT
-    for stencils wider than 16 cells.  Both agree to 1e-10.
+    include the differences crossing both boundaries.  Each column along x
+    is convolved with the stencil by direct summation (``np.convolve``).
     """
     grid = field.grid
     dx = grid.spacing[0]
@@ -134,13 +125,9 @@ def nonlocal_slope(
         raise ValueError(
             f"kernel spacing {kernel.spacing} does not match grid spacing {dx}"
         )
-    if method == "auto":
-        method = "fft" if kernel.weights.size > FFT_MIN_WIDTH else "direct"
-    if method not in ("direct", "fft"):
-        raise ValueError(f"unknown convolution method {method!r}")
 
     g = edge_slopes(grid, field.values)[0]  # x-slopes at offsets -1 .. n-1
-    c = _convolve_rows(g, kernel.weights, method) * dx
+    c = _convolve_rows(g, kernel.weights) * dx
     k = kernel.half_width
     n = grid.counts[0]
     # full convolution index m corresponds to node i = m - k - 1

@@ -8,32 +8,31 @@ over all nearest-neighbour slopes of the zero-extended field, including
 the edges crossing the boundary, so the feasible set is exactly the
 admissible cone (slope bound plus the distance cone bound it implies).
 
-Three routes compute it:
+Two solvers compute it:
 
 * ``project_pdhg``, a primal-dual (Chambolle-Pock) iteration, works in any
   dimension and either constraint mode.  Its iteration count grows with
   the grid, because the conditioning of the edge-difference operator does.
-* ``project_path`` works in 1D only.  There the cone is polyhedral and
-  ``D D^T`` (D the edge differences) is tridiagonal, so one primal-dual
-  active-set (semismooth Newton) step is one banded solve.  Started from
-  the previous time step's dual, the active set usually settles in one or
-  two solves.  When it does not settle within ``NEWTON_MAX_STEPS`` solves,
-  an exact dynamic program over the path (L2 Lipschitz regression) gives
-  the projection in a finite number of operations, with no tolerance.
-* ``project_newton`` runs the same semismooth Newton method on the dual in
-  any dimension and either constraint mode, with the generalized Jacobian
-  of the paired (Euclidean) constraints; one step is one sparse LU solve
-  over the active constraints.  When it cannot certify within
-  ``NEWTON_MAX_STEPS`` solves, or an active block is singular, PDHG takes
-  over.
+* ``project``, which the stepper calls, runs a semismooth Newton method on
+  the dual, started from the previous time step's dual: between time
+  steps the active set changes little, so a step costs one to three
+  linear solves whatever the grid size, where PDHG needs hundreds to
+  thousands of iterations.  It has one loop per grid kind:
 
-``project``, which the stepper calls, takes ``project_path`` on 1D grids
-and ``project_newton`` otherwise: between time steps the active set
-changes little, so a step costs two or three solves whatever the grid
-size, where PDHG needs hundreds to thousands of iterations.  PDHG stays the
-2D fallback, the oracle the tests hold both Newton routes to, and the
-verifier's projection.  Every route finishes with the same duality-gap
-certificate, so ``converged`` means the same for all.
+  - In 1D the cone is polyhedral and ``D D^T`` (D the edge differences)
+    is tridiagonal, so one primal-dual active-set step is one banded
+    solve, and a repeated active pattern is an exact KKT point.  When no
+    pattern repeats within ``NEWTON_MAX_STEPS`` solves, an exact dynamic
+    program over the path (L2 Lipschitz regression) gives the projection
+    in a finite number of operations, with no tolerance.
+  - Otherwise one step is one sparse LU solve over the active
+    constraints, with the generalized Jacobian of the paired (Euclidean)
+    constraints.  When it cannot certify within ``NEWTON_MAX_STEPS``
+    solves, or an active block is singular, PDHG takes over.
+
+PDHG stays the 2D fallback, the oracle the tests hold ``project`` to, and
+the verifier's projection.  Every route finishes with the same
+duality-gap certificate, so ``converged`` means the same for all.
 
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
@@ -64,9 +63,6 @@ from .grid import (
     paired,
     unhosted,
 )
-
-M_TOL = 1e-6
-SLACK_TOL = 1e-6
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
@@ -447,47 +443,6 @@ def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
     return u, p - np.median(p)
 
 
-def project_path(
-    v: HeightField,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-    warm_dual=None,
-) -> ProjectionResult:
-    """Projection of a 1D ``v`` onto the lam-cone, exact up to rounding.
-
-    The active-set Newton iteration starts from ``warm_dual`` (zero if
-    None) and usually settles in one or two banded solves when the dual of
-    a nearby projection is passed.  If it does not settle, or its result
-    fails the certificate, the exact path dynamic program replaces it.
-    ``iterations`` counts the banded solves, plus one if the dynamic
-    program ran; an admissible input returns itself with 0.  ``converged``
-    has the meaning it has in :func:`project_pdhg`.
-    """
-    if v.grid.dim != 1:
-        raise ValueError("project_path supports 1D grids only")
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    geom = _ConeGeometry(v.grid, "isotropic")
-    vvals = v.values
-    if geom.max_norm(edge_slopes(v.grid, vvals)) <= lam:
-        return _fixed_point(geom, v)
-
-    floor = _gap_floor(vvals)
-
-    def certified(x, q) -> bool:
-        viol, _, gap, err = _certificate(geom, vvals, x, (q,), lam)
-        return _within_tol(viol, gap, err, lam, tol, floor)
-
-    (q0,) = geom.zeros_dual() if warm_dual is None else warm_dual
-    x, q, solves = _path_newton(geom, vvals, lam, np.asarray(q0, dtype=float))
-    converged = x is not None and certified(x, q)
-    if not converged:
-        x, q = _path_dp(geom, vvals, lam)
-        solves += 1
-        converged = certified(x, q)
-    return _finalize(geom, v, x, (q,), lam, solves, converged)
-
-
 def _newton_matrix(geom: _ConeGeometry, z, mag, active, lam: float, t: float):
     """``(M_A^{-1} - I) / c + D_A D_A^T`` as a CSC matrix over the active
     entries, numbered axis by axis in C order, built by index arithmetic.
@@ -583,7 +538,7 @@ def _grid_newton(
     return None, None, solves
 
 
-def project_newton(
+def project(
     v: HeightField,
     lam: float,
     tol: float = DEFAULT_TOL,
@@ -592,15 +547,19 @@ def project_newton(
     warm_dual=None,
 ) -> ProjectionResult:
     """Projection of ``v`` onto the lam-cone by semismooth Newton on the
-    dual, in any dimension and either constraint mode.
+    dual, started from ``warm_dual`` (zero if None).
 
-    Starts from ``warm_dual`` (zero if None); from the dual of a nearby
-    projection it usually ends in two or three sparse solves.  When it
-    cannot certify within ``min(NEWTON_MAX_STEPS, max_iter)`` solves, or a
-    factorization is singular, :func:`project_pdhg` takes over from
-    ``warm_dual`` with the rest of the ``max_iter`` budget.  ``iterations``
-    counts the sparse solves plus any PDHG iterations, so it never exceeds
-    ``max_iter``; an admissible input returns itself with 0.
+    From the dual of a nearby projection it usually ends in one to three
+    solves.  In 1D (where the two modes coincide and ``max_iter`` is
+    unused) the steps are banded solves; if no active pattern repeats, or
+    the result fails the certificate, the exact path dynamic program
+    replaces it, and ``iterations`` counts the banded solves plus one.
+    Otherwise the steps are sparse LU solves; when they cannot certify
+    within ``min(NEWTON_MAX_STEPS, max_iter)`` solves, or a factorization
+    is singular, :func:`project_pdhg` takes over from ``warm_dual`` with
+    the rest of the ``max_iter`` budget, and ``iterations`` counts the
+    sparse solves plus the PDHG iterations, so it never exceeds
+    ``max_iter``.  An admissible input returns itself with 0.
     ``converged`` has the meaning it has in :func:`project_pdhg`.
     """
     if lam <= 0.0:
@@ -617,6 +576,14 @@ def project_newton(
         return _within_tol(viol, gap, err, lam, tol, floor)
 
     q0 = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
+    if v.grid.dim == 1:
+        x, q, solves = _path_newton(geom, vvals, lam, np.asarray(q0[0], dtype=float))
+        converged = x is not None and certified(x, (q,))
+        if not converged:
+            x, q = _path_dp(geom, vvals, lam)
+            solves += 1
+            converged = certified(x, (q,))
+        return _finalize(geom, v, x, (q,), lam, solves, converged)
     x, q, solves = _grid_newton(geom, vvals, lam, q0, min(NEWTON_MAX_STEPS, max_iter), certified)
     if x is None:
         res = project_pdhg(
@@ -625,22 +592,6 @@ def project_newton(
         res.iterations += solves
         return res
     return _finalize(geom, v, x, q, lam, solves, True)
-
-
-def project(
-    v: HeightField,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    mode: str = "isotropic",
-    warm_dual=None,
-) -> ProjectionResult:
-    """Projection of ``v`` onto the lam-cone by the faster route for its
-    grid: :func:`project_path` in 1D (where the two modes coincide and
-    ``max_iter`` is unused), :func:`project_newton` otherwise."""
-    if v.grid.dim == 1:
-        return project_path(v, lam, tol=tol, warm_dual=warm_dual)
-    return project_newton(v, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
 
 
 def resolvent_step(

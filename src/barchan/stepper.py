@@ -30,7 +30,7 @@ from .constitutive import (
     h_sup,
     lipschitz_bound,
 )
-from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, max_slope
+from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, integrate, max_slope
 from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
     MultiplierField,
@@ -315,13 +315,12 @@ def _advance(
     """One split step of at most the checked ``dt``; returns (field,
     multiplier, diagnostics, dual)."""
     grid = u.grid
-    vol = grid.cell_volume
     f = source_eval(params.source, grid, t)
     flux = transport_flux(u, params, kernel)
     drive = f - transport_div(grid, flux)
 
-    mass_pre = float(u.values.sum()) * vol
-    source_integral = float(f.sum()) * vol
+    mass_pre = integrate(grid, u.values)
+    source_integral = integrate(grid, f)
     outflow = transport_outflow(grid, flux)
 
     if numerics.disable_projection:
@@ -329,31 +328,22 @@ def _advance(
         m = MultiplierField.zeros(grid)
         proj_iters, proj_gap, dual = 0, 0.0, None
     else:
-        res = resolvent_step(
-            u,
-            drive,
-            dt,
-            params.lam,
-            tol=numerics.proj_tol,
-            max_iter=numerics.proj_max_iter,
-            mode=numerics.constraint_mode,
-            warm_dual=warm_dual,
-        )
-        for _ in range(1, numerics.picard_iters):
-            flux_in = transport_flux(res.u, params, kernel)
-            drive_in = f - transport_div(grid, flux_in)
-            prev = res.u.values
+        res = None
+        for i in range(numerics.picard_iters):
+            if i:
+                drive = f - transport_div(grid, transport_flux(res.u, params, kernel))
+                prev, warm_dual = res.u.values, res.dual
             res = resolvent_step(
                 u,
-                drive_in,
+                drive,
                 dt,
                 params.lam,
                 tol=numerics.proj_tol,
                 max_iter=numerics.proj_max_iter,
                 mode=numerics.constraint_mode,
-                warm_dual=res.dual,
+                warm_dual=warm_dual,
             )
-            if float(np.max(np.abs(res.u.values - prev))) <= numerics.inner_tol:
+            if i and float(np.max(np.abs(res.u.values - prev))) <= numerics.inner_tol:
                 break
         if not res.converged and numerics.strict:
             raise NonConvergedError(
@@ -363,7 +353,7 @@ def _advance(
         u_new, m = res.u, res.m
         proj_iters, proj_gap, dual = res.iterations, res.primal_dual_gap, res.dual
 
-    mass_post = float(u_new.values.sum()) * vol
+    mass_post = integrate(grid, u_new.values)
     mass_star = mass_pre + dt * (source_integral - outflow)
     diag = StepDiagnostics(
         t=t + dt,

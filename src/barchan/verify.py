@@ -32,6 +32,7 @@ from .grid import (
     dist_to_boundary,
     edge_slopes,
     hosted,
+    integrate,
     node_slope_magnitude,
     norm_l2,
 )
@@ -118,7 +119,7 @@ def energy(u: HeightField, xi: HeightField, k: float) -> float:
     """Sum over nodes of integral_0^u clamp(s - xi, -k, k) ds, closed form."""
     z1 = _clamp_antiderivative(u.values - xi.values, k)
     z0 = _clamp_antiderivative(-xi.values, k)
-    return float(np.sum(z1 - z0)) * u.grid.cell_volume
+    return integrate(u.grid, z1 - z0)
 
 
 def make_test_functions(
@@ -186,7 +187,6 @@ def vi_residual(traj: Trajectory, xi: HeightField, k: float, drives=None) -> np.
         drives = _interval_drives(traj)
     if xi.grid != traj.grid:
         raise ValueError("test function lives on a different grid")
-    vol = traj.grid.cell_volume
     phi = [energy(s.u, xi, k) for s in traj.snapshots]
     out = np.empty(len(drives))
     for i, (flux, f) in enumerate(drives):
@@ -195,8 +195,8 @@ def vi_residual(traj: Trajectory, xi: HeightField, k: float, drives=None) -> np.
         w = truncate(s1.u.values - xi.values, k)
         dphi = (phi[i + 1] - phi[i]) / dt
         gx = hosted(edge_slopes(traj.grid, w))[0]
-        transport = float(np.sum(flux * gx)) * vol
-        source = float(np.sum(f * w)) * vol
+        transport = integrate(traj.grid, flux * gx)
+        source = integrate(traj.grid, f * w)
         out[i] = dphi - transport - source
     return out
 
@@ -228,11 +228,10 @@ def complementarity_report(traj: Trajectory, comp_tol: float = COMP_TOL) -> Comp
     projections keep it at solver-tolerance level."""
     lam = traj.params.lam
     mode = traj.numerics.constraint_mode
-    vol = traj.grid.cell_volume
     products = []
     for snap in traj.snapshots:
         slack = np.maximum(0.0, lam - node_slope_magnitude(snap.u, mode))
-        products.append(float(np.sum(snap.m.values * slack)) * vol)
+        products.append(integrate(traj.grid, snap.m.values * slack))
     arr = np.array(products)
     return ComplementarityReport(products=arr, worst=float(arr.max()), tol=comp_tol)
 
@@ -267,17 +266,10 @@ def contraction_report(
         raise ValueError("trajectories have different snapshot counts")
 
     grid = traj1.grid
-    vol = grid.cell_volume
     times = traj1.times
-    l1 = np.array(
-        [
-            float(np.sum(np.abs(a.u.values - b.u.values))) * vol
-            for a, b in zip(traj1.snapshots, traj2.snapshots)
-        ]
-    )
-    l2 = np.array(
-        [norm_l2(grid, a.u.values - b.u.values) for a, b in zip(traj1.snapshots, traj2.snapshots)]
-    )
+    pairs = list(zip(traj1.snapshots, traj2.snapshots))
+    l1 = np.array([integrate(grid, np.abs(a.u.values - b.u.values)) for a, b in pairs])
+    l2 = np.array([norm_l2(grid, a.u.values - b.u.values) for a, b in pairs])
     C = gronwall_constant(traj1.params, kernel_for(traj1.params, grid), grid)
     if l1[0] > 0.0:
         envelope_ok = bool(

@@ -15,20 +15,28 @@ from barchan.grid import (
     node_slope_magnitude,
 )
 from barchan.projection import (
-    M_TOL,
     NEWTON_MAX_STEPS,
-    SLACK_TOL,
     MultiplierField,
     _ConeGeometry,
     _gap_floor,
     _path_dp,
     _path_newton,
     project,
-    project_newton,
-    project_path,
     project_pdhg,
     resolvent_step,
 )
+
+# Complementarity check: where the slope is below lam by more than
+# SLACK_TOL, the multiplier must be at most M_TOL.
+M_TOL = 1e-6
+SLACK_TOL = 1e-6
+
+# The 1D solvers: PDHG, and the path route of ``project`` (active-set
+# Newton with the exact path DP behind it).
+SOLVERS_1D = [
+    pytest.param(project_pdhg, id="project_pdhg"),
+    pytest.param(project, id="project_path"),
+]
 
 
 def random_admissible(grid, lam, rng, mode="isotropic"):
@@ -47,7 +55,7 @@ def truncate(z, k):
     return np.clip(z, -k, k)
 
 
-@pytest.mark.parametrize("solver", [project_pdhg, project_path])
+@pytest.mark.parametrize("solver", SOLVERS_1D)
 def test_admissible_input_is_fixed_point(solver):
     g = make_grid(1, 1.0, 15)
     lam = 1.0
@@ -58,7 +66,7 @@ def test_admissible_input_is_fixed_point(solver):
     assert res.converged
 
 
-@pytest.mark.parametrize("solver", [project_pdhg, project_path])
+@pytest.mark.parametrize("solver", SOLVERS_1D)
 def test_zero_maps_to_zero(solver):
     g = make_grid(1, 1.0, 9)
     res = solver(HeightField.zeros(g), 0.7)
@@ -71,7 +79,7 @@ def test_spike_pdhg_matches_path():
     v = HeightField.zeros(g)
     v.values[15] = 2.0
     rp = project_pdhg(v, 1.0, tol=1e-8)
-    rx = project_path(v, 1.0, tol=1e-8)
+    rx = project(v, 1.0, tol=1e-8)
     assert rp.converged and rx.converged
     assert np.max(np.abs(rp.u.values - rx.u.values)) <= 1e-6
 
@@ -84,7 +92,7 @@ def test_hand_enumerated_qp():
     g = make_grid(1, 0.4, 3)
     v = HeightField(g, np.array([0.0, 0.5, 0.0]))
     expected = np.array([0.1, 0.2, 0.1])
-    for solver in (project_pdhg, project_path):
+    for solver in (project_pdhg, project):
         res = solver(v, 1.0, tol=1e-10)
         np.testing.assert_allclose(res.u.values, expected, atol=1e-7)
 
@@ -95,7 +103,7 @@ def test_pin_only_case():
     # other nodes stay at their unconstrained optimum 0
     g = make_grid(1, 0.4, 3)
     v = HeightField(g, np.array([0.0, 0.0, 0.5]))
-    for solver in (project_pdhg, project_path):
+    for solver in (project_pdhg, project):
         res = solver(v, 1.0, tol=1e-10)
         np.testing.assert_allclose(res.u.values, [0.0, 0.0, 0.1], atol=1e-6)
         assert admissible(res.u, 1.0)
@@ -109,12 +117,12 @@ def test_agreement_on_random_fields():
         v = HeightField(g, rng.uniform(0.3, 1.5) * rng.normal(size=n))
         lam = float(rng.choice([0.5, 1.0]))
         rp = project_pdhg(v, lam, tol=1e-8)
-        rx = project_path(v, lam, tol=1e-8)
+        rx = project(v, lam, tol=1e-8)
         assert rp.converged and rx.converged
         assert np.max(np.abs(rp.u.values - rx.u.values)) <= 1e-6
 
 
-@pytest.mark.parametrize("solver", [project_pdhg, project_path])
+@pytest.mark.parametrize("solver", SOLVERS_1D)
 def test_variational_inequality_sampled(solver):
     # <v - u, xi - u> <= tol for admissible xi characterizes the projection
     rng = np.random.default_rng(3)
@@ -168,7 +176,7 @@ def test_untruncated_vi_2d_isotropic():
         assert np.vdot(v.values - res.u.values, xi.values - res.u.values) <= 1e-6
 
 
-@pytest.mark.parametrize("solver", [project_pdhg, project_path])
+@pytest.mark.parametrize("solver", SOLVERS_1D)
 def test_nonexpansive(solver):
     rng = np.random.default_rng(17)
     g = make_grid(1, 1.0, 21)
@@ -228,18 +236,12 @@ def test_non_convergence_flagged():
     assert not res.converged
 
 
-def test_path_rejects_2d():
-    g = make_grid(2, (1.0, 1.0), (5, 5))
-    with pytest.raises(ValueError, match="1D"):
-        project_path(HeightField.zeros(g), 1.0)
-
-
 def test_bad_lambda_rejected():
     g = make_grid(1, 1.0, 5)
     with pytest.raises(ValueError, match="lam"):
         project_pdhg(HeightField.zeros(g), 0.0)
     with pytest.raises(ValueError, match="lam"):
-        project_path(HeightField.zeros(g), -1.0)
+        project(HeightField.zeros(g), -1.0)
 
 
 def test_resolvent_zero_drive_is_stationary():
@@ -297,7 +299,7 @@ def test_warm_start_does_not_change_limit():
     assert warm.iterations <= cold.iterations
 
 
-# --- project_path: active-set Newton with the exact path DP behind it ---
+# --- project in 1D: active-set Newton with the exact path DP behind it ---
 
 
 def _path_case(n, seed, kind):
@@ -326,8 +328,8 @@ path_cases = st.tuples(
 @given(path_cases)
 def test_path_idempotent(case):
     v, lam = _path_case(*case)
-    once = project_path(v, lam)
-    twice = project_path(once.u, lam)
+    once = project(v, lam)
+    twice = project(once.u, lam)
     assert twice.converged
     np.testing.assert_allclose(twice.u.values, once.u.values, rtol=0.0, atol=1e-12)
 
@@ -337,7 +339,7 @@ def test_path_idempotent(case):
 def test_path_nonexpansive(case, seed):
     a, lam = _path_case(*case)
     b = HeightField(a.grid, a.values + np.random.default_rng(seed).normal(size=a.grid.shape))
-    pa, pb = project_path(a, lam).u, project_path(b, lam).u
+    pa, pb = project(a, lam).u, project(b, lam).u
     assert np.linalg.norm(pa.values - pb.values) <= np.linalg.norm(a.values - b.values) + 1e-9
 
 
@@ -345,7 +347,7 @@ def test_path_nonexpansive(case, seed):
 @given(path_cases)
 def test_path_result_invariants(case):
     v, lam = _path_case(*case)
-    res = project_path(v, lam)
+    res = project(v, lam)
     assert res.converged
     assert res.constraint_violation <= 1e-8
     assert admissible(res.u, lam)
@@ -359,7 +361,7 @@ def test_path_result_invariants(case):
 def test_path_matches_pdhg(n, seed, kind):
     v, lam = _path_case(n, seed, kind)
     rp = project_pdhg(v, lam, tol=1e-8)
-    rx = project_path(v, lam, tol=1e-8)
+    rx = project(v, lam, tol=1e-8)
     assert rp.converged and rx.converged
     assert np.max(np.abs(rp.u.values - rx.u.values)) <= 1e-6
 
@@ -371,8 +373,8 @@ def test_path_warm_start_does_not_change_result(case, seed):
     v, lam = _path_case(*case)
     jitter = 0.01 * np.random.default_rng(seed).normal(size=v.grid.shape)
     nearby = HeightField(v.grid, v.values + jitter)
-    warm = project_path(v, lam, warm_dual=project_path(nearby, lam).dual)
-    cold = project_path(v, lam)
+    warm = project(v, lam, warm_dual=project(nearby, lam).dual)
+    cold = project(v, lam)
     assert warm.converged and cold.converged
     np.testing.assert_allclose(warm.u.values, cold.u.values, rtol=0.0, atol=1e-10)
 
@@ -463,7 +465,7 @@ def test_path_all_active_qp():
     geom = _ConeGeometry(g, "isotropic")
     u_newton, _, _ = _path_newton(geom, v.values, 1.0, np.zeros(4))
     assert u_newton is None
-    res = project_path(v, 1.0, tol=1e-10)
+    res = project(v, 1.0, tol=1e-10)
     assert res.converged
     np.testing.assert_allclose(res.u.values, [0.1, 0.2, 0.1], rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(res.dual[0], [0.005, 0.015, -0.015, -0.005], rtol=0.0, atol=1e-12)
@@ -484,7 +486,7 @@ def test_path_single_active_edge():
     np.testing.assert_allclose(q_newton, [0, 0, -0.001, 0, 0, 0], rtol=0.0, atol=1e-12)
     u_dp, _ = _path_dp(geom, v.values, 1.0)
     np.testing.assert_allclose(u_dp, expected, rtol=0.0, atol=1e-12)
-    res = project_path(v, 1.0)
+    res = project(v, 1.0)
     assert res.converged and res.iterations == 1
     np.testing.assert_allclose(res.m.values, [0, 0.001, 0, 0, 0], rtol=0.0, atol=1e-12)
 
@@ -510,14 +512,14 @@ def test_path_n3_matches_active_set_enumeration():
             if np.max(np.abs(D @ u)) <= lam + 1e-9:
                 if best is None or np.sum((u - v) ** 2) < np.sum((best - v) ** 2):
                     best = u
-        res = project_path(HeightField(g, v), lam)
+        res = project(HeightField(g, v), lam)
         assert res.converged
         np.testing.assert_allclose(res.u.values, best, rtol=0.0, atol=1e-10)
 
 
-# --- project_newton in 2D, both constraint modes, PDHG as the oracle ---
+# --- project in 2D, both constraint modes, PDHG as the oracle ---
 
-# PDHG, which project_newton falls back to on cold white noise (a singular
+# PDHG, which project falls back to on cold white noise (a singular
 # active block), stalls on a few noise inputs far outside the isotropic
 # cone: its primal iterate keeps a slope excess near 1e-5 while the dual
 # drifts, and it does not certify within any budget tried.  The properties
@@ -530,7 +532,7 @@ PDHG_BUDGET = 20_000
 
 
 def _newton(v, lam, mode, warm_dual=None):
-    res = project_newton(v, lam, mode=mode, max_iter=PDHG_BUDGET, warm_dual=warm_dual)
+    res = project(v, lam, mode=mode, max_iter=PDHG_BUDGET, warm_dual=warm_dual)
     if not res.converged:
         alone = project_pdhg(v, lam, mode=mode, max_iter=PDHG_BUDGET, warm_dual=warm_dual)
         assert not alone.converged
@@ -606,7 +608,7 @@ def test_newton_2d_warm_start_same_limit(case, mode, seed):
 
 @pytest.fixture
 def pdhg_budgets(monkeypatch):
-    """The ``max_iter`` of every call project_newton hands over to PDHG."""
+    """The ``max_iter`` of every call project hands over to PDHG."""
     budgets = []
 
     def counting(*args, **kwargs):
@@ -629,15 +631,12 @@ def test_newton_settles_on_a_hump(mode, pdhg_budgets):
     # a hump a little steeper than the cone: Newton certifies on its own
     # and lands within both certified errors of the PDHG projection
     v = _hump_2d(16, 0.23)
-    res = project_newton(v, 1.0, mode=mode)
+    res = project(v, 1.0, mode=mode)
     assert pdhg_budgets == []
     assert res.converged and 1 <= res.iterations <= NEWTON_MAX_STEPS
     oracle = project_pdhg(v, 1.0, mode=mode)
     cert = _certified(res, v) + _certified(oracle, v)
     assert np.max(np.abs(res.u.values - oracle.u.values)) <= cert
-    # the stepper's entry point takes this route on 2D grids
-    routed = project(v, 1.0, mode=mode)
-    np.testing.assert_array_equal(routed.u.values, res.u.values)
 
 
 @pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
@@ -652,7 +651,7 @@ def test_newton_singular_block_falls_back_to_pdhg(mode, pdhg_budgets):
         geom, v.values, 1.0, geom.zeros_dual(), NEWTON_MAX_STEPS, lambda u, q: False
     )
     assert u is None and q is None and solves == 0
-    res = project_newton(v, 1.0, mode=mode)
+    res = project(v, 1.0, mode=mode)
     assert pdhg_budgets == [projection.DEFAULT_MAX_ITER]
     assert res.converged
     np.testing.assert_array_equal(res.u.values, project_pdhg(v, 1.0, mode=mode).u.values)
@@ -663,7 +662,7 @@ def test_newton_step_cap_falls_back_to_pdhg(monkeypatch, pdhg_budgets):
     # PDHG takes over with the rest of the budget and still converges
     v = _hump_2d(16, 0.23)
     monkeypatch.setattr(projection, "NEWTON_MAX_STEPS", 1)
-    res = project_newton(v, 1.0, max_iter=5000)
+    res = project(v, 1.0, max_iter=5000)
     assert pdhg_budgets == [4999]
     assert res.converged and res.iterations > 1
     oracle = project_pdhg(v, 1.0)
