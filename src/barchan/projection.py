@@ -31,8 +31,11 @@ Two solvers compute it:
     solves, or an active block is singular, PDHG takes over.
 
 PDHG stays the 2D fallback, the oracle the tests hold ``project`` to, and
-the verifier's projection.  Every route finishes with the same
-duality-gap certificate, so ``converged`` means the same for all.
+the verifier's projection.  On a 2D grid, when its gap stalls (a
+degenerate active set: loops of active edges, or pairs that touch a
+boundary bound), it hands its iterate to a damped Newton polish.  Every
+route finishes with the same duality-gap certificate, so ``converged``
+means the same for all.
 
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
@@ -44,11 +47,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .grid import (
@@ -70,6 +73,9 @@ DEFAULT_MAX_ITER = 200_000
 # path dynamic program in 1D, PDHG otherwise) takes over: twice the most
 # measured on a 64x64 dune, whose first time step starts cold and takes 8.
 NEWTON_MAX_STEPS = 16
+# Relative Tikhonov weight of a damped Newton solve (see _grid_newton): far
+# below every nonzero eigenvalue of a block, enough to factor a singular one.
+POLISH_DAMPING = 1e-12
 
 
 class NonConvergedError(RuntimeError):
@@ -105,13 +111,14 @@ class ProjectionResult:
     ``primal_dual_gap`` is the duality gap expressed as the L2 iterate
     error it certifies (``sqrt(2 * gap)``), so it is comparable to ``tol``
     in field units.  ``iterations`` counts the work of the route that ran:
-    PDHG iterations, Newton solves (plus one for the path dynamic program,
-    or plus the PDHG iterations when PDHG took over from Newton), and 0 for
-    an admissible input.  ``constraint_violation`` is the max slope excess of
-    the returned field, clamped at zero.  ``dual`` keeps the raw converged
-    dual vector as a per-axis tuple shaped like :func:`edge_slopes` (a
-    1-tuple in 1D); feeding it back as ``warm_dual`` of a nearby projection
-    cuts its iteration count without changing the limit.
+    PDHG iterations (plus the solves of its Newton polish), Newton solves
+    (plus one for the path dynamic program, or plus the PDHG count when PDHG
+    took over from Newton), and 0 for an admissible input.
+    ``constraint_violation`` is the max slope excess of the returned field,
+    clamped at zero.  ``dual`` keeps the raw converged dual vector as a
+    per-axis tuple shaped like :func:`edge_slopes` (a 1-tuple in 1D);
+    feeding it back as ``warm_dual`` of a nearby projection cuts its
+    iteration count without changing the limit.
     """
 
     u: HeightField
@@ -129,6 +136,35 @@ def _soft(x: np.ndarray, t: float) -> np.ndarray:
     return np.where(mag > t, x * (1.0 - t / np.maximum(mag, t)), 0.0)
 
 
+@lru_cache(maxsize=16)
+def _implied_edges(grid: Grid, pairs: bool) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The corner edge constraints that another constraint of the same
+    node implies, as ``(axis, index)`` entries of a dual vector.
+
+    Every boundary-crossing edge of a corner node bounds the same value,
+    ``|u| / h_a``, so only the tightest (smallest ``h_a``) is needed, and a
+    pair holding a boundary edge implies every scalar one whose ``h_a`` is at
+    least its own; on ties a hosted edge is kept, so the multiplier sees its
+    dual.  An implied constraint leaves the feasible set as it is but makes
+    the dual non-unique: PDHG's dual then drifts between the two at the rate
+    of the residual slope error, and Newton's active block is singular.
+    """
+    implied = []
+    n = grid.counts
+    for node in itertools.product(*[(0, m - 1) for m in n]):
+        edges = []  # (h, unhosted, axis, index)
+        for a, h in enumerate(grid.spacing):
+            if node[a] == 0:
+                edges.append((h, True, a, node[:a] + (0,) + node[a + 1 :]))
+            if node[a] == n[a] - 1:
+                edges.append((h, False, a, node[:a] + (n[a],) + node[a + 1 :]))
+        bound = min([e[0] for e in edges if pairs and not e[1]], default=math.inf)
+        scalars = sorted(e for e in edges if not pairs or e[1])
+        drop = scalars[1:] if scalars and scalars[0][0] < bound else scalars
+        implied += [(a, ix) for _, _, a, ix in drop]
+    return tuple(implied)
+
+
 class _ConeGeometry:
     """Dual norm machinery of the edge-slope constraints for one
     grid/constraint-mode pair.  Dual vectors are per-axis tuples shaped
@@ -137,7 +173,8 @@ class _ConeGeometry:
     Every edge is its own constraint, except when ``paired``: then the
     differences hosted by one interior node form a Euclidean pair, and only
     the boundary-crossing first edge of each axis, which has no host, stays
-    scalar.
+    scalar.  The constraints in ``implied`` (see :func:`_implied_edges`)
+    carry no dual: :meth:`shrink` and :meth:`group_norm` zero them.
     """
 
     def __init__(self, grid: Grid, mode: str):
@@ -146,6 +183,12 @@ class _ConeGeometry:
         self.grid = grid
         self.paired = paired(grid, mode)
         self.op_norm = 2.0 * math.sqrt(sum(1.0 / s**2 for s in grid.spacing))
+        self.implied = _implied_edges(grid, self.paired)
+
+    def _drop_implied(self, q) -> tuple[np.ndarray, ...]:
+        for a, ix in self.implied:
+            q[a][ix] = 0.0
+        return q
 
     def _pair_norm(self, q) -> np.ndarray:
         return np.sqrt(reduce(np.add, [h * h for h in hosted(q)]))
@@ -171,7 +214,7 @@ class _ConeGeometry:
         """prox of t * (sum of per-constraint magnitudes): magnitude
         soft-threshold, producing hard zeros below t."""
         if not self.paired:
-            return tuple(_soft(qa, t) for qa in q)
+            return self._drop_implied(tuple(_soft(qa, t) for qa in q))
         core = self._pair_norm(q)
         factor = np.where(core > t, 1.0 - t / np.maximum(core, t), 0.0)
         out = tuple(np.empty_like(qa) for qa in q)
@@ -179,7 +222,7 @@ class _ConeGeometry:
             o[...] = h * factor
         for o, b in zip(unhosted(out), unhosted(q)):
             o[...] = _soft(b, t)
-        return out
+        return self._drop_implied(out)
 
     def group_norm(self, q) -> tuple[np.ndarray, ...]:
         """Per-axis arrays holding, at every entry, the magnitude of the
@@ -189,7 +232,7 @@ class _ConeGeometry:
             core = self._pair_norm(q)
             for o in hosted(out):
                 o[...] = core
-        return out
+        return self._drop_implied(out)
 
     def multiplier(self, q, lam: float) -> np.ndarray:
         """Per-node multiplier from the dual hosted by each interior node."""
@@ -271,6 +314,17 @@ def _within_tol(viol: float, gap: float, err: float, lam: float, tol: float, flo
     return (err <= tol or gap <= floor) and viol <= lam * TOL_CONSTRAINT + TOL_CONSTRAINT
 
 
+def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
+    """``certified(x, q)``: whether the pair passes :func:`_within_tol`."""
+    floor = _gap_floor(vvals)
+
+    def certified(x, q) -> bool:
+        viol, _, gap, err = _certificate(geom, vvals, x, q, lam)
+        return _within_tol(viol, gap, err, lam, tol, floor)
+
+    return certified
+
+
 def project_pdhg(
     v: HeightField,
     lam: float,
@@ -283,7 +337,13 @@ def project_pdhg(
 
     Plain Chambolle-Pock steps with an adaptive restart of the
     overrelaxation whenever the duality gap stalls; the restart recovers
-    the linear tail convergence this strongly convex problem admits.
+    the linear tail convergence this strongly convex problem admits.  On a
+    degenerate 2D problem it does not: the dual crawls along the loops of
+    its active set.  So in 2D a restart also starts a damped
+    :func:`_grid_newton` from the current dual, at most once per doubling
+    of the iteration count; if it certifies, its result is returned, and
+    its solves count towards ``max_iter`` and ``iterations``.
+
     Terminates when the certified error is at or below ``tol`` (or at the
     rounding floor of the gap) and the slope violation is within
     ``TOL_CONSTRAINT``.  On ``max_iter`` exhaustion the best iterate is
@@ -309,14 +369,16 @@ def project_pdhg(
     xbar = x.copy()
     q = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
 
+    certified = _certifier(geom, vvals, lam, tol)
     floor = _gap_floor(vvals)
     check_every = 16
     best_gap = math.inf
     stall = 0
+    polish_at = 0
 
-    it = 0
+    it = solves = 0
     converged = False
-    while it < max_iter:
+    while it + solves < max_iter:
         it += 1
         ascent = zip(q, edge_slopes(v.grid, xbar))
         q = geom.shrink(tuple(qa + sigma * ea for qa, ea in ascent), sigma * lam)
@@ -337,11 +399,22 @@ def project_pdhg(
                 if stall >= 4:
                     xbar = x.copy()
                     stall = 0
+                    # In 2D a lasting stall is a degenerate active set.
+                    if v.grid.dim > 1 and it >= polish_at:
+                        polish_at = 2 * it
+                        steps = min(NEWTON_MAX_STEPS, max_iter - it - solves)
+                        xn, qn, k = _grid_newton(
+                            geom, vvals, lam, q, steps, certified, damped=True
+                        )
+                        solves += k
+                        if xn is not None:
+                            x, q, converged = xn, qn, True
+                            break
             else:
                 stall = 0
             best_gap = min(best_gap, gap)
 
-    return _finalize(geom, v, x, q, lam, it, converged)
+    return _finalize(geom, v, x, q, lam, it + solves, converged)
 
 
 def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray):
@@ -485,8 +558,34 @@ def _newton_matrix(geom: _ConeGeometry, z, mag, active, lam: float, t: float):
     )
 
 
+def _first_break(geom: _ConeGeometry, z0, z1, t: float) -> float:
+    """The first ``s`` in (0, 1) at which a constraint enters or leaves the
+    active set (``|z_g| = t``) along ``z0 + s (z1 - z0)``; 1 if none does."""
+    dz = tuple(b - a for a, b in zip(z0, z1))
+    first = 1.0
+    for n0, n1, nd in zip(geom.group_norm(z0), geom.group_norm(z1), geom.group_norm(dz)):
+        # |z0 + s dz|^2 - t^2 = a s^2 + b s + c0 on each entry's constraint
+        a, c0 = nd * nd, n0 * n0 - t * t
+        b = n1 * n1 - a - n0 * n0
+        disc = b * b - 4.0 * a * c0
+        ok = (a > 0.0) & (disc >= 0.0)
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        den = np.where(ok, 2.0 * a, 1.0)
+        for s in ((-b - root) / den, (-b + root) / den):
+            s = s[ok & (s > 1e-12) & (s < first)]
+            if s.size:
+                first = float(s.min())
+    return first
+
+
 def _grid_newton(
-    geom: _ConeGeometry, vvals: np.ndarray, lam: float, q, max_steps: int, certified
+    geom: _ConeGeometry,
+    vvals: np.ndarray,
+    lam: float,
+    q,
+    max_steps: int,
+    certified,
+    damped: bool = False,
 ):
     """Semismooth Newton iteration on the dual fixed point
     ``q = shrink(q + c D u, c lam)`` with ``u = v - D^T q`` and
@@ -505,16 +604,30 @@ def _grid_newton(
     the Jacobian moves with ``z``, so a repeated active pattern is not yet a
     KKT point: the iteration stops only when ``certified(u, q)`` holds.
 
+    ``damped`` is for a start near the solution of a degenerate problem
+    (PDHG's stalled iterate).  Each solve then adds ``POLISH_DAMPING |D|^2``
+    times ``I`` to the block and times the current ``q_A`` to the
+    right-hand side, so a loop of active edges keeps its dual instead of
+    making the block singular.  And a step that does not lower the duality
+    gap stops at the first change of the active set along it, whatever the
+    gap there, so that the next solve sees the new set; if the set does not
+    change along it, it is halved until the gap falls.  Near a loop that is
+    almost closed the block is nearly singular and the full step overshoots.
+
     Returns ``(u, q, solves)``; ``u`` and ``q`` are None when nothing was
-    certified within ``max_steps`` solves, or when a factorization was
-    singular (loops of active edges carry divergence-free duals).
+    certified within ``max_steps`` solves, when a factorization was
+    singular (loops of active edges carry divergence-free duals), or when
+    halving a damped step found no lower gap.
     """
     grid = geom.grid
     c = 2.0 / geom.op_norm**2
     t = c * lam
+    delta = POLISH_DAMPING * geom.op_norm**2
     dv = edge_slopes(grid, vvals)
     solves = 0
     u = vvals - edge_slopes_adjoint(grid, q)
+    if damped:
+        gap = _certificate(geom, vvals, u, q, lam)[2]
     while solves < max_steps:
         z = tuple(qa + c * ea for qa, ea in zip(q, edge_slopes(grid, u)))
         mag = geom.group_norm(z)
@@ -522,17 +635,40 @@ def _grid_newton(
         rhs = np.concatenate(
             [d[m] - lam * za[m] / ma[m] for d, za, ma, m in zip(dv, z, mag, active)]
         )
-        q = tuple(np.zeros_like(qa) for qa in q)
+        q_new = tuple(np.zeros_like(qa) for qa in q)
         if rhs.size:
+            block = _newton_matrix(geom, z, mag, active, lam, t)
+            if damped:
+                block = block + delta * identity(rhs.size, format="csc")
+                rhs += delta * np.concatenate([qa[m] for qa, m in zip(q, active)])
             try:
-                q_act = splu(_newton_matrix(geom, z, mag, active, lam, t)).solve(rhs)
+                q_act = splu(block).solve(rhs)
             except RuntimeError:  # exactly singular
                 return None, None, solves
             cuts = np.cumsum([np.count_nonzero(m) for m in active])[:-1]
-            for qa, m, part in zip(q, active, np.split(q_act, cuts)):
+            for qa, m, part in zip(q_new, active, np.split(q_act, cuts)):
                 qa[m] = part
         solves += 1
-        u = vvals - edge_slopes_adjoint(grid, q)
+        u_new = vvals - edge_slopes_adjoint(grid, q_new)
+        if damped:
+            gap_new = _certificate(geom, vvals, u_new, q_new, lam)[2]
+            if not gap_new < gap:
+                z_new = tuple(qa + c * ea for qa, ea in zip(q_new, edge_slopes(grid, u_new)))
+                s = _first_break(geom, z, z_new, t)
+                halve = s >= 1.0
+                s = 0.5 if halve else s
+                while True:
+                    q_try = tuple(qa + s * (qn - qa) for qa, qn in zip(q, q_new))
+                    u_try = vvals - edge_slopes_adjoint(grid, q_try)
+                    gap_new = _certificate(geom, vvals, u_try, q_try, lam)[2]
+                    if not halve or gap_new < gap:
+                        break
+                    s /= 2.0
+                    if s < 1e-12:
+                        return None, None, solves
+                q_new, u_new = q_try, u_try
+            gap = gap_new
+        q, u = q_new, u_new
         if certified(u, q):
             return u, q, solves
     return None, None, solves
@@ -569,12 +705,7 @@ def project(
     if geom.max_norm(edge_slopes(v.grid, vvals)) <= lam:
         return _fixed_point(geom, v)
 
-    floor = _gap_floor(vvals)
-
-    def certified(x, q) -> bool:
-        viol, _, gap, err = _certificate(geom, vvals, x, q, lam)
-        return _within_tol(viol, gap, err, lam, tol, floor)
-
+    certified = _certifier(geom, vvals, lam, tol)
     q0 = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
     if v.grid.dim == 1:
         x, q, solves = _path_newton(geom, vvals, lam, np.asarray(q0[0], dtype=float))

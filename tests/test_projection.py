@@ -456,6 +456,54 @@ def test_pdhg_2d_result_invariants(case, mode):
     assert np.all(res.m.values[slack] <= M_TOL)
 
 
+@pytest.mark.parametrize(
+    "mode, dropped",
+    [
+        # the bottom edge of the bottom-right corner node, implied by its
+        # pair, and the left edge of the top-left one; ey[0, 0] repeats ex[0, 0]
+        ("isotropic", [(1, (0, 0)), (0, (0, 3)), (1, (3, 0))]),
+        # every corner keeps one of its two equal scalar bounds
+        ("componentwise", [(1, (0, 0)), (0, (0, 3)), (1, (3, 0)), (1, (3, 4))]),
+    ],
+)
+def test_implied_corner_constraints_carry_no_dual(mode, dropped):
+    g = make_grid(2, (1.0, 1.0), (4, 4))
+    geom = _ConeGeometry(g, mode)
+    assert sorted(geom.implied) == sorted(dropped)
+    v = HeightField(g, 3.0 * np.ones((4, 4)))  # every corner edge is steep
+    res = project_pdhg(v, 1.0, mode=mode)
+    assert res.converged and admissible(res.u, 1.0, mode=mode)
+    for a, ix in dropped:
+        assert res.dual[a][ix] == 0.0
+
+
+# Inputs on which PDHG alone used to stall for the whole budget: a corner
+# whose pair and boundary edge bound the same value (the first two), a
+# cluster of active pairs and boundary edges that PDHG approaches only
+# sublinearly (the third), and a loop of active edges through the boundary
+# whose Newton block is nearly singular (the last two, with their noise
+# seeds; on the last, Newton must let an active pair go before it settles).
+DEGENERATE_2D = [
+    pytest.param((10, 10, 5, "noise"), None, id="corner-pair"),
+    pytest.param((10, 10, 9, "noise"), None, id="corner-pair-2"),
+    pytest.param((9, 3, 164807732, "noise"), None, id="boundary-cluster"),
+    pytest.param((7, 7, 33554431, "noise"), 5, id="boundary-loop"),
+    pytest.param((4, 6, 736827945, "noise"), 5674, id="boundary-loop-2"),
+]
+
+
+@pytest.mark.parametrize("case, noise_seed", DEGENERATE_2D)
+def test_pdhg_2d_settles_degenerate_inputs(case, noise_seed):
+    v, lam = _case_2d(*case)
+    if noise_seed is not None:
+        noise = np.random.default_rng(noise_seed).normal(size=v.grid.shape)
+        v = HeightField(v.grid, v.values + noise)
+    res = project_pdhg(v, lam, mode="isotropic")
+    assert res.converged and res.iterations < 5000
+    assert res.constraint_violation <= 1e-8
+    assert np.all(res.m.values >= 0.0)
+
+
 def test_path_all_active_qp():
     # test_hand_enumerated_qp's input: all four edges are active, so D D^T
     # restricted to them is singular and Newton must hand over to the DP.
@@ -645,7 +693,7 @@ def test_newton_singular_block_falls_back_to_pdhg(mode, pdhg_budgets):
     # edges carry divergence-free duals, so the first active block is
     # exactly singular; the factorization error must not escape
     g = make_grid(2, (1.0, 1.0), (8, 8))
-    v = HeightField(g, np.random.default_rng(3).normal(size=(8, 8)))
+    v = HeightField(g, np.random.default_rng(4).normal(size=(8, 8)))
     geom = _ConeGeometry(g, mode)
     u, q, solves = projection._grid_newton(
         geom, v.values, 1.0, geom.zeros_dual(), NEWTON_MAX_STEPS, lambda u, q: False

@@ -4,8 +4,27 @@ from scipy.integrate import trapezoid
 
 from barchan import verify
 from barchan.constitutive import GammaProfile, HProfile
-from barchan.grid import HeightField, admissible, dist_to_boundary, make_grid
-from barchan.stepper import KernelSpec, ModelParams, SourceSpec, kernel_for, run
+from barchan.grid import (
+    HeightField,
+    admissible,
+    dist_to_boundary,
+    edge_slopes,
+    hosted,
+    integrate,
+    make_grid,
+    node_slope_magnitude,
+)
+from barchan.projection import project_pdhg
+from barchan.stepper import (
+    KernelSpec,
+    ModelParams,
+    Numerics,
+    SourceSpec,
+    kernel_for,
+    run,
+    source_eval,
+    transport_flux,
+)
 from barchan.verify import (
     ComplementarityReport,
     complementarity_report,
@@ -46,6 +65,51 @@ def windy_traj(n=48, lam=0.6, T=0.02):
     return run(p, u0)
 
 
+def source_traj_2d(mode):
+    # windy 2D run with a source on a non-square grid, so a swapped axis shows
+    g = make_grid(2, (1.0, 0.8), (12, 9))
+    p = ModelParams(
+        lam=0.5, h=HProfile.smooth_ramp(), gamma=GammaProfile.identity(),
+        kernel=KernelSpec("triangle", 0.25),
+        source=SourceSpec("patch", center=(0.4, 0.4), width=0.2, rate=0.5), T=0.01,
+    )
+    x, y = g.meshgrid()
+    u0 = HeightField(g, np.maximum(0.0, 0.1 - 0.4 * np.hypot(x - 0.5, y - 0.4)))
+    return run(p, u0, numerics=Numerics(constraint_mode=mode))
+
+
+def vi_residual_loop(traj, xi, k):
+    """Reference: the residual one snapshot interval at a time, with the
+    energy, flux and source of each snapshot evaluated on their own."""
+    kernel = kernel_for(traj.params, traj.grid)
+    snaps = traj.snapshots
+    phi = [energy(s.u, xi, k) for s in snaps]
+    out = np.empty(len(snaps) - 1)
+    for i, (s0, s1) in enumerate(zip(snaps[:-1], snaps[1:])):
+        flux = transport_flux(s0.u, traj.params, kernel)
+        f = source_eval(traj.params.source, traj.grid, s0.t)
+        w = truncate(s1.u.values - xi.values, k)
+        dphi = (phi[i + 1] - phi[i]) / (s1.t - s0.t)
+        gx = hosted(edge_slopes(traj.grid, w))[0]
+        out[i] = dphi - integrate(traj.grid, flux * gx) - integrate(traj.grid, f * w)
+    return out
+
+
+def sequential_test_functions(grid, lam, count, seed, mode):
+    """Reference: the noise members of make_test_functions drawn, smoothed
+    and projected one at a time."""
+    canonical = make_test_functions(grid, lam, min(count, 4), seed, mode).xis
+    rng = np.random.default_rng(seed)
+    xis = list(canonical)
+    while len(xis) < count:
+        raw = rng.normal(size=grid.shape)
+        for _ in range(2):
+            raw = 0.5 * raw + 0.25 * (np.roll(raw, 1, axis=0) + np.roll(raw, -1, axis=0))
+        top = max(np.max(node_slope_magnitude(HeightField(grid, raw), mode)), 1e-12)
+        xis.append(project_pdhg(HeightField(grid, raw * (0.9 * lam / top)), lam, mode=mode).u)
+    return xis
+
+
 def test_test_functions_canonical_and_admissible():
     g = make_grid(1, 1.0, 31)
     lam = 0.9
@@ -84,6 +148,18 @@ def test_test_functions_deterministic():
     b = make_test_functions(g, 1.0, count=7, seed=11)
     for xi_a, xi_b in zip(a.xis, b.xis):
         np.testing.assert_array_equal(xi_a.values, xi_b.values)
+
+
+@pytest.mark.parametrize("dim,count", [(1, 0), (1, 2), (1, 5), (1, 12), (2, 7)])
+@pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
+def test_test_functions_match_sequential_draws(dim, count, mode):
+    g = make_grid(dim, 1.0, 17 if dim == 1 else (8, 6))
+    for seed in (0, 3):
+        got = make_test_functions(g, 0.7, count, seed, mode).xis
+        want = sequential_test_functions(g, 0.7, count, seed, mode)
+        assert len(got) == len(want) == count
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_energy_closed_form_matches_quadrature():
@@ -131,6 +207,60 @@ def test_windy_residual_within_envelope():
     assert rep.passed, f"worst residual {rep.worst} vs tol {rep.tol}"
     # the split structure makes the residual solver-tolerance small
     assert rep.worst <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "make_traj",
+    [frozen_traj, windy_traj, lambda: source_traj_2d("isotropic"),
+     lambda: source_traj_2d("componentwise")],
+    ids=["frozen", "windy", "2d-isotropic", "2d-componentwise"],
+)
+def test_vi_residual_matches_snapshot_loop(make_traj):
+    traj = make_traj()
+    mode = traj.numerics.constraint_mode
+    ts = make_test_functions(traj.grid, traj.params.lam, count=6, seed=4, mode=mode)
+    for xi in ts.xis:
+        for k in (0.01, 0.1, 1.0, np.inf):
+            np.testing.assert_array_equal(vi_residual(traj, xi, k), vi_residual_loop(traj, xi, k))
+
+
+def test_vi_report_rejects_empty_test_set():
+    traj = frozen_traj(n=15)
+    with pytest.raises(ValueError, match="empty"):
+        vi_report(traj, verify.TestFunctionSet(xis=[], seed=0), tol=1e-3)
+
+
+@pytest.mark.parametrize("ks", [(), (np.nan,), (0.0,), (0.1, -1.0)])
+def test_vi_report_rejects_bad_k_levels(ks):
+    traj = frozen_traj(n=15)
+    ts = make_test_functions(traj.grid, 1.0, count=4, seed=0)
+    with pytest.raises(ValueError, match="truncation level"):
+        vi_report(traj, ts, tol=1e-3, k_levels=ks)
+
+
+def test_vi_report_rejects_single_snapshot():
+    g = make_grid(1, 1.0, 15)
+    p = ModelParams(lam=1.0, h=HProfile.zero(), T=0.0, dt=0.05,
+                    kernel=KernelSpec("triangle", 3 / 16))
+    traj = run(p, HeightField.zeros(g))
+    ts = make_test_functions(g, 1.0, count=4, seed=0)
+    with pytest.raises(ValueError, match="two snapshots"):
+        vi_report(traj, ts, tol=1e-3)
+
+
+def test_vi_report_nan_residual_fails(monkeypatch):
+    traj = frozen_traj(n=15)
+    ts = make_test_functions(traj.grid, 1.0, count=4, seed=0)
+    exact = verify.vi_residual
+
+    def nan_at_k1(traj, xi, k, drives=None):
+        res = exact(traj, xi, k, drives)
+        return np.full_like(res, np.nan) if k == 1.0 else res
+
+    monkeypatch.setattr(verify, "vi_residual", nan_at_k1)
+    rep = vi_report(traj, ts, tol=1e-3)
+    assert np.isnan(rep.worst)
+    assert not rep.passed
 
 
 def test_vi_requires_dense_snapshots():
@@ -223,6 +353,18 @@ def test_contraction_rejects_mismatched_params():
                      T=t1.params.T, dt=0.05)
     t2 = run(p2, HeightField.zeros(g))
     with pytest.raises(ValueError, match="parameters"):
+        contraction_report(t1, t2)
+
+
+def test_contraction_rejects_different_snapshot_times():
+    # both runs have 4 snapshots, at [0, .034, .068, .1] and [0, .04, .08, .1]
+    g = make_grid(1, 1.0, 15)
+    p = ModelParams(lam=1.0, h=HProfile.zero(), kernel=KernelSpec("triangle", 3 / 16), T=0.1)
+    u0 = HeightField(g, 0.5 * dist_to_boundary(g))
+    t1 = run(p, u0, numerics=Numerics(dt_max=0.034))
+    t2 = run(p, u0, numerics=Numerics(dt_max=0.04))
+    assert len(t1.snapshots) == len(t2.snapshots) == 4
+    with pytest.raises(ValueError, match="snapshot times"):
         contraction_report(t1, t2)
 
 
