@@ -25,10 +25,12 @@ Two solvers compute it:
     pattern repeats within ``NEWTON_MAX_STEPS`` solves, an exact dynamic
     program over the path (L2 Lipschitz regression) gives the projection
     in a finite number of operations, with no tolerance.
-  - Otherwise one step is one sparse LU solve over the active
+  - Otherwise one step is one banded Cholesky solve over the active
     constraints, with the generalized Jacobian of the paired (Euclidean)
-    constraints.  When it cannot certify within ``NEWTON_MAX_STEPS``
-    solves, or an active block is singular, PDHG takes over.
+    constraints; numbering the active edges with the axes interleaved
+    keeps the band about two grid lines wide.  When it cannot certify
+    within ``NEWTON_MAX_STEPS`` solves, or an active block is not positive
+    definite, PDHG takes over.
 
 PDHG stays the 2D fallback, the oracle the tests hold ``project`` to, and
 the verifier's projection.  On a 2D grid, when its gap stalls (a
@@ -50,9 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.sparse import csc_matrix, identity
-from scipy.sparse.linalg import splu
+from scipy.linalg import solve_banded, solveh_banded
 
 from .grid import (
     CONSTRAINT_MODES,
@@ -76,6 +76,8 @@ NEWTON_MAX_STEPS = 16
 # Relative Tikhonov weight of a damped Newton solve (see _grid_newton): far
 # below every nonzero eigenvalue of a block, enough to factor a singular one.
 POLISH_DAMPING = 1e-12
+
+_triu = lru_cache(maxsize=None)(np.triu_indices)  # (rows, cols) of the upper triangle
 
 
 class NonConvergedError(RuntimeError):
@@ -417,6 +419,30 @@ def project_pdhg(
     return _finalize(geom, v, x, q, lam, it + solves, converged)
 
 
+def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.ndarray:
+    """Solve the symmetric system whose upper band is ``band`` (LAPACK
+    upper form: the diagonal in the last row) by a banded Cholesky
+    factorization.  Raises ``np.linalg.LinAlgError`` when the matrix is not
+    positive definite, unless ``pivot``: then banded LU with partial
+    pivoting solves it, and raises only on an exactly singular pivot.
+    """
+    if rhs.size == 1:  # solveh_banded rejects a 1x1 system with off-diagonal rows
+        if not band[-1, 0] > 0.0:
+            raise np.linalg.LinAlgError("1x1 system not positive definite")
+        return rhs / band[-1]
+    try:
+        return solveh_banded(band, rhs, check_finite=False)
+    except np.linalg.LinAlgError:
+        if not pivot:
+            raise
+    bw = band.shape[0] - 1
+    full = np.zeros((2 * bw + 1, band.shape[1]))  # and the mirrored lower band
+    full[: bw + 1] = band
+    for d in range(1, bw + 1):
+        full[bw + d, :-d] = band[bw - d, d:]
+    return solve_banded((bw, bw), full, rhs, check_finite=False)
+
+
 def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray):
     """Primal-dual active-set (semismooth Newton) iteration on the 1D dual.
 
@@ -457,13 +483,11 @@ def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarr
         idx = np.flatnonzero(active)
         rhs = (dv[idx] - lam * signs) * (dx * dx)
         q = np.zeros_like(dv)
-        if idx.size == 1:  # solveh_banded rejects a 1x1 system
-            q[idx] = rhs / diag[idx]
-        elif idx.size:
+        if idx.size:
             band = np.zeros((2, idx.size))
             band[0, 1:] = np.where(np.diff(idx) == 1, -1.0, 0.0)
             band[1] = diag[idx]
-            q[idx] = solveh_banded(band, rhs, check_finite=False)
+            q[idx] = _banded_solve(band, rhs)
         solves += 1
 
 
@@ -516,9 +540,15 @@ def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
     return u, p - np.median(p)
 
 
-def _newton_matrix(geom: _ConeGeometry, z, mag, active, lam: float, t: float):
-    """``(M_A^{-1} - I) / c + D_A D_A^T`` as a CSC matrix over the active
-    entries, numbered axis by axis in C order, built by index arithmetic.
+def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delta: float = 0.0):
+    """The upper band of ``(M_A^{-1} - I) / c + D_A D_A^T + delta I`` over
+    the active entries, for :func:`_banded_solve`, and the per-axis numbers
+    of the active entries (-1 off them), built by index arithmetic.
+
+    The entries are numbered in C order through one lattice with
+    ``counts[a] + 1`` slots per axis and the axes interleaved, so the edges
+    a node lies on get nearby numbers: the band spans about two grid lines
+    of active entries, where a numbering axis by axis spans half the block.
 
     ``D D^T`` sums one outer product per node: on each axis a node lies on
     the edge from its previous neighbour (coefficient ``1 / h_a``) and on
@@ -527,35 +557,50 @@ def _newton_matrix(geom: _ConeGeometry, z, mag, active, lam: float, t: float):
     ``a / (1 - a) (I - zh zh^T)`` on an active pair, with ``a = t / |z_g|``
     and ``zh = z_g / |z_g|``, and zero on a scalar constraint.
     """
-    index = [np.full(m.shape, -1) for m in active]
-    n = 0
-    for ix, m in zip(index, active):
-        size = np.count_nonzero(m)
-        ix[m] = n + np.arange(size)
-        n += size
-    rows, cols, vals = [], [], []
-    ends = [(ix, 1.0 / h) for ix, h in zip(backward(index), geom.grid.spacing)]
-    ends += [(ix, -1.0 / h) for ix, h in zip(hosted(index), geom.grid.spacing)]
-    touched = reduce(np.logical_or, [ix >= 0 for ix, _ in ends])
-    ends = [(ix[touched], coef) for ix, coef in ends]
-    for (ia, ca), (ib, cb) in itertools.product(ends, repeat=2):
-        on = (ia >= 0) & (ib >= 0)
-        rows.append(ia[on])
-        cols.append(ib[on])
-        vals.append(np.full(np.count_nonzero(on), ca * cb))
+    grid = geom.grid
+    lattice = np.zeros(tuple(m + 1 for m in grid.counts) + (grid.dim,), dtype=bool)
+    regions = [
+        tuple(slice(m + (a == b)) for b, m in enumerate(grid.counts)) + (a,)
+        for a in range(grid.dim)
+    ]
+    for r, m in zip(regions, active):
+        lattice[r] = m
+    order = np.flatnonzero(lattice)
+    n = order.size
+    number = np.full(lattice.shape, -1)
+    number.flat[order] = np.arange(n)
+    index = [number[r] for r in regions]
+
+    # Per node touching an active entry, the numbers of its 2 * dim edges;
+    # each pair of them adds one entry at (row, col), row <= col.
+    ends = np.stack(backward(index) + hosted(index))
+    ends = ends[:, ends.max(axis=0) >= 0]
+    coef = np.array([1.0 / h for h in grid.spacing] + [-1.0 / h for h in grid.spacing])
+    ia, ib = _triu(coef.size)
+    ea, eb = ends[ia], ends[ib]
+    on = (ea >= 0) & (eb >= 0)
+    rows = [np.minimum(ea, eb)[on]]
+    cols = [np.maximum(ea, eb)[on]]
+    vals = [np.broadcast_to((coef[ia] * coef[ib])[:, None], on.shape)[on]]
     if geom.paired:
         core = hosted(mag)[0]
         on = core > t
-        k = [ix[on] for ix in hosted(index)]
-        zh = [za[on] / core[on] for za in hosted(z)]
+        k = np.stack([ix[on] for ix in hosted(index)])
+        zh = np.stack([za[on] / core[on] for za in hosted(z)])
         w = lam / (core[on] - t)  # a / ((1 - a) c)
-        for a, b in itertools.product(range(len(k)), repeat=2):
-            rows.append(k[a])
-            cols.append(k[b])
-            vals.append(w * (float(a == b) - zh[a] * zh[b]))
-    return csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+        ia, ib = _triu(grid.dim)
+        ka, kb = k[ia], k[ib]
+        rows.append(np.minimum(ka, kb).ravel())
+        cols.append(np.maximum(ka, kb).ravel())
+        vals.append((w * ((ia == ib)[:, None] - zh[ia] * zh[ib])).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    lag = cols - rows
+    bw = int(lag.max())
+    band = np.bincount(
+        (bw - lag) * n + cols, weights=np.concatenate(vals), minlength=(bw + 1) * n
+    ).reshape(bw + 1, n)
+    band[-1] += delta
+    return band, index
 
 
 def _first_break(geom: _ConeGeometry, z0, z1, t: float) -> float:
@@ -596,7 +641,7 @@ def _grid_newton(
 
         ((M_A^{-1} - I) / c + D_A D_A^T) q_A = (D v)_A - lam zh_A
 
-    with ``zh = z / |z_g|`` and ``M`` as in :func:`_newton_matrix`.  This is
+    with ``zh = z / |z_g|`` and ``M`` as in :func:`_newton_band`.  This is
     the Newton step ``(M_A^{-1} - I + c D_A D_A^T) dq_A = -M_A^{-1} F_A +
     c (D D^T)_AI q_I`` on ``F = q - shrink(z, c lam)`` solved for
     ``q_A + dq_A``, because ``M_A^{-1} - I`` annihilates ``shrink(z)_A``.  On
@@ -608,21 +653,25 @@ def _grid_newton(
     (PDHG's stalled iterate).  Each solve then adds ``POLISH_DAMPING |D|^2``
     times ``I`` to the block and times the current ``q_A`` to the
     right-hand side, so a loop of active edges keeps its dual instead of
-    making the block singular.  And a step that does not lower the duality
+    making the block singular.  Where a pair's curvature is far above the
+    damping, rounding can still leave the block without a Cholesky factor;
+    banded LU solves it then.  And a step that does not lower the duality
     gap stops at the first change of the active set along it, whatever the
     gap there, so that the next solve sees the new set; if the set does not
     change along it, it is halved until the gap falls.  Near a loop that is
     almost closed the block is nearly singular and the full step overshoots.
 
-    Returns ``(u, q, solves)``; ``u`` and ``q`` are None when nothing was
-    certified within ``max_steps`` solves, when a factorization was
-    singular (loops of active edges carry divergence-free duals), or when
-    halving a damped step found no lower gap.
+    The block is positive semidefinite, so, rounding aside, its banded
+    Cholesky factorization fails exactly when it is singular.  Returns
+    ``(u, q, solves)``; ``u`` and ``q`` are None when nothing was certified
+    within ``max_steps`` solves, when a block was not positive definite
+    (loops of active edges carry divergence-free duals), or when halving a
+    damped step found no lower gap.
     """
     grid = geom.grid
     c = 2.0 / geom.op_norm**2
     t = c * lam
-    delta = POLISH_DAMPING * geom.op_norm**2
+    delta = POLISH_DAMPING * geom.op_norm**2 if damped else 0.0
     dv = edge_slopes(grid, vvals)
     solves = 0
     u = vvals - edge_slopes_adjoint(grid, q)
@@ -632,22 +681,18 @@ def _grid_newton(
         z = tuple(qa + c * ea for qa, ea in zip(q, edge_slopes(grid, u)))
         mag = geom.group_norm(z)
         active = tuple(m > t for m in mag)
-        rhs = np.concatenate(
-            [d[m] - lam * za[m] / ma[m] for d, za, ma, m in zip(dv, z, mag, active)]
-        )
         q_new = tuple(np.zeros_like(qa) for qa in q)
-        if rhs.size:
-            block = _newton_matrix(geom, z, mag, active, lam, t)
-            if damped:
-                block = block + delta * identity(rhs.size, format="csc")
-                rhs += delta * np.concatenate([qa[m] for qa, m in zip(q, active)])
+        if any(m.any() for m in active):
+            band, index = _newton_band(geom, z, mag, active, lam, t, delta)
+            rhs = np.empty(band.shape[1])
+            for ix, d, za, ma, qa, m in zip(index, dv, z, mag, q, active):
+                rhs[ix[m]] = d[m] - lam * za[m] / ma[m] + delta * qa[m]
             try:
-                q_act = splu(block).solve(rhs)
-            except RuntimeError:  # exactly singular
+                q_act = _banded_solve(band, rhs, pivot=damped)
+            except np.linalg.LinAlgError:  # singular
                 return None, None, solves
-            cuts = np.cumsum([np.count_nonzero(m) for m in active])[:-1]
-            for qa, m, part in zip(q_new, active, np.split(q_act, cuts)):
-                qa[m] = part
+            for qa, ix, m in zip(q_new, index, active):
+                qa[m] = q_act[ix[m]]
         solves += 1
         u_new = vvals - edge_slopes_adjoint(grid, q_new)
         if damped:
@@ -690,12 +735,12 @@ def project(
     unused) the steps are banded solves; if no active pattern repeats, or
     the result fails the certificate, the exact path dynamic program
     replaces it, and ``iterations`` counts the banded solves plus one.
-    Otherwise the steps are sparse LU solves; when they cannot certify
-    within ``min(NEWTON_MAX_STEPS, max_iter)`` solves, or a factorization
-    is singular, :func:`project_pdhg` takes over from ``warm_dual`` with
-    the rest of the ``max_iter`` budget, and ``iterations`` counts the
-    sparse solves plus the PDHG iterations, so it never exceeds
-    ``max_iter``.  An admissible input returns itself with 0.
+    Otherwise the steps are banded Cholesky solves in interleaved order;
+    when they cannot certify within ``min(NEWTON_MAX_STEPS, max_iter)``
+    solves, or a block is not positive definite, :func:`project_pdhg` takes
+    over from ``warm_dual`` with the rest of the ``max_iter`` budget, and
+    ``iterations`` counts the Newton solves plus the PDHG iterations, so it
+    never exceeds ``max_iter``.  An admissible input returns itself with 0.
     ``converged`` has the meaning it has in :func:`project_pdhg`.
     """
     if lam <= 0.0:

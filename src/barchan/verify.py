@@ -130,7 +130,10 @@ def make_test_functions(
     grid: Grid, lam: float, count: int, seed: int, mode: str = "isotropic"
 ) -> TestFunctionSet:
     """Canonical admissible fields (zero, the maximal cone, hats) plus
-    random members built by projecting smoothed noise onto the cone."""
+    random members built by projecting smoothed noise onto the cone: the
+    first ``count`` of them, which must be nonnegative."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     dist = dist_to_boundary(grid)
     # At ridge kinks of the distance cone every forward difference hits
     # -lam at once, so the discrete isotropic slope reaches lam * sqrt(dim);

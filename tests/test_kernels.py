@@ -184,18 +184,28 @@ def test_fft_matches_direct_2d():
     np.testing.assert_allclose(nonlocal_slope(u, k), fft_nonlocal(u, k), atol=1e-10)
 
 
-def test_import_does_not_load_scipy_signal():
-    # scipy.signal alone costs more import time than the rest of the solver
+def _loaded_by_solver_imports(module: str) -> bool:
+    """Whether importing the solver modules in a fresh interpreter loads ``module``."""
     src = str(Path(barchan.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, barchan, barchan.stepper, barchan.verify; "
-        "print('scipy.signal' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal alone costs more import time than the rest of the solver
+    assert not _loaded_by_solver_imports("scipy.signal")
+
+
+def test_import_does_not_load_scipy_sparse():
+    # the Newton blocks are banded, so the solver needs no sparse matrices
+    assert not _loaded_by_solver_imports("scipy.sparse")
 
 
 def test_2d_is_rowwise():

@@ -11,6 +11,7 @@ from barchan.grid import (
     HeightField,
     admissible,
     dist_to_boundary,
+    edge_slopes,
     make_grid,
     node_slope_magnitude,
 )
@@ -716,3 +717,115 @@ def test_newton_step_cap_falls_back_to_pdhg(monkeypatch, pdhg_budgets):
     oracle = project_pdhg(v, 1.0)
     cert = _certified(res, v) + _certified(oracle, v)
     assert np.max(np.abs(res.u.values - oracle.u.values)) <= cert
+
+
+def _dense_slopes(grid):
+    """D as a dense matrix, built by applying edge_slopes to unit vectors;
+    its rows run over the edges axis by axis, each axis in C order."""
+    units = np.eye(grid.node_count).reshape((-1,) + grid.shape)
+    return np.array([np.concatenate([e.ravel() for e in edge_slopes(grid, u)]) for u in units]).T
+
+
+def _unband(band):
+    """The full symmetric matrix whose upper band (diagonal last) is ``band``."""
+    bw, n = band.shape[0] - 1, band.shape[1]
+    full = np.zeros((n, n))
+    for d in range(bw + 1):
+        i = np.arange(n - d)
+        full[i, i + d] = full[i + d, i] = band[bw - d, d:]
+    return full
+
+
+def _random_newton_state(grid, mode, seed, lam):
+    """A dual point z whose active set mixes active and inactive pairs
+    and boundary edges, with everything _newton_band takes."""
+    geom = _ConeGeometry(grid, mode)
+    c = 2.0 / geom.op_norm**2
+    t = c * lam
+    rng = np.random.default_rng(seed)
+    z = tuple(1.2 * t * rng.normal(size=qa.shape) for qa in geom.zeros_dual())
+    for a, za in enumerate(z):  # one steep edge across each wall, off the corners
+        za[(1,) * a + (0,)] = 2.0 * t
+        za[(1,) * a + (-1,)] = -2.0 * t
+    mag = geom.group_norm(z)
+    active = tuple(m > t for m in mag)
+    return geom, c, t, z, mag, active
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.37])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
+@pytest.mark.parametrize("counts", [(4, 5), (6, 6)])
+def test_newton_band_matches_dense_block(counts, mode, seed, delta):
+    # (M_A^-1 - I) / c + D_A D_A^T + delta I built densely, with M the
+    # Jacobian of shrink: (1 - a) I + a zh zh^T on an active pair,
+    # a = t / |z_g|, and 1 on an active scalar
+    g = make_grid(2, (1.0, 1.3), counts)
+    lam = 1.3
+    geom, c, t, z, mag, active = _random_newton_state(g, mode, seed, lam)
+    band, index = projection._newton_band(geom, z, mag, active, lam, t, delta)
+    nx, ny = counts
+    sel = np.concatenate([m.ravel() for m in active])
+    assert 0 < sel.sum() < sel.size
+    # boundary edges among the active ones, first and last of each axis
+    assert active[0][0].any() and active[0][-1].any()
+    assert active[1][:, 0].any() and active[1][:, -1].any()
+
+    minv = np.zeros((sel.size, sel.size))
+    pairs = 0
+    if mode == "isotropic":
+        for i, j in itertools.product(range(nx), range(ny)):
+            ix, iy = (i + 1) * ny + j, (nx + 1) * ny + i * (ny + 1) + j + 1
+            zg = np.array([z[0][i + 1, j], z[1][i, j + 1]])
+            norm = np.linalg.norm(zg)
+            if norm > t:
+                pairs += 1
+                a, zh = t / norm, zg / norm
+                jac = (1.0 - a) * np.eye(2) + a * np.outer(zh, zh)
+                minv[np.ix_([ix, iy], [ix, iy])] = np.linalg.inv(jac) - np.eye(2)
+        assert 0 < pairs < nx * ny
+    dense = _dense_slopes(g)[sel]
+    want = minv[np.ix_(sel, sel)] / c + dense @ dense.T + delta * np.eye(sel.sum())
+
+    perm = np.concatenate([ix[m] for ix, m in zip(index, active)])
+    assert np.array_equal(np.sort(perm), np.arange(sel.sum()))
+    assert all(np.all(ix[~m] == -1) for ix, m in zip(index, active))
+    # the interleaved numbering keeps the band within two grid lines
+    assert band.shape[0] - 1 <= 2 * (ny + 1)
+    got = _unband(band)[np.ix_(perm, perm)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_newton_band_1d_is_path_block(seed):
+    # in 1D the block is _path_newton's tridiagonal one over dx^2: 2 on the
+    # diagonal (1 on the boundary edges 0 and n), -1 between adjacent edges
+    g = make_grid(1, 1.0, 9)
+    lam = 0.8
+    geom, c, t, z, mag, active = _random_newton_state(g, "isotropic", seed, lam)
+    band, (index,) = projection._newton_band(geom, z, mag, active, lam, t)
+    (act,) = active
+    idx = np.flatnonzero(act)
+    assert 1 < idx.size < act.size
+    diag = np.where((idx == 0) | (idx == g.counts[0]), 1.0, 2.0)
+    adjacent = np.diff(idx) == 1
+    want = np.diag(diag) - np.diag(adjacent * 1.0, 1) - np.diag(adjacent * 1.0, -1)
+    assert np.array_equal(index[act], np.arange(idx.size))
+    got = _unband(band) * g.spacing[0] ** 2
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_banded_solve_cholesky_and_pivoted_fallback():
+    # [[2, -1, 0], [-1, 2, -1], [0, -1, 2]] is positive definite;
+    # [[1, 2], [2, 1]] is not, and only the pivoted solve accepts it
+    spd = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0]])
+    rhs = np.array([1.0, 0.0, 1.0])
+    np.testing.assert_allclose(projection._banded_solve(spd, rhs), [1.0, 1.0, 1.0], rtol=1e-14)
+    indefinite = np.array([[0.0, 2.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        projection._banded_solve(indefinite, np.array([3.0, 3.0]))
+    got = projection._banded_solve(indefinite, np.array([3.0, 3.0]), pivot=True)
+    np.testing.assert_allclose(got, [1.0, 1.0], rtol=1e-14)
+    np.testing.assert_array_equal(projection._banded_solve(np.array([[4.0]]), np.array([2.0])), [0.5])
+    with pytest.raises(np.linalg.LinAlgError):
+        projection._banded_solve(np.array([[0.0]]), np.array([2.0]))

@@ -135,6 +135,14 @@ def test_test_functions_inadmissible_member_raises(monkeypatch):
         make_test_functions(g, 0.9, count=8, seed=3)
 
 
+@pytest.mark.parametrize("count", [-1, -4])
+def test_test_functions_reject_negative_count(count):
+    # ``xis[:count]`` would silently drop canonical members
+    g = make_grid(1, 1.0, 15)
+    with pytest.raises(ValueError, match="count"):
+        make_test_functions(g, 1.0, count, 0)
+
+
 def test_test_functions_2d():
     g = make_grid(2, (1.0, 1.0), (9, 9))
     ts = make_test_functions(g, 0.5, count=6, seed=1)
