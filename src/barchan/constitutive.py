@@ -43,8 +43,8 @@ class HProfile:
             raise ValueError(f"unknown H profile {self.kind!r}")
         if self.kind == "erf_smoothed" and not (0.0 < self.eps < 1.0):
             raise ValueError(f"erf_smoothed needs eps in (0, 1), got {self.eps}")
-        if self.kind == "constant" and self.value < 0.0:
-            raise ValueError("constant H level must be nonnegative")
+        if self.kind == "constant" and not (0.0 <= self.value < math.inf):
+            raise ValueError(f"constant H value must be finite and nonnegative, got {self.value}")
 
     @classmethod
     def erf_smoothed(cls, eps: float) -> "HProfile":
@@ -79,10 +79,10 @@ class GammaProfile:
     def __post_init__(self) -> None:
         if self.kind not in GAMMA_KINDS:
             raise ValueError(f"unknown gamma profile {self.kind!r}")
-        if self.kind == "scaled_identity" and self.a < 0.0:
-            raise ValueError("scaled_identity slope must be nonnegative")
-        if self.kind == "saturating" and (self.a < 0.0 or self.b <= 0.0):
-            raise ValueError("saturating needs a >= 0 and b > 0")
+        if self.kind in ("scaled_identity", "saturating") and not (0.0 <= self.a < math.inf):
+            raise ValueError(f"{self.kind} needs a finite a >= 0, got a={self.a}")
+        if self.kind == "saturating" and not (0.0 < self.b < math.inf):
+            raise ValueError(f"saturating needs a finite b > 0, got b={self.b}")
 
     @classmethod
     def identity(cls) -> "GammaProfile":

@@ -86,6 +86,8 @@ def build_kernel(profile: str, radius: float, dx: float) -> DiscreteKernel:
     """
     if profile not in KERNEL_PROFILES:
         raise ValueError(f"unknown kernel profile {profile!r}")
+    if not math.isfinite(radius):
+        raise ValueError(f"kernel radius must be finite, got {radius}")
     if radius < dx - 1e-12 * dx:
         raise ValueError(
             f"kernel radius {radius} smaller than grid spacing {dx}; "

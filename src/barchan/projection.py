@@ -36,8 +36,9 @@ PDHG stays the 2D fallback, the oracle the tests hold ``project`` to, and
 the verifier's projection.  On a 2D grid, when its gap stalls (a
 degenerate active set: loops of active edges, or pairs that touch a
 boundary bound), it hands its iterate to a damped Newton polish.  Every
-route finishes with the same duality-gap certificate, so ``converged``
-means the same for all.
+route certifies the pair it returns once, with the same duality-gap
+certificate, and ``converged`` is that certificate's verdict on all of
+them, a PDHG run out of iterations included.
 
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
@@ -50,6 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
@@ -108,16 +110,17 @@ class MultiplierField:
 
 @dataclass
 class ProjectionResult:
-    """Converged projection plus diagnostics.
+    """Projection plus diagnostics.
 
-    ``primal_dual_gap`` is the duality gap expressed as the L2 iterate
+    ``converged`` tells whether the returned pair passed the duality-gap
+    certificate; ``primal_dual_gap`` is that gap expressed as the L2
     error it certifies (``sqrt(2 * gap)``), so it is comparable to ``tol``
     in field units.  ``iterations`` counts the work of the route that ran:
     PDHG iterations (plus the solves of its Newton polish), Newton solves
     (plus one for the path dynamic program, or plus the PDHG count when PDHG
     took over from Newton), and 0 for an admissible input.
     ``constraint_violation`` is the max slope excess of the returned field,
-    clamped at zero.  ``dual`` keeps the raw converged dual vector as a
+    clamped at zero.  ``dual`` keeps the raw dual vector as a
     per-axis tuple shaped like :func:`edge_slopes` (a 1-tuple in 1D);
     feeding it back as ``warm_dual`` of a nearby projection cuts its
     iteration count without changing the limit.
@@ -130,12 +133,6 @@ class ProjectionResult:
     constraint_violation: float
     converged: bool
     dual: tuple[np.ndarray, ...] | None = None
-
-
-def _soft(x: np.ndarray, t: float) -> np.ndarray:
-    """Soft-threshold of scalar entries by magnitude, hard zeros below t."""
-    mag = np.abs(x)
-    return np.where(mag > t, x * (1.0 - t / np.maximum(mag, t)), 0.0)
 
 
 @lru_cache(maxsize=16)
@@ -195,36 +192,25 @@ class _ConeGeometry:
     def _pair_norm(self, q) -> np.ndarray:
         return np.sqrt(reduce(np.add, [h * h for h in hosted(q)]))
 
-    def _scalar(self, q) -> tuple[np.ndarray, ...]:
-        """The entries bounded one by one."""
-        return unhosted(q) if self.paired else q
-
     def max_norm(self, q) -> float:
-        out = max([float(np.abs(s).max()) for s in self._scalar(q)])
-        if self.paired:
-            out = max(float(self._pair_norm(q).max()), out)
-        return out
+        """Largest constraint magnitude; an implied constraint never exceeds
+        the one that implies it, so dropping it changes nothing."""
+        return max([float(g.max()) for g in self.group_norm(q)])
 
     def dual_l1(self, q) -> float:
         """Sum of per-constraint magnitudes (support function weight)."""
         out = float(self._pair_norm(q).sum()) if self.paired else 0.0
-        for s in self._scalar(q):
+        for s in unhosted(q) if self.paired else q:  # the scalar constraints
             out += float(np.abs(s).sum())
         return out
 
     def shrink(self, q, t: float):
         """prox of t * (sum of per-constraint magnitudes): magnitude
         soft-threshold, producing hard zeros below t."""
-        if not self.paired:
-            return self._drop_implied(tuple(_soft(qa, t) for qa in q))
-        core = self._pair_norm(q)
-        factor = np.where(core > t, 1.0 - t / np.maximum(core, t), 0.0)
-        out = tuple(np.empty_like(qa) for qa in q)
-        for o, h in zip(hosted(out), hosted(q)):
-            o[...] = h * factor
-        for o, b in zip(unhosted(out), unhosted(q)):
-            o[...] = _soft(b, t)
-        return self._drop_implied(out)
+        return tuple(
+            np.where(g > t, qa * (1.0 - t / np.maximum(g, t)), 0.0)
+            for qa, g in zip(q, self.group_norm(q))
+        )
 
     def group_norm(self, q) -> tuple[np.ndarray, ...]:
         """Per-axis arrays holding, at every entry, the magnitude of the
@@ -247,25 +233,22 @@ class _ConeGeometry:
         return tuple(np.zeros(n[:a] + (n[a] + 1,) + n[a + 1 :]) for a in range(len(n)))
 
 
-def _certificate(geom: _ConeGeometry, vvals: np.ndarray, x: np.ndarray, q, lam: float):
-    """Duality gap of (x, q) with a feasibility-corrected primal candidate.
+class _Certificate(NamedTuple):
+    """Duality-gap certificate of a primal-dual pair ``(x, q)``.
 
-    Returns (violation of x, feasible candidate, gap, certified L2 error).
-    Scaling x by lam / (lam + violation) restores exact feasibility because
-    edge slopes are linear in the field.
+    ``viol`` is the slope violation of ``x``; ``xf`` is ``x`` scaled by
+    ``lam / (lam + viol)``, which restores exact feasibility because edge
+    slopes are linear in the field; ``gap`` is the duality gap of
+    ``(xf, q)`` and ``err = sqrt(2 gap)`` the L2 error of ``xf`` it
+    certifies.  ``ok`` holds when ``err`` is at most ``tol`` (or the gap is
+    at its rounding floor) and ``viol`` is within ``TOL_CONSTRAINT``.
     """
-    viol = max(0.0, geom.max_norm(edge_slopes(geom.grid, x)) - lam)
-    xf = x * (lam / (lam + viol)) if viol > 0.0 else x
-    primal = 0.5 * float(np.sum((xf - vvals) ** 2))
-    aq = edge_slopes_adjoint(geom.grid, q)
-    dual = (
-        -lam * geom.dual_l1(q)
-        - 0.5 * float(np.sum(aq * aq))
-        + float(np.vdot(aq, vvals))
-    )
-    gap = primal - dual
-    err = math.sqrt(2.0 * max(gap, 0.0))
-    return viol, xf, gap, err
+
+    viol: float
+    xf: np.ndarray
+    gap: float
+    err: float
+    ok: bool
 
 
 def _gap_floor(vvals: np.ndarray) -> float:
@@ -275,24 +258,36 @@ def _gap_floor(vvals: np.ndarray) -> float:
     return 64.0 * eps * scale
 
 
+def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
+    """``certify(x, q)``: the :class:`_Certificate` of the pair."""
+    floor = _gap_floor(vvals)
+    max_viol = lam * TOL_CONSTRAINT + TOL_CONSTRAINT
+
+    def certify(x, q) -> _Certificate:
+        viol = max(0.0, geom.max_norm(edge_slopes(geom.grid, x)) - lam)
+        xf = x * (lam / (lam + viol)) if viol > 0.0 else x
+        primal = 0.5 * float(np.sum((xf - vvals) ** 2))
+        aq = edge_slopes_adjoint(geom.grid, q)
+        dual = -lam * geom.dual_l1(q) - 0.5 * float(np.sum(aq * aq)) + float(np.vdot(aq, vvals))
+        gap = primal - dual
+        err = math.sqrt(2.0 * max(gap, 0.0))
+        return _Certificate(viol, xf, gap, err, (err <= tol or gap <= floor) and viol <= max_viol)
+
+    return certify
+
+
 def _finalize(
-    geom: _ConeGeometry,
-    v: HeightField,
-    x: np.ndarray,
-    q,
-    lam: float,
-    iterations: int,
-    converged: bool,
+    geom: _ConeGeometry, cert: _Certificate, q, lam: float, iterations: int
 ) -> ProjectionResult:
-    viol, xf, gap, err = _certificate(geom, v.values, x, q, lam)
-    out_viol = max(0.0, geom.max_norm(edge_slopes(geom.grid, xf)) - lam)
+    """The result for dual ``q`` and its certificate: the feasible field
+    ``cert.xf``, flagged ``converged`` when the certificate passed."""
     return ProjectionResult(
-        u=HeightField(geom.grid, xf.copy()),
+        u=HeightField(geom.grid, cert.xf.copy()),
         m=MultiplierField(geom.grid, geom.multiplier(q, lam)),
         iterations=iterations,
-        primal_dual_gap=err,
-        constraint_violation=out_viol,
-        converged=converged,
+        primal_dual_gap=cert.err,
+        constraint_violation=max(0.0, geom.max_norm(edge_slopes(geom.grid, cert.xf)) - lam),
+        converged=cert.ok,
         dual=q,
     )
 
@@ -308,23 +303,6 @@ def _fixed_point(geom: _ConeGeometry, v: HeightField) -> ProjectionResult:
         converged=True,
         dual=geom.zeros_dual(),
     )
-
-
-def _within_tol(viol: float, gap: float, err: float, lam: float, tol: float, floor: float) -> bool:
-    """Certified error at most ``tol`` (or gap at the rounding floor), and
-    slope violation within ``TOL_CONSTRAINT``."""
-    return (err <= tol or gap <= floor) and viol <= lam * TOL_CONSTRAINT + TOL_CONSTRAINT
-
-
-def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
-    """``certified(x, q)``: whether the pair passes :func:`_within_tol`."""
-    floor = _gap_floor(vvals)
-
-    def certified(x, q) -> bool:
-        viol, _, gap, err = _certificate(geom, vvals, x, q, lam)
-        return _within_tol(viol, gap, err, lam, tol, floor)
-
-    return certified
 
 
 def project_pdhg(
@@ -348,8 +326,9 @@ def project_pdhg(
 
     Terminates when the certified error is at or below ``tol`` (or at the
     rounding floor of the gap) and the slope violation is within
-    ``TOL_CONSTRAINT``.  On ``max_iter`` exhaustion the best iterate is
-    returned flagged ``converged=False``; caller policy decides.
+    ``TOL_CONSTRAINT``.  On ``max_iter`` exhaustion the last iterate is
+    returned, flagged ``converged`` by that same certificate; caller policy
+    decides what to do with a pair that fails it.
 
     ``warm_dual`` seeds the dual vector (useful across resolvent steps);
     it never changes the limit, only the iteration count.
@@ -371,15 +350,13 @@ def project_pdhg(
     xbar = x.copy()
     q = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
 
-    certified = _certifier(geom, vvals, lam, tol)
-    floor = _gap_floor(vvals)
+    certify = _certifier(geom, vvals, lam, tol)
     check_every = 16
     best_gap = math.inf
     stall = 0
     polish_at = 0
 
     it = solves = 0
-    converged = False
     while it + solves < max_iter:
         it += 1
         ascent = zip(q, edge_slopes(v.grid, xbar))
@@ -389,14 +366,13 @@ def project_pdhg(
         x = x_new
 
         if it % check_every == 0:
-            viol, _, gap, err = _certificate(geom, vvals, x, q, lam)
-            if _within_tol(viol, gap, err, lam, tol, floor):
-                converged = True
+            cert = certify(x, q)
+            if cert.ok:
                 break
             # Restart the extrapolation when the gap stops shrinking
             # geometrically; this re-anchors the iteration near the
             # current point and restores the local linear rate.
-            if gap > 0.7 * best_gap:
+            if cert.gap > 0.7 * best_gap:
                 stall += 1
                 if stall >= 4:
                     xbar = x.copy()
@@ -405,18 +381,20 @@ def project_pdhg(
                     if v.grid.dim > 1 and it >= polish_at:
                         polish_at = 2 * it
                         steps = min(NEWTON_MAX_STEPS, max_iter - it - solves)
-                        xn, qn, k = _grid_newton(
-                            geom, vvals, lam, q, steps, certified, damped=True
+                        polished, qn, k = _grid_newton(
+                            geom, vvals, lam, q, steps, certify, damped=True
                         )
                         solves += k
-                        if xn is not None:
-                            x, q, converged = xn, qn, True
+                        if polished is not None:
+                            cert, q = polished, qn
                             break
             else:
                 stall = 0
-            best_gap = min(best_gap, gap)
+            best_gap = min(best_gap, cert.gap)
+    else:
+        cert = certify(x, q)
 
-    return _finalize(geom, v, x, q, lam, it + solves, converged)
+    return _finalize(geom, cert, q, lam, it + solves)
 
 
 def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.ndarray:
@@ -629,7 +607,7 @@ def _grid_newton(
     lam: float,
     q,
     max_steps: int,
-    certified,
+    certify,
     damped: bool = False,
 ):
     """Semismooth Newton iteration on the dual fixed point
@@ -647,7 +625,7 @@ def _grid_newton(
     ``q_A + dq_A``, because ``M_A^{-1} - I`` annihilates ``shrink(z)_A``.  On
     scalar constraints it is the rule of :func:`_path_newton`.  On pairs
     the Jacobian moves with ``z``, so a repeated active pattern is not yet a
-    KKT point: the iteration stops only when ``certified(u, q)`` holds.
+    KKT point: the iteration stops only when ``certify(u, q).ok`` holds.
 
     ``damped`` is for a start near the solution of a degenerate problem
     (PDHG's stalled iterate).  Each solve then adds ``POLISH_DAMPING |D|^2``
@@ -662,11 +640,13 @@ def _grid_newton(
     almost closed the block is nearly singular and the full step overshoots.
 
     The block is positive semidefinite, so, rounding aside, its banded
-    Cholesky factorization fails exactly when it is singular.  Returns
-    ``(u, q, solves)``; ``u`` and ``q`` are None when nothing was certified
-    within ``max_steps`` solves, when a block was not positive definite
-    (loops of active edges carry divergence-free duals), or when halving a
-    damped step found no lower gap.
+    Cholesky factorization fails exactly when it is singular.  Each solve's
+    pair is certified once, and in damped mode that certificate also gives
+    the gap of the line search.  Returns ``(cert, q, solves)`` with the
+    certificate of the final pair ``(u, q)``; ``cert`` and ``q`` are None
+    when nothing was certified within ``max_steps`` solves, when a block
+    was not positive definite (loops of active edges carry divergence-free
+    duals), or when halving a damped step found no lower gap.
     """
     grid = geom.grid
     c = 2.0 / geom.op_norm**2
@@ -676,7 +656,7 @@ def _grid_newton(
     solves = 0
     u = vvals - edge_slopes_adjoint(grid, q)
     if damped:
-        gap = _certificate(geom, vvals, u, q, lam)[2]
+        gap = certify(u, q).gap
     while solves < max_steps:
         z = tuple(qa + c * ea for qa, ea in zip(q, edge_slopes(grid, u)))
         mag = geom.group_norm(z)
@@ -695,9 +675,9 @@ def _grid_newton(
                 qa[m] = q_act[ix[m]]
         solves += 1
         u_new = vvals - edge_slopes_adjoint(grid, q_new)
+        cert = certify(u_new, q_new)
         if damped:
-            gap_new = _certificate(geom, vvals, u_new, q_new, lam)[2]
-            if not gap_new < gap:
+            if not cert.gap < gap:
                 z_new = tuple(qa + c * ea for qa, ea in zip(q_new, edge_slopes(grid, u_new)))
                 s = _first_break(geom, z, z_new, t)
                 halve = s >= 1.0
@@ -705,17 +685,17 @@ def _grid_newton(
                 while True:
                     q_try = tuple(qa + s * (qn - qa) for qa, qn in zip(q, q_new))
                     u_try = vvals - edge_slopes_adjoint(grid, q_try)
-                    gap_new = _certificate(geom, vvals, u_try, q_try, lam)[2]
-                    if not halve or gap_new < gap:
+                    cert = certify(u_try, q_try)
+                    if not halve or cert.gap < gap:
                         break
                     s /= 2.0
                     if s < 1e-12:
                         return None, None, solves
                 q_new, u_new = q_try, u_try
-            gap = gap_new
+            gap = cert.gap
         q, u = q_new, u_new
-        if certified(u, q):
-            return u, q, solves
+        if cert.ok:
+            return cert, q, solves
     return None, None, solves
 
 
@@ -750,24 +730,24 @@ def project(
     if geom.max_norm(edge_slopes(v.grid, vvals)) <= lam:
         return _fixed_point(geom, v)
 
-    certified = _certifier(geom, vvals, lam, tol)
+    certify = _certifier(geom, vvals, lam, tol)
     q0 = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
     if v.grid.dim == 1:
         x, q, solves = _path_newton(geom, vvals, lam, np.asarray(q0[0], dtype=float))
-        converged = x is not None and certified(x, (q,))
-        if not converged:
+        cert = None if x is None else certify(x, (q,))
+        if cert is None or not cert.ok:
             x, q = _path_dp(geom, vvals, lam)
             solves += 1
-            converged = certified(x, (q,))
-        return _finalize(geom, v, x, (q,), lam, solves, converged)
-    x, q, solves = _grid_newton(geom, vvals, lam, q0, min(NEWTON_MAX_STEPS, max_iter), certified)
-    if x is None:
+            cert = certify(x, (q,))
+        return _finalize(geom, cert, (q,), lam, solves)
+    cert, q, solves = _grid_newton(geom, vvals, lam, q0, min(NEWTON_MAX_STEPS, max_iter), certify)
+    if cert is None:
         res = project_pdhg(
             v, lam, tol=tol, max_iter=max_iter - solves, mode=mode, warm_dual=warm_dual
         )
         res.iterations += solves
         return res
-    return _finalize(geom, v, x, q, lam, solves, True)
+    return _finalize(geom, cert, q, lam, solves)
 
 
 def resolvent_step(

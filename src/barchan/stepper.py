@@ -33,6 +33,8 @@ from .constitutive import (
 from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, integrate, max_slope
 from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     MultiplierField,
     NonConvergedError,
     project,
@@ -61,9 +63,11 @@ class SourceSpec:
 
     ``patch`` deposits ``rate`` (m/s) on nodes within ``width/2`` of
     ``center`` per axis; if the box is narrower than a cell the nearest
-    node is used, so a point source is always representable.  ``tabulated``
-    reads a CSV whose first column is time and remaining columns are
-    per-node rates in row-major node order, held piecewise constant.
+    node is used, so a point source is always representable.  ``center``
+    has at most one entry per axis; a missing one is the axis's middle.
+    ``tabulated`` reads a CSV whose first column is time and remaining
+    columns are per-node rates in row-major node order, held piecewise
+    constant.
     """
 
     kind: str = "zero"
@@ -75,6 +79,11 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "patch", "tabulated"):
             raise ValueError(f"unknown source kind {self.kind!r}")
+        if not (0.0 <= self.width < math.inf):
+            raise ValueError(f"source width must be finite and nonnegative, got {self.width}")
+        for name, value in [("rate", self.rate)] + [("center", c) for c in self.center]:
+            if not math.isfinite(value):
+                raise ValueError(f"source {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -91,15 +100,15 @@ class ModelParams:
     dt: float | str = "auto"
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.T < 0.0:
-            raise ValueError(f"T must be nonnegative, got {self.T}")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        if not (0.0 <= self.T < math.inf):
+            raise ValueError(f"T must be finite and nonnegative, got {self.T}")
         if isinstance(self.dt, str):
             if self.dt != "auto":
                 raise ValueError(f'dt must be a positive number or "auto", got {self.dt!r}')
-        elif not (self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        elif not (0.0 < self.dt < math.inf):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +119,8 @@ class Numerics:
     dt_max: float = 0.1
     picard_iters: int = 1
     inner_tol: float = 1e-10
-    proj_tol: float = 1e-8
-    proj_max_iter: int = 200_000
+    proj_tol: float = DEFAULT_TOL
+    proj_max_iter: int = DEFAULT_MAX_ITER
     strict: bool = True
     constraint_mode: str = "isotropic"
     disable_projection: bool = False
@@ -178,6 +187,10 @@ def source_eval(spec: SourceSpec, grid: Grid, t: float) -> np.ndarray:
     if spec.kind == "zero":
         return np.zeros(grid.shape)
     if spec.kind == "patch":
+        if len(spec.center) > grid.dim:
+            raise ValueError(
+                f"source center has {len(spec.center)} entries, the grid has {grid.dim} axes"
+            )
         masks = []
         for a in range(grid.dim):
             c = spec.center[a] if a < len(spec.center) else grid.extents[a] / 2.0

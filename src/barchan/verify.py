@@ -51,6 +51,8 @@ from .stepper import (
 )
 
 COMP_TOL = 1e-6
+# Rounding slack of the L2 monotonicity check of a contraction report.
+STEP_TOL = 1e-8
 
 
 @dataclass
@@ -101,7 +103,7 @@ class ContractionReport:
     env_tol: float
     l1_envelope_ok: bool
     l2_nonincreasing: bool
-    step_tol: float = 1e-8
+    step_tol: float = STEP_TOL
 
 
 def truncate(z, k: float):
@@ -301,8 +303,7 @@ def contraction_report(
         )
     else:
         envelope_ok = bool(np.all(l1 <= 1e-12))
-    step_tol = 1e-8
-    l2_mono = bool(np.all(np.diff(l2) <= step_tol))
+    l2_mono = bool(np.all(np.diff(l2) <= STEP_TOL))
     return ContractionReport(
         times=times,
         l1_series=l1,
@@ -311,5 +312,4 @@ def contraction_report(
         env_tol=env_tol,
         l1_envelope_ok=envelope_ok,
         l2_nonincreasing=l2_mono,
-        step_tol=step_tol,
     )

@@ -169,3 +169,12 @@ def test_profile_validation():
         GammaProfile.saturating(1.0, 0.0)
     with pytest.raises(ValueError):
         HProfile("steps")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="value"):
+            HProfile.constant(bad)
+    with pytest.raises(ValueError, match="a="):
+        GammaProfile.scaled_identity(math.nan)
+    with pytest.raises(ValueError, match="a="):
+        GammaProfile.saturating(math.nan, 1.0)
+    with pytest.raises(ValueError, match="b="):
+        GammaProfile.saturating(1.0, math.nan)

@@ -236,6 +236,9 @@ def test_kernel_validation():
         DiscreteKernel("box", 0.2, 0.1, np.array([1.0, 2.0, 1.0]))
     with pytest.raises(ValueError, match="symmetric"):
         DiscreteKernel("box", 0.3, 0.1, np.array([2.0, 5.0, 3.0]) / 1.0)
+    for radius in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius"):
+            build_kernel("box", radius, 0.1)
 
 
 def test_kernel_derivative_norms():

@@ -719,6 +719,30 @@ def test_newton_step_cap_falls_back_to_pdhg(monkeypatch, pdhg_budgets):
     assert np.max(np.abs(res.u.values - oracle.u.values)) <= cert
 
 
+def test_pdhg_budget_exhaustion_reports_the_returned_pairs_certificate():
+    # PDHG checks its certificate every 16 iterations, so a budget that runs
+    # out between two checks returns a pair no check has seen.  Its
+    # converged flag is that pair's certificate, not the exhausted budget.
+    g = make_grid(1, 1.0, 15)
+    v = HeightField(g, 0.3 * np.random.default_rng(0).normal(size=15))
+    full = project_pdhg(v, 1.0)
+    assert full.converged
+    passes = max(projection.DEFAULT_TOL, math.sqrt(2.0 * _gap_floor(v.values)))
+    flagged = []
+    for budget in range(full.iterations - 15, full.iterations):
+        res = project_pdhg(v, 1.0, max_iter=budget)
+        assert res.iterations == budget
+        assert res.converged == (res.primal_dual_gap <= passes)
+        if res.converged:
+            flagged.append(budget)
+            cert = _certified(res, v) + _certified(full, v)
+            assert np.max(np.abs(res.u.values - full.u.values)) <= cert
+    # the full run stops at the gap's rounding floor, which the last few
+    # exhausted budgets already reach
+    assert flagged
+    assert not project_pdhg(v, 1.0, max_iter=3).converged
+
+
 def _dense_slopes(grid):
     """D as a dense matrix, built by applying edge_slopes to unit vectors;
     its rows run over the edges axis by axis, each axis in C order."""

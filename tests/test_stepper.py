@@ -1,3 +1,5 @@
+import functools
+import math
 import os
 
 import numpy as np
@@ -5,7 +7,15 @@ import pytest
 
 from barchan import projection
 from barchan.constitutive import GammaProfile, HProfile
-from barchan.grid import HeightField, admissible, dist_to_boundary, make_grid, max_slope, norm_l2
+from barchan.grid import (
+    HeightField,
+    admissible,
+    dist_to_boundary,
+    integrate,
+    make_grid,
+    max_slope,
+    norm_l2,
+)
 from barchan.kernels import nonlocal_slope
 from barchan.stepper import (
     CFLViolationError,
@@ -388,6 +398,83 @@ def test_run_2d_projections_settle_in_newton(monkeypatch):
         assert admissible(snap.u, p.lam)
 
 
+# The windless growing sandpile (Prigozhin, Eur. J. Appl. Math. 7, 1996): a
+# point source of mass rate Q at the centre c builds the cone
+# u = max(0, H(t) - lam r) until its base reaches the wall, with r and H
+# per case: |x - c| and H^2 = lam Q t in 1D; the Euclidean distance and
+# H^3 = 3 lam^2 Q t / pi in 2D isotropic mode; the L1 distance and
+# H^3 = 1.5 lam^2 Q t in 2D componentwise mode.
+PILE_LAM, PILE_Q, PILE_T = 1.0, 0.1, 1.0
+# (dim, mode, nodes per axis) -> measured L1 error of the field at T.
+PILE_L1_ERRORS = {
+    (1, "isotropic", 63): 1.03e-4,
+    (1, "isotropic", 127): 4.44e-5,
+    (1, "isotropic", 255): 1.52e-5,
+    (1, "isotropic", 511): 6.65e-7,
+    (2, "componentwise", 31): 1.73e-3,
+    (2, "componentwise", 63): 1.76e-4,
+    (2, "isotropic", 31): 9.16e-3,
+    (2, "isotropic", 63): 5.82e-3,
+}
+# Headroom of 10% over the measured errors, for rounding that differs
+# between platforms and BLAS builds.
+PILE_MARGIN = 1.1
+
+
+@functools.lru_cache(maxsize=None)
+def _growing_pile(dim, mode, n):
+    """Run the pile on a box of side 2 with the source one node at its
+    centre; return the trajectory, the L1 error against the exact cone at
+    T and the mass error."""
+    g = make_grid(dim, 2.0, n)
+    params = ModelParams(
+        lam=PILE_LAM,
+        h=HProfile.zero(),
+        gamma=GammaProfile.zero(),
+        kernel=KernelSpec("box", g.spacing[0]),
+        source=SourceSpec("patch", center=(1.0,) * dim, width=0.0, rate=PILE_Q / g.cell_volume),
+        T=PILE_T,
+        dt=0.05,
+    )
+    traj = run(params, HeightField.zeros(g), numerics=Numerics(constraint_mode=mode))
+    d = [np.abs(x - 1.0) for x in np.meshgrid(*[g.coords(a) for a in range(dim)], indexing="ij")]
+    if dim == 1:
+        r, height = d[0], math.sqrt(PILE_LAM * PILE_Q * PILE_T)
+    elif mode == "isotropic":
+        r, height = np.hypot(*d), (3.0 * PILE_LAM**2 * PILE_Q * PILE_T / math.pi) ** (1 / 3)
+    else:
+        r, height = d[0] + d[1], (1.5 * PILE_LAM**2 * PILE_Q * PILE_T) ** (1 / 3)
+    last = traj.snapshots[-1]
+    assert traj.failure is None and last.t == PILE_T
+    exact = np.maximum(0.0, height - PILE_LAM * r)
+    err = integrate(g, np.abs(last.u.values - exact))
+    return traj, err, abs(integrate(g, last.u.values) - PILE_Q * PILE_T)
+
+
+@pytest.mark.parametrize("case", list(PILE_L1_ERRORS), ids=lambda c: "-".join(map(str, c)))
+def test_growing_sandpile_matches_exact_cone(case):
+    traj, err, mass_err = _growing_pile(*case)
+    assert err <= PILE_MARGIN * PILE_L1_ERRORS[case]
+    assert mass_err <= 1e-12
+    if case == (1, "isotropic", 511):
+        # the first step needs more than NEWTON_MAX_STEPS solves, so the
+        # path dynamic program finishes it inside a real run
+        assert traj.steps[0].projection_iterations == projection.NEWTON_MAX_STEPS + 1
+
+
+def test_growing_sandpile_isotropic_rate():
+    # Isotropic mode converges slowly: the L1 error falls by a factor of
+    # about 1.57 from 31^2 to 63^2 nodes, where componentwise mode gains a
+    # factor of about 10.  The cause is open (the Euclidean norm of forward
+    # differences is not rotation invariant, perhaps); a change that moves
+    # the rate should say why.
+    def ratio(mode):
+        return _growing_pile(2, mode, 31)[1] / _growing_pile(2, mode, 63)[1]
+
+    assert 1.4 <= ratio("isotropic") <= 1.75
+    assert ratio("componentwise") >= 8.0
+
+
 def test_source_patch_point_fallback():
     g = make_grid(1, 1.0, 31)
     s = SourceSpec("patch", center=(0.5,), width=0.0, rate=2.0)
@@ -438,12 +525,41 @@ def test_source_tabulated_times_must_increase(tmp_path):
 def test_params_validation():
     with pytest.raises(ValueError, match="lam"):
         ModelParams(lam=0.0)
+    with pytest.raises(ValueError, match="lam"):
+        ModelParams(lam=math.inf)
     with pytest.raises(ValueError, match="dt"):
         ModelParams(lam=1.0, dt="fast")
     with pytest.raises(ValueError, match="dt"):
         ModelParams(lam=1.0, dt=-0.1)
+    with pytest.raises(ValueError, match="dt"):
+        ModelParams(lam=1.0, dt=math.inf)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="T"):
+            ModelParams(lam=1.0, T=T)
     with pytest.raises(ValueError, match="source"):
         SourceSpec("rain")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("width", -1.0),
+        ("width", math.nan),
+        ("width", math.inf),
+        ("rate", math.nan),
+        ("rate", math.inf),
+        ("center", (math.nan,)),
+    ],
+)
+def test_source_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        SourceSpec("patch", **{field: value})
+
+
+def test_source_center_entries_checked():
+    g = make_grid(1, 1.0, 31)
+    with pytest.raises(ValueError, match="center"):
+        source_eval(SourceSpec("patch", center=(0.5, 0.5, 0.5), rate=1.0), g, 0.0)
 
 
 @pytest.mark.parametrize(
