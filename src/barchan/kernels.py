@@ -106,20 +106,27 @@ def build_kernel(profile: str, radius: float, dx: float) -> DiscreteKernel:
 
 
 def _convolve_rows(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Convolve along axis 0 with the stencil, keeping the 'full' output."""
-    cols = g.reshape(g.shape[0], -1)
-    out = np.empty((cols.shape[0] + w.size - 1, cols.shape[1]))
-    for j in range(cols.shape[1]):
-        out[:, j] = np.convolve(cols[:, j], w, mode="full")
-    return out.reshape(out.shape[:1] + g.shape[1:])
+    """Convolve along axis 0 with the stencil, keeping the 'full' output.
+
+    The columns are laid end to end with ``w.size - 1`` zeros between them,
+    so that one ``np.convolve`` call gives every column's full output, each
+    in its own slot; a single column (1D) is convolved as it is.
+    """
+    n, pad = g.shape[0], w.size - 1
+    cols = g.reshape(n, -1).T
+    seq = np.zeros((cols.shape[0], n + pad))
+    seq[:, :n] = cols
+    out = np.convolve(seq.ravel()[: seq.size - pad], w, mode="full")
+    return out.reshape(seq.shape).T.reshape((n + pad,) + g.shape[1:])
 
 
 def nonlocal_slope(field: HeightField, kernel: DiscreteKernel) -> np.ndarray:
     """Kernel average of the forward-difference x-slope, ``(K * du/dx)(x)``.
 
     The field is extended by zero outside the domain, so the slope samples
-    include the differences crossing both boundaries.  Each column along x
-    is convolved with the stencil by direct summation (``np.convolve``).
+    include the differences crossing both boundaries.  The columns along x
+    are convolved with the stencil by direct summation, in one
+    ``np.convolve`` call.
     """
     grid = field.grid
     dx = grid.spacing[0]

@@ -79,9 +79,6 @@ NEWTON_MAX_STEPS = 16
 # below every nonzero eigenvalue of a block, enough to factor a singular one.
 POLISH_DAMPING = 1e-12
 
-_triu = lru_cache(maxsize=None)(np.triu_indices)  # (rows, cols) of the upper triangle
-
-
 class NonConvergedError(RuntimeError):
     """Raised in strict mode when a projection exhausts its iterations."""
 
@@ -193,9 +190,11 @@ class _ConeGeometry:
         return np.sqrt(reduce(np.add, [h * h for h in hosted(q)]))
 
     def max_norm(self, q) -> float:
-        """Largest constraint magnitude; an implied constraint never exceeds
-        the one that implies it, so dropping it changes nothing."""
-        return max([float(g.max()) for g in self.group_norm(q)])
+        """Largest constraint magnitude.  An implied constraint never exceeds
+        the one that implies it, also in rounding, so it is not dropped."""
+        if not self.paired:
+            return max([float(np.abs(qa).max()) for qa in q])
+        return max([float(self._pair_norm(q).max())] + [float(np.abs(s).max()) for s in unhosted(q)])
 
     def dual_l1(self, q) -> float:
         """Sum of per-constraint magnitudes (support function weight)."""
@@ -259,15 +258,21 @@ def _gap_floor(vvals: np.ndarray) -> float:
 
 
 def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
-    """``certify(x, q)``: the :class:`_Certificate` of the pair."""
+    """``certify(x, q, dx=None, aq=None)``: the :class:`_Certificate` of the
+    pair.  ``dx`` and ``aq`` are the edge slopes of ``x`` and ``D^T q``;
+    a loop that has them already passes them in, and each one left out is
+    computed here, with the same result."""
     floor = _gap_floor(vvals)
     max_viol = lam * TOL_CONSTRAINT + TOL_CONSTRAINT
 
-    def certify(x, q) -> _Certificate:
-        viol = max(0.0, geom.max_norm(edge_slopes(geom.grid, x)) - lam)
+    def certify(x, q, dx=None, aq=None) -> _Certificate:
+        if dx is None:
+            dx = edge_slopes(geom.grid, x)
+        if aq is None:
+            aq = edge_slopes_adjoint(geom.grid, q)
+        viol = max(0.0, geom.max_norm(dx) - lam)
         xf = x * (lam / (lam + viol)) if viol > 0.0 else x
         primal = 0.5 * float(np.sum((xf - vvals) ** 2))
-        aq = edge_slopes_adjoint(geom.grid, q)
         dual = -lam * geom.dual_l1(q) - 0.5 * float(np.sum(aq * aq)) + float(np.vdot(aq, vvals))
         gap = primal - dual
         err = math.sqrt(2.0 * max(gap, 0.0))
@@ -280,16 +285,28 @@ def _finalize(
     geom: _ConeGeometry, cert: _Certificate, q, lam: float, iterations: int
 ) -> ProjectionResult:
     """The result for dual ``q`` and its certificate: the feasible field
-    ``cert.xf``, flagged ``converged`` when the certificate passed."""
+    ``cert.xf``, flagged ``converged`` when the certificate passed.  When
+    ``cert.viol`` is 0, ``xf`` is the certified ``x`` and its violation is
+    exactly 0; otherwise it is that of the rescaled field, evaluated here."""
+    viol = 0.0
+    if cert.viol > 0.0:
+        viol = max(0.0, geom.max_norm(edge_slopes(geom.grid, cert.xf)) - lam)
     return ProjectionResult(
         u=HeightField(geom.grid, cert.xf.copy()),
         m=MultiplierField(geom.grid, geom.multiplier(q, lam)),
         iterations=iterations,
         primal_dual_gap=cert.err,
-        constraint_violation=max(0.0, geom.max_norm(edge_slopes(geom.grid, cert.xf)) - lam),
+        constraint_violation=viol,
         converged=cert.ok,
         dual=q,
     )
+
+
+def _check_bounds(lam: float, tol: float) -> None:
+    if lam <= 0.0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def _fixed_point(geom: _ConeGeometry, v: HeightField) -> ProjectionResult:
@@ -333,8 +350,7 @@ def project_pdhg(
     ``warm_dual`` seeds the dual vector (useful across resolvent steps);
     it never changes the limit, only the iteration count.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_bounds(lam, tol)
     geom = _ConeGeometry(v.grid, mode)
     vvals = v.values
 
@@ -421,7 +437,7 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
     return solve_banded((bw, bw), full, rhs, check_finite=False)
 
 
-def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray):
+def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray, dv=None):
     """Primal-dual active-set (semismooth Newton) iteration on the 1D dual.
 
     Each step takes the active edges and their signs from
@@ -429,7 +445,8 @@ def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarr
     solves ``(D D^T)_AA q_A = (D v)_A - lam s_A`` with ``q = 0`` off the
     active set.  ``D D^T`` is tridiagonal: ``2 / dx^2`` on the diagonal
     (``1 / dx^2`` on the boundary edges 0 and n), ``-1 / dx^2`` beside it.
-    A pattern that repeats is an exact KKT point.
+    A pattern that repeats is an exact KKT point.  ``dv``, the edge slopes
+    of ``v``, is computed here unless the caller has them.
 
     Returns ``(u, q, solves)``; ``u`` and ``q`` are None when no pattern
     repeated within ``NEWTON_MAX_STEPS`` solves, or when every edge became
@@ -438,7 +455,8 @@ def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarr
     grid = geom.grid
     dx = grid.spacing[0]
     c = 0.5 * dx * dx
-    (dv,) = edge_slopes(grid, vvals)
+    if dv is None:
+        (dv,) = edge_slopes(grid, vvals)
     diag = np.full(dv.size, 2.0)
     diag[0] = diag[-1] = 1.0
     pattern, solves = None, 0
@@ -518,67 +536,113 @@ def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
     return u, p - np.median(p)
 
 
+class _Stencil(NamedTuple):
+    """``D D^T`` of one grid over the lattice of :func:`_stencil`."""
+
+    positions: tuple[np.ndarray, ...]  # per axis, the position of each entry (C order)
+    offsets: np.ndarray  # (k,): the offsets of the entries above the diagonal
+    products: np.ndarray  # (k,): their values
+    partners: np.ndarray  # (size, k): p + offsets[k], or size where none is coupled to p
+    diag: np.ndarray  # (size,)
+    hosted_flat: np.ndarray  # (dim, nodes): the flat index of each node's hosted entries
+
+
+@lru_cache(maxsize=16)
+def _stencil(grid: Grid) -> _Stencil:
+    """The :class:`_Stencil` of ``grid``, built on first use.
+
+    The lattice has ``counts[a] + 1`` slots per axis and the axes
+    interleaved: axis ``a``'s entry at index ``ix`` sits at position
+    ``dim * ravel(ix) + a``.  ``D D^T`` sums one outer product per node: on
+    each axis a node lies on the edge from its previous neighbour
+    (coefficient ``1 / h_a``) and on the edge it hosts (``-1 / h_a``).  Two
+    distinct entries share at most one node, so each off-diagonal entry is
+    one node's product of two coefficients.  Positions are affine in the
+    node, so each pair of a node's edges sits at one fixed offset, with one
+    fixed product: the offsets are ``1`` in 1D, and ``1, 2, 3, 2W - 3,
+    2W - 1, 2W`` with ``W = ny + 1`` in 2D.  The last edge of a y line is
+    2 positions before the first of the next, but shares no node with it.
+    """
+    shape = tuple(m + 1 for m in grid.counts) + (grid.dim,)
+    lattice = np.arange(math.prod(shape)).reshape(shape)
+    entries = tuple(
+        lattice[tuple(slice(m + (a == b)) for b, m in enumerate(grid.counts)) + (a,)]
+        for a in range(grid.dim)
+    )
+    # per node, the positions of the 2 * dim edges it lies on
+    ends = [e.ravel() for e in backward(entries) + hosted(entries)]
+    coef = [1.0 / h for h in grid.spacing] + [-1.0 / h for h in grid.spacing]
+    diag = np.zeros(lattice.size)
+    for e, ce in zip(ends, coef):
+        diag[e] += ce * ce
+    pairs = sorted(
+        (int(abs(eb[0] - ea[0])), ca * cb, np.minimum(ea, eb))
+        for (ea, ca), (eb, cb) in itertools.combinations(zip(ends, coef), 2)
+    )
+    partners = np.full((lattice.size, len(pairs)), lattice.size, dtype=np.int32)
+    for k, (d, _, rows) in enumerate(pairs):
+        partners[rows, k] = rows + d
+    flat = tuple(np.arange(e.size).reshape(e.shape) for e in entries)
+    return _Stencil(
+        positions=tuple(e.ravel() for e in entries),
+        offsets=np.array([d for d, _, _ in pairs]),
+        products=np.array([p for _, p, _ in pairs]),
+        partners=partners,
+        diag=diag,
+        hosted_flat=np.stack([f.ravel() for f in hosted(flat)]),
+    )
+
+
 def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delta: float = 0.0):
     """The upper band of ``(M_A^{-1} - I) / c + D_A D_A^T + delta I`` over
-    the active entries, for :func:`_banded_solve`, and the per-axis numbers
-    of the active entries (-1 off them), built by index arithmetic.
+    the active entries, for :func:`_banded_solve`, and per axis a pair
+    ``(flat, number)``: the flat indices of the axis's active entries, in C
+    order, and their numbers in the band.
 
-    The entries are numbered in C order through one lattice with
-    ``counts[a] + 1`` slots per axis and the axes interleaved, so the edges
-    a node lies on get nearby numbers: the band spans about two grid lines
-    of active entries, where a numbering axis by axis spans half the block.
+    The entries are numbered in the order of their positions in the
+    lattice of :func:`_stencil`, whose axes are interleaved, so the edges a
+    node lies on get nearby numbers: the band spans about two grid lines of
+    active entries, where a numbering axis by axis spans half the block.
+    Beyond one lattice-sized lookup from position to number, the work is
+    on arrays of active size: each active entry looks up the numbers of its
+    stencil partners, and one assignment puts the products of the active
+    ones in the band.
 
-    ``D D^T`` sums one outer product per node: on each axis a node lies on
-    the edge from its previous neighbour (coefficient ``1 / h_a``) and on
-    the edge it hosts (``-1 / h_a``).  ``M`` is the Jacobian of
-    ``shrink(., t)`` at ``z``, with ``t = c lam``: ``M_A^{-1} - I`` is
-    ``a / (1 - a) (I - zh zh^T)`` on an active pair, with ``a = t / |z_g|``
-    and ``zh = z_g / |z_g|``, and zero on a scalar constraint.
+    ``M`` is the Jacobian of ``shrink(., t)`` at ``z``, with ``t = c lam``:
+    ``M_A^{-1} - I`` is ``a / (1 - a) (I - zh zh^T)`` on an active pair,
+    with ``a = t / |z_g|`` and ``zh = z_g / |z_g|``, and zero on a scalar
+    constraint.  It adds to the diagonal and to the entry between the
+    pair's two edges, which ``D D^T`` couples through their host node.
     """
     grid = geom.grid
-    lattice = np.zeros(tuple(m + 1 for m in grid.counts) + (grid.dim,), dtype=bool)
-    regions = [
-        tuple(slice(m + (a == b)) for b, m in enumerate(grid.counts)) + (a,)
-        for a in range(grid.dim)
-    ]
-    for r, m in zip(regions, active):
-        lattice[r] = m
-    order = np.flatnonzero(lattice)
-    n = order.size
-    number = np.full(lattice.shape, -1)
-    number.flat[order] = np.arange(n)
-    index = [number[r] for r in regions]
-
-    # Per node touching an active entry, the numbers of its 2 * dim edges;
-    # each pair of them adds one entry at (row, col), row <= col.
-    ends = np.stack(backward(index) + hosted(index))
-    ends = ends[:, ends.max(axis=0) >= 0]
-    coef = np.array([1.0 / h for h in grid.spacing] + [-1.0 / h for h in grid.spacing])
-    ia, ib = _triu(coef.size)
-    ea, eb = ends[ia], ends[ib]
-    on = (ea >= 0) & (eb >= 0)
-    rows = [np.minimum(ea, eb)[on]]
-    cols = [np.maximum(ea, eb)[on]]
-    vals = [np.broadcast_to((coef[ia] * coef[ib])[:, None], on.shape)[on]]
+    st = _stencil(grid)
+    flat = [np.flatnonzero(m) for m in active]
+    at = [p[f] for p, f in zip(st.positions, flat)]
+    pos = np.sort(np.concatenate(at))
+    seq = np.arange(pos.size)
+    number = np.full(st.diag.size + 1, -1)  # by position; -1 off the active entries
+    number[pos] = seq
+    col = np.take(number, np.take(st.partners, pos, axis=0))
+    lag = col - seq[:, None]
+    bw = max(int(lag.max()), 0)
+    band = np.zeros((bw + 2, pos.size))  # the last row takes the partners that are not active
+    band[bw - np.maximum(lag, -1), col] = st.products
+    band = band[:-1]
+    band[bw] = st.diag[pos]
     if geom.paired:
-        core = hosted(mag)[0]
-        on = core > t
-        k = np.stack([ix[on] for ix in hosted(index)])
-        zh = np.stack([za[on] / core[on] for za in hosted(z)])
-        w = lam / (core[on] - t)  # a / ((1 - a) c)
-        ia, ib = _triu(grid.dim)
-        ka, kb = k[ia], k[ib]
-        rows.append(np.minimum(ka, kb).ravel())
-        cols.append(np.maximum(ka, kb).ravel())
-        vals.append((w * ((ia == ib)[:, None] - zh[ia] * zh[ib])).ravel())
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    lag = cols - rows
-    bw = int(lag.max())
-    band = np.bincount(
-        (bw - lag) * n + cols, weights=np.concatenate(vals), minlength=(bw + 1) * n
-    ).reshape(bw + 1, n)
+        first = math.prod(grid.counts[1:])  # axis 0's hosted entries follow its first slice
+        hx = flat[0][flat[0] >= first]  # one per active pair
+        hf = st.hosted_flat[:, hx - first]  # per axis, the pairs' entries
+        core = np.take(mag[0], hx)
+        zh = np.stack([np.take(za, f) for za, f in zip(z, hf)]) / core
+        k = np.stack([number[p[f]] for p, f in zip(st.positions, hf)])
+        w = lam / (core - t)  # a / ((1 - a) c)
+        band[bw, k] += w * (1.0 - zh * zh)
+        for a, b in itertools.combinations(range(grid.dim), 2):
+            row, cl = np.minimum(k[a], k[b]), np.maximum(k[a], k[b])
+            band[bw - (cl - row), cl] -= w * (zh[a] * zh[b])
     band[-1] += delta
-    return band, index
+    return band, tuple((f, number[p]) for f, p in zip(flat, at))
 
 
 def _first_break(geom: _ConeGeometry, z0, z1, t: float) -> float:
@@ -609,6 +673,7 @@ def _grid_newton(
     max_steps: int,
     certify,
     damped: bool = False,
+    dv=None,
 ):
     """Semismooth Newton iteration on the dual fixed point
     ``q = shrink(q + c D u, c lam)`` with ``u = v - D^T q`` and
@@ -642,8 +707,14 @@ def _grid_newton(
     The block is positive semidefinite, so, rounding aside, its banded
     Cholesky factorization fails exactly when it is singular.  Each solve's
     pair is certified once, and in damped mode that certificate also gives
-    the gap of the line search.  Returns ``(cert, q, solves)`` with the
-    certificate of the final pair ``(u, q)``; ``cert`` and ``q`` are None
+    the gap of the line search.  Each iterate takes one pass of each grid
+    operator: ``D^T q``, then ``u`` and its edge slopes, which the
+    certificate and the next ``z`` share.  ``dv``, the edge slopes of
+    ``v``, is computed here unless the caller has them.  The right-hand
+    side is gathered, and ``q_A`` scattered, through the flat indices of
+    the active entries that :func:`_newton_band` returns.
+
+    Returns ``(cert, q, solves)`` with the certificate of the final pair ``(u, q)``; ``cert`` and ``q`` are None
     when nothing was certified within ``max_steps`` solves, when a block
     was not positive definite (loops of active edges carry divergence-free
     duals), or when halving a damped step found no lower gap.
@@ -652,48 +723,58 @@ def _grid_newton(
     c = 2.0 / geom.op_norm**2
     t = c * lam
     delta = POLISH_DAMPING * geom.op_norm**2 if damped else 0.0
-    dv = edge_slopes(grid, vvals)
+    if dv is None:
+        dv = edge_slopes(grid, vvals)
+
+    def evaluate(q):  # the edge slopes of u = v - D^T q, and the pair's certificate
+        aq = edge_slopes_adjoint(grid, q)
+        u = vvals - aq
+        du = edge_slopes(grid, u)
+        return du, certify(u, q, du, aq)
+
     solves = 0
-    u = vvals - edge_slopes_adjoint(grid, q)
     if damped:
-        gap = certify(u, q).gap
+        du, cert = evaluate(q)
+        gap = cert.gap
+    else:
+        du = edge_slopes(grid, vvals - edge_slopes_adjoint(grid, q))
     while solves < max_steps:
-        z = tuple(qa + c * ea for qa, ea in zip(q, edge_slopes(grid, u)))
+        z = tuple(qa + c * ea for qa, ea in zip(q, du))
         mag = geom.group_norm(z)
         active = tuple(m > t for m in mag)
         q_new = tuple(np.zeros_like(qa) for qa in q)
         if any(m.any() for m in active):
             band, index = _newton_band(geom, z, mag, active, lam, t, delta)
             rhs = np.empty(band.shape[1])
-            for ix, d, za, ma, qa, m in zip(index, dv, z, mag, q, active):
-                rhs[ix[m]] = d[m] - lam * za[m] / ma[m] + delta * qa[m]
+            for (f, k), d, za, ma, qa in zip(index, dv, z, mag, q):
+                rhs[k] = np.take(d, f) - lam * np.take(za, f) / np.take(ma, f)
+                if damped:
+                    rhs[k] += delta * np.take(qa, f)
             try:
                 q_act = _banded_solve(band, rhs, pivot=damped)
             except np.linalg.LinAlgError:  # singular
                 return None, None, solves
-            for qa, ix, m in zip(q_new, index, active):
-                qa[m] = q_act[ix[m]]
+            for qa, (f, k) in zip(q_new, index):
+                np.put(qa, f, q_act[k])
         solves += 1
-        u_new = vvals - edge_slopes_adjoint(grid, q_new)
-        cert = certify(u_new, q_new)
+        du_new, cert = evaluate(q_new)
         if damped:
             if not cert.gap < gap:
-                z_new = tuple(qa + c * ea for qa, ea in zip(q_new, edge_slopes(grid, u_new)))
+                z_new = tuple(qa + c * ea for qa, ea in zip(q_new, du_new))
                 s = _first_break(geom, z, z_new, t)
                 halve = s >= 1.0
                 s = 0.5 if halve else s
                 while True:
                     q_try = tuple(qa + s * (qn - qa) for qa, qn in zip(q, q_new))
-                    u_try = vvals - edge_slopes_adjoint(grid, q_try)
-                    cert = certify(u_try, q_try)
+                    du_try, cert = evaluate(q_try)
                     if not halve or cert.gap < gap:
                         break
                     s /= 2.0
                     if s < 1e-12:
                         return None, None, solves
-                q_new, u_new = q_try, u_try
+                q_new, du_new = q_try, du_try
             gap = cert.gap
-        q, u = q_new, u_new
+        q, du = q_new, du_new
         if cert.ok:
             return cert, q, solves
     return None, None, solves
@@ -723,24 +804,25 @@ def project(
     never exceeds ``max_iter``.  An admissible input returns itself with 0.
     ``converged`` has the meaning it has in :func:`project_pdhg`.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_bounds(lam, tol)
     geom = _ConeGeometry(v.grid, mode)
     vvals = v.values
-    if geom.max_norm(edge_slopes(v.grid, vvals)) <= lam:
+    dv = edge_slopes(v.grid, vvals)
+    if geom.max_norm(dv) <= lam:
         return _fixed_point(geom, v)
 
     certify = _certifier(geom, vvals, lam, tol)
     q0 = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
     if v.grid.dim == 1:
-        x, q, solves = _path_newton(geom, vvals, lam, np.asarray(q0[0], dtype=float))
+        x, q, solves = _path_newton(geom, vvals, lam, np.asarray(q0[0], dtype=float), dv[0])
         cert = None if x is None else certify(x, (q,))
         if cert is None or not cert.ok:
             x, q = _path_dp(geom, vvals, lam)
             solves += 1
             cert = certify(x, (q,))
         return _finalize(geom, cert, (q,), lam, solves)
-    cert, q, solves = _grid_newton(geom, vvals, lam, q0, min(NEWTON_MAX_STEPS, max_iter), certify)
+    steps = min(NEWTON_MAX_STEPS, max_iter)
+    cert, q, solves = _grid_newton(geom, vvals, lam, q0, steps, certify, dv=dv)
     if cert is None:
         res = project_pdhg(
             v, lam, tol=tol, max_iter=max_iter - solves, mode=mode, warm_dual=warm_dual

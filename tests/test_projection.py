@@ -811,9 +811,10 @@ def test_newton_band_matches_dense_block(counts, mode, seed, delta):
     dense = _dense_slopes(g)[sel]
     want = minv[np.ix_(sel, sel)] / c + dense @ dense.T + delta * np.eye(sel.sum())
 
-    perm = np.concatenate([ix[m] for ix, m in zip(index, active)])
+    perm = np.concatenate([number for _, number in index])
     assert np.array_equal(np.sort(perm), np.arange(sel.sum()))
-    assert all(np.all(ix[~m] == -1) for ix, m in zip(index, active))
+    # the numbered entries are the active ones, in C order
+    assert all(np.array_equal(f, np.flatnonzero(m)) for (f, _), m in zip(index, active))
     # the interleaved numbering keeps the band within two grid lines
     assert band.shape[0] - 1 <= 2 * (ny + 1)
     got = _unband(band)[np.ix_(perm, perm)]
@@ -827,16 +828,41 @@ def test_newton_band_1d_is_path_block(seed):
     g = make_grid(1, 1.0, 9)
     lam = 0.8
     geom, c, t, z, mag, active = _random_newton_state(g, "isotropic", seed, lam)
-    band, (index,) = projection._newton_band(geom, z, mag, active, lam, t)
+    band, ((flat, number),) = projection._newton_band(geom, z, mag, active, lam, t)
     (act,) = active
     idx = np.flatnonzero(act)
     assert 1 < idx.size < act.size
     diag = np.where((idx == 0) | (idx == g.counts[0]), 1.0, 2.0)
     adjacent = np.diff(idx) == 1
     want = np.diag(diag) - np.diag(adjacent * 1.0, 1) - np.diag(adjacent * 1.0, -1)
-    assert np.array_equal(index[act], np.arange(idx.size))
+    assert np.array_equal(flat, idx) and np.array_equal(number, np.arange(idx.size))
     got = _unband(band) * g.spacing[0] ** 2
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim, counts, offsets", [(1, (9,), [1]), (2, (5, 7), [1, 2, 3, 13, 15, 16])]
+)
+def test_stencil_is_dense_d_dt(dim, counts, offsets):
+    # D D^T over the whole lattice: the diagonal, and each nonzero entry
+    # above it once, at one of the offsets 1, 2, 3, 2W - 3, 2W - 1, 2W
+    # (W = ny + 1) in 2D; the last edge of a y line is not coupled to the
+    # first edge of the next, though they are 2 positions apart
+    g = make_grid(dim, 1.0, counts)
+    st = projection._stencil(g)
+    assert st.offsets.tolist() == offsets
+    d = _dense_slopes(g)
+    dense = d @ d.T
+    pos = np.concatenate(st.positions)  # rows of d are the entries axis by axis
+    lattice = np.zeros((st.diag.size, st.diag.size))
+    lattice[np.ix_(pos, pos)] = dense
+    np.testing.assert_allclose(np.diag(lattice), st.diag, rtol=1e-14, atol=0.0)
+    built = np.zeros_like(lattice)
+    for k, product in enumerate(st.products):
+        rows = np.flatnonzero(st.partners[:, k] < st.diag.size)
+        assert np.all(st.partners[rows, k] == rows + st.offsets[k])
+        built[rows, rows + st.offsets[k]] += product
+    np.testing.assert_allclose(built, np.triu(lattice, 1), rtol=1e-14, atol=0.0)
 
 
 def test_banded_solve_cholesky_and_pivoted_fallback():
@@ -853,3 +879,47 @@ def test_banded_solve_cholesky_and_pivoted_fallback():
     np.testing.assert_array_equal(projection._banded_solve(np.array([[4.0]]), np.array([2.0])), [0.5])
     with pytest.raises(np.linalg.LinAlgError):
         projection._banded_solve(np.array([[0.0]]), np.array([2.0]))
+
+
+@pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
+def test_newton_loop_certificate_matches_a_fresh_one(mode, monkeypatch):
+    # The Newton loop hands certify the edge slopes of u and D^T q that it
+    # has computed already; at every solve the certificate built from them
+    # must equal the one certify computes on its own, bit for bit.
+    checked = []
+    make = projection._certifier
+
+    def checking(*args):
+        certify = make(*args)
+
+        def shared(x, q, dx=None, aq=None):
+            cert = certify(x, q, dx, aq)
+            fresh = certify(x, q)
+            assert dx is not None and aq is not None
+            assert cert.xf.tobytes() == fresh.xf.tobytes()
+            got = (cert.viol, cert.gap, cert.err, cert.ok)
+            assert got == (fresh.viol, fresh.gap, fresh.err, fresh.ok)
+            checked.append(cert.ok)
+            return cert
+
+        return shared
+
+    monkeypatch.setattr(projection, "_certifier", checking)
+    v = _hump_2d(24, 0.23)  # 2 to 5 solves cold, and warm from there
+    cold = project(v, 1.0, mode=mode)
+    assert cold.converged and checked == [False] * (cold.iterations - 1) + [True]
+    assert cold.iterations >= 2
+    nearby = HeightField(v.grid, 1.05 * v.values)
+    checked.clear()
+    warm = project(nearby, 1.0, mode=mode, warm_dual=cold.dual)
+    assert warm.converged and len(checked) == warm.iterations >= 2
+
+
+@pytest.mark.parametrize("tol", [math.inf, -1e-9, math.nan])
+@pytest.mark.parametrize("solver", [project, project_pdhg])
+def test_projection_rejects_a_tolerance_that_certifies_nothing(solver, tol):
+    # an infinite tolerance would pass every certificate whose slope
+    # violation is small, whatever its error
+    v = _hump_2d(8, 0.3)
+    with pytest.raises(ValueError, match="tol"):
+        solver(v, 1.0, tol=tol)

@@ -572,6 +572,7 @@ def test_source_center_entries_checked():
         ("dt_max", -1.0),
         ("picard_iters", 0),
         ("proj_tol", 0.0),
+        ("proj_tol", math.inf),
         ("proj_max_iter", 0),
         ("inner_tol", -1e-12),
         ("constraint_mode", "diagonal"),

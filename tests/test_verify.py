@@ -386,3 +386,59 @@ def test_gronwall_constant_components():
     assert C > 2 * p.lam  # at least the direct term
     p0 = ModelParams(lam=0.6, h=HProfile.zero(), kernel=p.kernel, T=0.1)
     assert gronwall_constant(p0, k, g) == 0.0
+
+
+# --- the paper's invariants at run level on a 2D grid, both modes ---
+
+
+def _hump_2d(grid, center, height, radius):
+    x, y = grid.meshgrid()
+    r = np.hypot(x - center[0], y - center[1]) / radius
+    return HeightField(grid, height * np.clip(1.0 - r * r, 0.0, None) ** 2)
+
+
+@pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
+def test_run_2d_windy_budget_complementarity_vi(mode):
+    # A windy 24x19 run with a source, from a hump outside the cone: every
+    # step projects, in 2-7 Newton solves isotropic and 1-2 componentwise.
+    # Measured: mass budget residual 4e-19, complementarity at most 3e-14,
+    # worst VI residual 2e-12.
+    g = make_grid(2, (1.0, 0.8), (24, 19))
+    p = ModelParams(
+        lam=0.5, h=HProfile.smooth_ramp(), gamma=GammaProfile.identity(),
+        kernel=KernelSpec("triangle", 3 * g.spacing[0]),
+        source=SourceSpec("patch", center=(0.35, 0.4), width=0.15, rate=0.5), T=0.02,
+    )
+    u0 = _hump_2d(g, (0.45, 0.4), 0.11, 0.3)
+    assert not admissible(u0, p.lam, mode=mode)
+    traj = run(p, u0, numerics=Numerics(constraint_mode=mode))
+    assert traj.failure is None and len(traj.steps) > 10
+    assert all(d.projection_iterations >= 1 for d in traj.steps)
+    for d in traj.steps:
+        budget = d.dt * (d.source_integral - d.transport_outflow) + d.avalanche_mass_change
+        assert abs((d.mass_post - d.mass_pre) - budget) <= 1e-12
+    for snap in traj.snapshots:
+        assert admissible(snap.u, p.lam, mode=mode)
+        assert np.all(snap.m.values >= 0.0)
+    comp = complementarity_report(traj)
+    assert comp.passed and comp.worst <= 1e-12
+    ts = make_test_functions(g, p.lam, count=6, seed=5, mode=mode)
+    vi = vi_report(traj, ts, tol=2.0 * (traj.steps[0].dt + g.spacing[0]))
+    assert vi.passed and vi.worst <= 1e-9
+
+
+@pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
+def test_run_2d_windless_l2_nonexpansive(mode):
+    # Without wind each step is a projection of the previous field plus the
+    # same source, so the L2 distance of two runs cannot grow.
+    g = make_grid(2, (1.0, 0.8), (24, 19))
+    p = ModelParams(
+        lam=0.5, h=HProfile.zero(), kernel=KernelSpec("triangle", 3 * g.spacing[0]),
+        source=SourceSpec("patch", center=(0.5, 0.4), width=0.2, rate=0.3), T=0.1, dt=0.02,
+    )
+    a = _hump_2d(g, (0.4, 0.35), 0.12, 0.3)
+    b = _hump_2d(g, (0.6, 0.45), 0.1, 0.25)
+    nm = Numerics(constraint_mode=mode)
+    rep = contraction_report(run(p, a, numerics=nm), run(p, b, numerics=nm))
+    assert rep.l2_nonincreasing
+    assert rep.l2_series[-1] < rep.l2_series[0]
