@@ -437,7 +437,9 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
     return solve_banded((bw, bw), full, rhs, check_finite=False)
 
 
-def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray, dv=None):
+def _path_newton(
+    geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray, certify, dv=None
+):
     """Primal-dual active-set (semismooth Newton) iteration on the 1D dual.
 
     Each step takes the active edges and their signs from
@@ -445,10 +447,13 @@ def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarr
     solves ``(D D^T)_AA q_A = (D v)_A - lam s_A`` with ``q = 0`` off the
     active set.  ``D D^T`` is tridiagonal: ``2 / dx^2`` on the diagonal
     (``1 / dx^2`` on the boundary edges 0 and n), ``-1 / dx^2`` beside it.
-    A pattern that repeats is an exact KKT point.  ``dv``, the edge slopes
-    of ``v``, is computed here unless the caller has them.
+    A pattern that repeats is an exact KKT point, and the pair ``(u, q)``
+    is certified with the ``D^T q`` and edge slopes of ``u`` that the
+    iterate has computed.  ``dv``, the edge slopes of ``v``, is computed
+    here unless the caller has them.
 
-    Returns ``(u, q, solves)``; ``u`` and ``q`` are None when no pattern
+    Returns ``(cert, q, solves)`` with the certificate of the final pair,
+    which the caller checks; ``cert`` and ``q`` are None when no pattern
     repeated within ``NEWTON_MAX_STEPS`` solves, or when every edge became
     active (constants span the kernel of ``D D^T``, so it is singular).
     """
@@ -461,8 +466,10 @@ def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarr
     diag[0] = diag[-1] = 1.0
     pattern, solves = None, 0
     while True:
-        u = vvals - edge_slopes_adjoint(grid, (q,))
-        z = q + c * edge_slopes(grid, u)[0]
+        aq = edge_slopes_adjoint(grid, (q,))
+        u = vvals - aq
+        du = edge_slopes(grid, u)
+        z = q + c * du[0]
         active = np.abs(z) > c * lam
         signs = np.sign(z[active])
         if (
@@ -470,7 +477,7 @@ def _path_newton(geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarr
             and np.array_equal(active, pattern[0])
             and np.array_equal(signs, pattern[1])
         ):
-            return u, q, solves
+            return certify(u, (q,), du, aq), q, solves
         if solves == NEWTON_MAX_STEPS or active.all():
             return None, None, solves
         pattern = (active, signs)
@@ -814,8 +821,9 @@ def project(
     certify = _certifier(geom, vvals, lam, tol)
     q0 = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
     if v.grid.dim == 1:
-        x, q, solves = _path_newton(geom, vvals, lam, np.asarray(q0[0], dtype=float), dv[0])
-        cert = None if x is None else certify(x, (q,))
+        cert, q, solves = _path_newton(
+            geom, vvals, lam, np.asarray(q0[0], dtype=float), certify, dv[0]
+        )
         if cert is None or not cert.ok:
             x, q = _path_dp(geom, vvals, lam)
             solves += 1

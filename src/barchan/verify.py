@@ -16,15 +16,21 @@ discrete analog of the smooth-in-time formulation; the truncation argument
 is taken at the newer snapshot, matching the frozen-flux structure of the
 splitting, which makes the residual vanish identically on stationary runs.
 
-One residual call covers every snapshot interval of a run at once: the
-snapshots are stacked as one ``(S, *grid)`` array, the interval fluxes and
-sources as two ``(S - 1, *grid)`` arrays evaluated once per report, and the
-energies and pairings are broadcasts over that stack, each row summed in
-the order of :func:`~barchan.grid.integrate`.
+One residual call covers every snapshot interval of a run and a block of
+test functions at once: once per report the snapshots are stacked as one
+``(S, *grid)`` array and the interval fluxes and sources as two
+``(S - 1, *grid)`` arrays; the energies and pairings are broadcasts of the
+block's ``(X, 1, *grid)`` stack against them, each field summed in the
+order of :func:`~barchan.grid.integrate`, so the residuals equal those of
+one test function at a time bit for bit.  The block is bounded because its
+``(X, S, *grid)`` temporaries are the report's peak memory; one call per
+truncation level k stays, so that a tracer or a test stub that replaces
+:func:`vi_residual` sees each level with a scalar k.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -38,7 +44,6 @@ from .grid import (
     dist_to_boundary,
     integrate,
     node_slope_magnitude,
-    norm_l2,
 )
 from .kernels import DiscreteKernel
 from .projection import project_pdhg
@@ -51,6 +56,9 @@ from .stepper import (
 )
 
 COMP_TOL = 1e-6
+# Memory budget of one (X, S, *grid) temporary of a vi_residual call in
+# vi_report, which sets how many test functions each call takes.
+_VI_BLOCK_BYTES = 128 * 1024
 # Rounding slack of the L2 monotonicity check of a contraction report.
 STEP_TOL = 1e-8
 
@@ -106,19 +114,28 @@ class ContractionReport:
     step_tol: float = STEP_TOL
 
 
-def truncate(z, k: float):
-    """The clamp max(min(r, k), -k); k = inf is the identity."""
+def truncate(z, k: float, out=None):
+    """The clamp max(min(r, k), -k), into ``out`` if given; k = inf is the
+    identity and returns ``z``."""
     if np.isinf(k):
         return z
-    return np.clip(z, -k, k)
+    return np.clip(z, -k, k, out=out)
 
 
 def _clamp_antiderivative(z: np.ndarray, k: float) -> np.ndarray:
-    """G_k(z) = integral_0^z clamp(s, -k, k) ds, the Huber function."""
+    """G_k(z) = integral_0^z clamp(s, -k, k) ds, the Huber function.  Its
+    linear and quadratic parts are built in place, so it holds two arrays
+    of the size of ``z`` (and a mask) at a time."""
     if np.isinf(k):
         return 0.5 * z * z
     a = np.abs(z)
-    return np.where(a <= k, 0.5 * z * z, k * a - 0.5 * k * k)
+    inside = a <= k
+    a *= k
+    a -= 0.5 * k * k
+    quad = 0.5 * z
+    quad *= z
+    np.copyto(a, quad, where=inside)
+    return a
 
 
 def energy(u: HeightField, xi: HeightField, k: float) -> float:
@@ -166,28 +183,32 @@ def make_test_functions(
     return TestFunctionSet(xis=xis, seed=seed)
 
 
-def _interval_drives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """The wind fluxes and the sources of the snapshot intervals, each taken
-    at the interval's older snapshot, as two stacked ``(S - 1, *grid)``
-    arrays; they do not depend on the test function."""
+def _interval_drives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The snapshots stacked as one ``(S, *grid)`` array, and the wind fluxes
+    and sources of the snapshot intervals, each taken at the interval's
+    older snapshot, as two stacked ``(S - 1, *grid)`` arrays; none of them
+    depends on the test function."""
     if traj.snapshot_every != 1:
         raise ValueError("verification runs need snapshot_every = 1")
     if len(traj.snapshots) < 2:
         raise ValueError("verification needs at least two snapshots (a run with T > 0)")
     kernel = kernel_for(traj.params, traj.grid)
     return (
+        np.stack([s.u.values for s in traj.snapshots]),
         np.stack([transport_flux(s.u, traj.params, kernel) for s in traj.snapshots[:-1]]),
         np.stack([source_eval(traj.params.source, traj.grid, s.t) for s in traj.snapshots[:-1]]),
     )
 
 
 def _row_integrals(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """:func:`integrate` of every row of a stacked ``(S, *grid)`` array; each
-    row is summed over its flattened nodes, in the same order."""
-    return np.sum(a.reshape(len(a), -1), axis=1) * grid.cell_volume
+    """:func:`integrate` of every field in a stacked ``(..., *grid)`` array;
+    each field is summed over its flattened nodes, in the same order."""
+    return np.sum(a.reshape(*a.shape[: a.ndim - grid.dim], -1), axis=-1) * grid.cell_volume
 
 
-def vi_residual(traj: Trajectory, xi: HeightField, k: float, drives=None) -> np.ndarray:
+def vi_residual(
+    traj: Trajectory, xi: HeightField | Sequence[HeightField], k: float, drives=None
+) -> np.ndarray:
     """Per-interval residual of the truncated variational inequality.
 
     For consecutive snapshots the residual is
@@ -195,29 +216,47 @@ def vi_residual(traj: Trajectory, xi: HeightField, k: float, drives=None) -> np.
         [Phi(t1) - Phi(t0)] / dt - <F(t0), d/dx T_k(u1 - xi)> - <f(t0), T_k(u1 - xi)>
 
     with Phi the closed-form energy; nonpositive values up to the solver
-    tolerance mean the inequality holds on that interval.  The snapshots
-    are stacked as one ``(S, *grid)`` array, so every term is a broadcast
-    over all intervals at once.  ``drives`` takes the stacked interval
-    fluxes and sources of :func:`_interval_drives` when the caller has them
-    already (:func:`vi_report` evaluates them once for all test functions).
+    tolerance mean the inequality holds on that interval.  ``xi`` is one
+    test function, giving an ``(S - 1,)`` array, or a nonempty sequence of
+    ``X`` of them, giving an ``(X, S - 1)`` array whose rows equal the
+    calls on each member bit for bit.  One call covers every interval and
+    every member: the test functions are stacked against the ``(S, *grid)``
+    snapshot stack, so every term is a broadcast over one ``(X, S, *grid)``
+    array, each field summed in the order of :func:`~barchan.grid.integrate`.
+    That array is the call's memory, so a caller with many test functions
+    passes them in blocks (:func:`vi_report`).  ``drives`` takes the
+    snapshot stack and the interval fluxes and sources of
+    :func:`_interval_drives` when the caller has them already.
     """
     if not k > 0.0:
         raise ValueError(f"truncation level k must be positive, got {k}")
     if drives is None:
         drives = _interval_drives(traj)
-    if xi.grid != traj.grid:
+    single = isinstance(xi, HeightField)
+    xis = [xi] if single else list(xi)
+    if not xis:
+        raise ValueError("no test functions to check")
+    if any(x.grid != traj.grid for x in xis):
         raise ValueError("test function lives on a different grid")
     grid = traj.grid
-    flux, f = drives
-    u = np.stack([s.u.values for s in traj.snapshots])
-    phi = _row_integrals(
-        grid, _clamp_antiderivative(u - xi.values, k) - _clamp_antiderivative(-xi.values, k)
-    )
-    w = truncate(u[1:] - xi.values, k)
-    # The forward x-difference of hosted(edge_slopes(grid, w))[0], zero past the wall.
-    gx = np.diff(w, axis=1, append=0.0) / grid.spacing[0]
-    transport = _row_integrals(grid, flux * gx)
-    return np.diff(phi) / np.diff(traj.times) - transport - _row_integrals(grid, f * w)
+    u, flux, f = drives
+    xv = np.stack([x.values for x in xis])[:, None]  # (X, 1, *grid)
+    # Each (X, S, *grid) array alive at once is a block's worth of memory,
+    # so z = u - xi is truncated in place into w, and the products are
+    # formed in place; the values are those of the plain expressions.
+    z = u - xv
+    phi = _row_integrals(grid, _clamp_antiderivative(z, k) - _clamp_antiderivative(-xv, k))
+    w = truncate(z, k, out=z)[:, 1:]
+    # The forward x-difference of hosted(edge_slopes(grid, w))[0], zero past
+    # the wall, as np.diff(w, axis=2, append=0.0) computes it.
+    gx = np.empty(w.shape)
+    np.subtract(w[:, :, 1:], w[:, :, :-1], out=gx[:, :, :-1])
+    np.subtract(0.0, w[:, :, -1], out=gx[:, :, -1])
+    gx /= grid.spacing[0]
+    gx *= flux
+    w *= f
+    res = np.diff(phi) / np.diff(traj.times) - _row_integrals(grid, gx) - _row_integrals(grid, w)
+    return res[0] if single else res
 
 
 def vi_report(
@@ -226,25 +265,36 @@ def vi_report(
     tol: float,
     k_levels: tuple[float, ...] | None = None,
 ) -> VIReport:
-    """The worst :func:`vi_residual` of every (test function, k) pair; the
-    flux and source are evaluated once per snapshot interval for all pairs.
+    """The worst :func:`vi_residual` of every (test function, k) pair, in
+    that order; the snapshot stack, fluxes and sources are built once for
+    all pairs.
+
+    The test functions go to :func:`vi_residual` in blocks, one call per
+    block and k level.  A block holds as many as keep one ``(X, S, *grid)``
+    temporary within ``_VI_BLOCK_BYTES``: one batch of all of them was
+    slower and raised peak memory.  Each call takes one scalar k through
+    the module attribute, so a tracer or a test that replaces
+    ``vi_residual`` sees every call.
 
     An empty test set or an empty ``k_levels`` has nothing to check and
     raises ``ValueError``; a NaN residual makes ``worst`` NaN, which fails.
     """
     ks = k_levels if k_levels is not None else test_functions.k_levels
-    if not test_functions.xis:
+    xis = test_functions.xis
+    if not xis:
         raise ValueError("the test function set is empty")
     if len(ks) == 0:
         raise ValueError("no truncation levels k to check")
     drives = _interval_drives(traj)
+    block = max(1, _VI_BLOCK_BYTES // drives[0].nbytes)
     records = []
     times = traj.times
-    for idx, xi in enumerate(test_functions.xis):
-        for k in ks:
-            res = vi_residual(traj, xi, k, drives)
-            j = int(np.argmax(res))
-            records.append(VIRecord(idx, float(k), float(times[j + 1]), float(res[j])))
+    for start in range(0, len(xis), block):
+        res = [vi_residual(traj, xis[start : start + block], k, drives) for k in ks]
+        for i in range(len(res[0])):
+            for k, r in zip(ks, res):
+                j = int(np.argmax(r[i]))
+                records.append(VIRecord(start + i, float(k), float(times[j + 1]), float(r[i, j])))
     worst = float(np.max([r.residual for r in records]))
     return VIReport(records=records, worst=worst, tol=tol)
 
@@ -293,9 +343,12 @@ def contraction_report(
 
     grid = traj1.grid
     times = traj1.times
-    pairs = list(zip(traj1.snapshots, traj2.snapshots))
-    l1 = np.array([integrate(grid, np.abs(a.u.values - b.u.values)) for a, b in pairs])
-    l2 = np.array([norm_l2(grid, a.u.values - b.u.values) for a, b in pairs])
+    # (S, *grid): the difference of the runs at every snapshot
+    d = np.stack([s.u.values for s in traj1.snapshots]) - np.stack(
+        [s.u.values for s in traj2.snapshots]
+    )
+    l1 = _row_integrals(grid, np.abs(d))
+    l2 = np.sqrt(_row_integrals(grid, d * d))
     C = gronwall_constant(traj1.params, kernel_for(traj1.params, grid), grid)
     if l1[0] > 0.0:
         envelope_ok = bool(

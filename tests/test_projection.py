@@ -16,9 +16,11 @@ from barchan.grid import (
     node_slope_magnitude,
 )
 from barchan.projection import (
+    DEFAULT_TOL,
     NEWTON_MAX_STEPS,
     MultiplierField,
     _ConeGeometry,
+    _certifier,
     _gap_floor,
     _path_dp,
     _path_newton,
@@ -386,10 +388,11 @@ def test_path_newton_matches_dp(case):
     v, lam = _path_case(*case)
     geom = _ConeGeometry(v.grid, "isotropic")
     u_dp, q_dp = _path_dp(geom, v.values, lam)
+    certify = _certifier(geom, v.values, lam, DEFAULT_TOL)
     for start in (np.zeros(v.grid.counts[0] + 1), q_dp):
-        u_newton, _, _ = _path_newton(geom, v.values, lam, start)
-        if u_newton is not None:
-            assert np.max(np.abs(u_newton - u_dp)) <= 1e-10
+        cert, _, _ = _path_newton(geom, v.values, lam, start, certify)
+        if cert is not None:
+            assert np.max(np.abs(cert.xf - u_dp)) <= 1e-10
 
 
 # --- project_pdhg in 2D, both constraint modes ---
@@ -512,8 +515,9 @@ def test_path_all_active_qp():
     g = make_grid(1, 0.4, 3)
     v = HeightField(g, np.array([0.0, 0.5, 0.0]))
     geom = _ConeGeometry(g, "isotropic")
-    u_newton, _, _ = _path_newton(geom, v.values, 1.0, np.zeros(4))
-    assert u_newton is None
+    certify = _certifier(geom, v.values, 1.0, DEFAULT_TOL)
+    cert, _, _ = _path_newton(geom, v.values, 1.0, np.zeros(4), certify)
+    assert cert is None
     res = project(v, 1.0, tol=1e-10)
     assert res.converged
     np.testing.assert_allclose(res.u.values, [0.1, 0.2, 0.1], rtol=0.0, atol=1e-12)
@@ -529,9 +533,10 @@ def test_path_single_active_edge():
     v = HeightField(g, np.array([0.0, 0.04, -0.08, -0.02, 0.0]))
     expected = [0.0, 0.03, -0.07, -0.02, 0.0]
     geom = _ConeGeometry(g, "isotropic")
-    u_newton, q_newton, solves = _path_newton(geom, v.values, 1.0, np.zeros(6))
+    certify = _certifier(geom, v.values, 1.0, DEFAULT_TOL)
+    cert, q_newton, solves = _path_newton(geom, v.values, 1.0, np.zeros(6), certify)
     assert solves == 1
-    np.testing.assert_allclose(u_newton, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(cert.xf, expected, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(q_newton, [0, 0, -0.001, 0, 0, 0], rtol=0.0, atol=1e-12)
     u_dp, _ = _path_dp(geom, v.values, 1.0)
     np.testing.assert_allclose(u_dp, expected, rtol=0.0, atol=1e-12)

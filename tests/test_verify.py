@@ -227,9 +227,67 @@ def test_vi_residual_matches_snapshot_loop(make_traj):
     traj = make_traj()
     mode = traj.numerics.constraint_mode
     ts = make_test_functions(traj.grid, traj.params.lam, count=6, seed=4, mode=mode)
-    for xi in ts.xis:
-        for k in (0.01, 0.1, 1.0, np.inf):
-            np.testing.assert_array_equal(vi_residual(traj, xi, k), vi_residual_loop(traj, xi, k))
+    for k in (0.01, 0.1, 1.0, np.inf):
+        # one call on the whole set: one row per test function, each equal
+        # bit for bit to the call on that function alone
+        batch = vi_residual(traj, ts.xis, k)
+        assert batch.shape == (6, len(traj.snapshots) - 1)
+        for xi, row in zip(ts.xis, batch):
+            single = vi_residual(traj, xi, k)
+            np.testing.assert_array_equal(single, vi_residual_loop(traj, xi, k))
+            np.testing.assert_array_equal(row, single)
+
+
+def test_vi_residual_rejects_empty_or_mixed_sequence():
+    traj = frozen_traj(n=15)
+    here = HeightField.zeros(traj.grid)
+    there = HeightField.zeros(make_grid(1, 1.0, 17))
+    with pytest.raises(ValueError, match="no test functions"):
+        vi_residual(traj, [], 1.0)
+    with pytest.raises(ValueError, match="grid"):
+        vi_residual(traj, [here, there], 1.0)
+
+
+def vi_report_pair_loop(traj, xis, ks):
+    """Reference: the records of vi_report, one vi_residual call per
+    (test function, k) pair."""
+    records = []
+    for idx, xi in enumerate(xis):
+        for k in ks:
+            res = vi_residual(traj, xi, k)
+            j = int(np.argmax(res))
+            records.append(verify.VIRecord(idx, float(k), float(traj.times[j + 1]), float(res[j])))
+    return records
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_vi_report_blocks_match_pair_loop(blocks, extra, monkeypatch):
+    # test function counts around the block size B that vi_report derives
+    # from its memory budget: 1, B - 1, B, B + 1 and 2B + 3
+    traj = windy_traj()
+    nodes = len(traj.snapshots) * traj.grid.shape[0]
+    B = verify._VI_BLOCK_BYTES // (8 * nodes)
+    assert B >= 3
+    count = blocks * B + extra
+    rng = np.random.default_rng(count)
+    xis = [HeightField(traj.grid, 0.05 * rng.normal(size=traj.grid.shape)) for _ in range(count)]
+    ks = verify.TestFunctionSet.k_levels
+    want = vi_report_pair_loop(traj, xis, ks)
+
+    calls = []
+    exact = verify.vi_residual
+
+    def counting(traj, xi, k, drives=None):
+        calls.append((len(xi), k))
+        return exact(traj, xi, k, drives)
+
+    monkeypatch.setattr(verify, "vi_residual", counting)
+    rep = vi_report(traj, verify.TestFunctionSet(xis=xis, seed=0), tol=1.0)
+    assert rep.records == want
+    assert rep.worst == max(r.residual for r in want)
+    # one call per block and k, each with a scalar k and a full block but the last
+    sizes = [B] * (count // B) + ([count % B] if count % B else [])
+    assert calls == [(size, k) for size in sizes for k in ks]
 
 
 def test_vi_report_rejects_empty_test_set():
