@@ -116,7 +116,7 @@ def h_eval(profile: HProfile, r):
     else:
         eps = profile.eps
         out = 1.0 - 0.5 * (erf(-arr / math.sqrt(eps)) - erf(-1.0 / eps))
-    out = np.clip(out, 0.0, h_sup(profile))
+    out = out.clip(0.0, h_sup(profile))  # np.clip's own method, without its wrapper
     return float(out) if np.ndim(r) == 0 else out
 
 

@@ -126,7 +126,7 @@ class HeightField:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("height field contains non-finite values")
 
     def copy(self) -> "HeightField":
@@ -221,18 +221,19 @@ def paired(grid: Grid, mode: str) -> bool:
     return mode == "isotropic" and grid.dim > 1
 
 
-def node_slope_magnitude(field: HeightField, mode: str = "isotropic") -> np.ndarray:
-    """Per-node magnitude of the forward differences under the given norm."""
+def node_slope_magnitude(field: HeightField, mode: str = "isotropic", slopes=None) -> np.ndarray:
+    """Per-node magnitude of the forward differences under the given norm;
+    ``slopes`` are the field's :func:`edge_slopes` if the caller has them."""
     if mode not in CONSTRAINT_MODES:
         raise ValueError(f"unknown constraint mode {mode!r}")
-    g = hosted(edge_slopes(field.grid, field.values))
+    g = hosted(slopes if slopes is not None else edge_slopes(field.grid, field.values))
     if paired(field.grid, mode):
         return np.sqrt(reduce(np.add, [d * d for d in g]))
     return reduce(np.maximum, [np.abs(d) for d in g])
 
 
-def max_slope(field: HeightField, mode: str = "isotropic") -> float:
-    return float(node_slope_magnitude(field, mode).max())
+def max_slope(field: HeightField, mode: str = "isotropic", slopes=None) -> float:
+    return float(node_slope_magnitude(field, mode, slopes).max())
 
 
 def admissible(
@@ -256,7 +257,7 @@ def admissible(
 
 def integrate(grid: Grid, a: np.ndarray) -> float:
     """The nodal quadrature ``sum(a) * cell_volume`` of a field's values."""
-    return float(np.sum(a)) * grid.cell_volume
+    return float(a.sum()) * grid.cell_volume
 
 
 def norm_l2(grid: Grid, a: np.ndarray) -> float:

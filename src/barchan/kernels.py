@@ -120,13 +120,14 @@ def _convolve_rows(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(seq.shape).T.reshape((n + pad,) + g.shape[1:])
 
 
-def nonlocal_slope(field: HeightField, kernel: DiscreteKernel) -> np.ndarray:
+def nonlocal_slope(field: HeightField, kernel: DiscreteKernel, slopes=None) -> np.ndarray:
     """Kernel average of the forward-difference x-slope, ``(K * du/dx)(x)``.
 
     The field is extended by zero outside the domain, so the slope samples
-    include the differences crossing both boundaries.  The columns along x
-    are convolved with the stencil by direct summation, in one
-    ``np.convolve`` call.
+    include the differences crossing both boundaries: they are the x-axis
+    entry of the field's :func:`edge_slopes`, which a caller that has them
+    passes as ``slopes``.  The columns along x are convolved with the
+    stencil by direct summation, in one ``np.convolve`` call.
     """
     grid = field.grid
     dx = grid.spacing[0]
@@ -135,7 +136,7 @@ def nonlocal_slope(field: HeightField, kernel: DiscreteKernel) -> np.ndarray:
             f"kernel spacing {kernel.spacing} does not match grid spacing {dx}"
         )
 
-    g = edge_slopes(grid, field.values)[0]  # x-slopes at offsets -1 .. n-1
+    g = (edge_slopes(grid, field.values) if slopes is None else slopes)[0]  # offsets -1 .. n-1
     c = _convolve_rows(g, kernel.weights) * dx
     k = kernel.half_width
     n = grid.counts[0]

@@ -54,7 +54,8 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpbsv, dptsv
 
 from .grid import (
     CONSTRAINT_MODES,
@@ -95,9 +96,9 @@ class MultiplierField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError("multiplier shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("multiplier contains non-finite values")
-        if np.any(self.values < 0.0):
+        if (self.values < 0.0).any():
             raise ValueError("multiplier must be nonnegative")
 
     @classmethod
@@ -120,7 +121,9 @@ class ProjectionResult:
     clamped at zero.  ``dual`` keeps the raw dual vector as a
     per-axis tuple shaped like :func:`edge_slopes` (a 1-tuple in 1D);
     feeding it back as ``warm_dual`` of a nearby projection cuts its
-    iteration count without changing the limit.
+    iteration count without changing the limit.  ``slopes`` holds the
+    :func:`edge_slopes` of ``u``, which every route computes.  ``u`` and
+    ``m`` are new arrays, never views of the input.
     """
 
     u: HeightField
@@ -130,6 +133,7 @@ class ProjectionResult:
     constraint_violation: float
     converged: bool
     dual: tuple[np.ndarray, ...] | None = None
+    slopes: tuple[np.ndarray, ...] | None = None
 
 
 @lru_cache(maxsize=16)
@@ -235,7 +239,8 @@ class _ConeGeometry:
 class _Certificate(NamedTuple):
     """Duality-gap certificate of a primal-dual pair ``(x, q)``.
 
-    ``viol`` is the slope violation of ``x``; ``xf`` is ``x`` scaled by
+    ``dx`` holds the edge slopes of ``x``, ``viol`` its slope violation;
+    ``xf`` is ``x`` scaled by
     ``lam / (lam + viol)``, which restores exact feasibility because edge
     slopes are linear in the field; ``gap`` is the duality gap of
     ``(xf, q)`` and ``err = sqrt(2 gap)`` the L2 error of ``xf`` it
@@ -243,6 +248,7 @@ class _Certificate(NamedTuple):
     at its rounding floor) and ``viol`` is within ``TOL_CONSTRAINT``.
     """
 
+    dx: tuple[np.ndarray, ...]
     viol: float
     xf: np.ndarray
     gap: float
@@ -253,7 +259,7 @@ class _Certificate(NamedTuple):
 def _gap_floor(vvals: np.ndarray) -> float:
     """Rounding floor below which the computed gap is meaningless."""
     eps = np.finfo(float).eps
-    scale = 1.0 + float(np.sum(vvals * vvals))
+    scale = 1.0 + float((vvals * vvals).sum())
     return 64.0 * eps * scale
 
 
@@ -272,11 +278,12 @@ def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
             aq = edge_slopes_adjoint(geom.grid, q)
         viol = max(0.0, geom.max_norm(dx) - lam)
         xf = x * (lam / (lam + viol)) if viol > 0.0 else x
-        primal = 0.5 * float(np.sum((xf - vvals) ** 2))
-        dual = -lam * geom.dual_l1(q) - 0.5 * float(np.sum(aq * aq)) + float(np.vdot(aq, vvals))
+        primal = 0.5 * float(((xf - vvals) ** 2).sum())
+        dual = -lam * geom.dual_l1(q) - 0.5 * float((aq * aq).sum()) + float(np.vdot(aq, vvals))
         gap = primal - dual
         err = math.sqrt(2.0 * max(gap, 0.0))
-        return _Certificate(viol, xf, gap, err, (err <= tol or gap <= floor) and viol <= max_viol)
+        ok = (err <= tol or gap <= floor) and viol <= max_viol
+        return _Certificate(dx, viol, xf, gap, err, ok)
 
     return certify
 
@@ -285,20 +292,23 @@ def _finalize(
     geom: _ConeGeometry, cert: _Certificate, q, lam: float, iterations: int
 ) -> ProjectionResult:
     """The result for dual ``q`` and its certificate: the feasible field
-    ``cert.xf``, flagged ``converged`` when the certificate passed.  When
-    ``cert.viol`` is 0, ``xf`` is the certified ``x`` and its violation is
-    exactly 0; otherwise it is that of the rescaled field, evaluated here."""
-    viol = 0.0
+    ``cert.xf`` (a new array on every route, so it is not copied), flagged
+    ``converged`` when the certificate passed.  When ``cert.viol`` is 0,
+    ``xf`` is the certified ``x``, with slopes ``cert.dx`` and violation
+    exactly 0; otherwise both are evaluated here for the rescaled field."""
+    viol, slopes = 0.0, cert.dx
     if cert.viol > 0.0:
-        viol = max(0.0, geom.max_norm(edge_slopes(geom.grid, cert.xf)) - lam)
+        slopes = edge_slopes(geom.grid, cert.xf)
+        viol = max(0.0, geom.max_norm(slopes) - lam)
     return ProjectionResult(
-        u=HeightField(geom.grid, cert.xf.copy()),
+        u=HeightField(geom.grid, cert.xf),
         m=MultiplierField(geom.grid, geom.multiplier(q, lam)),
         iterations=iterations,
         primal_dual_gap=cert.err,
         constraint_violation=viol,
         converged=cert.ok,
         dual=q,
+        slopes=slopes,
     )
 
 
@@ -309,8 +319,8 @@ def _check_bounds(lam: float, tol: float) -> None:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def _fixed_point(geom: _ConeGeometry, v: HeightField) -> ProjectionResult:
-    """An admissible input is its own projection with zero multiplier."""
+def _fixed_point(geom: _ConeGeometry, v: HeightField, dv) -> ProjectionResult:
+    """An admissible input (edge slopes ``dv``) is its own projection."""
     return ProjectionResult(
         u=v.copy(),
         m=MultiplierField.zeros(v.grid),
@@ -319,6 +329,7 @@ def _fixed_point(geom: _ConeGeometry, v: HeightField) -> ProjectionResult:
         constraint_violation=0.0,
         converged=True,
         dual=geom.zeros_dual(),
+        slopes=dv,
     )
 
 
@@ -353,9 +364,9 @@ def project_pdhg(
     _check_bounds(lam, tol)
     geom = _ConeGeometry(v.grid, mode)
     vvals = v.values
-
-    if geom.max_norm(edge_slopes(v.grid, vvals)) <= lam:
-        return _fixed_point(geom, v)
+    dv = edge_slopes(v.grid, vvals)
+    if geom.max_norm(dv) <= lam:
+        return _fixed_point(geom, v, dv)
 
     L = geom.op_norm
     tau = 2.0 / L
@@ -419,16 +430,27 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
     factorization.  Raises ``np.linalg.LinAlgError`` when the matrix is not
     positive definite, unless ``pivot``: then banded LU with partial
     pivoting solves it, and raises only on an exactly singular pivot.
+
+    LAPACK is called directly: ``dptsv`` for a band of two rows, ``dpbsv``
+    for a wider one, the routines and arguments ``solveh_banded`` uses, so
+    the results are bitwise equal to its own without its checks and
+    dispatch, which cost ten times the solve of a few dozen unknowns.  A
+    1x1 system is divided out: the ``dptsv`` wrapper rejects one.
     """
-    if rhs.size == 1:  # solveh_banded rejects a 1x1 system with off-diagonal rows
+    if rhs.size == 1:
         if not band[-1, 0] > 0.0:
             raise np.linalg.LinAlgError("1x1 system not positive definite")
         return rhs / band[-1]
-    try:
-        return solveh_banded(band, rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        if not pivot:
-            raise
+    if band.shape[0] == 2:
+        *_, x, info = dptsv(band[1], band[0, 1:], rhs)
+    else:
+        _, x, info = dpbsv(band, rhs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK's banded solver")
+    if info == 0:
+        return x
+    if not pivot:
+        raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
     bw = band.shape[0] - 1
     full = np.zeros((2 * bw + 1, band.shape[1]))  # and the mirrored lower band
     full[: bw + 1] = band
@@ -816,7 +838,7 @@ def project(
     vvals = v.values
     dv = edge_slopes(v.grid, vvals)
     if geom.max_norm(dv) <= lam:
-        return _fixed_point(geom, v)
+        return _fixed_point(geom, v, dv)
 
     certify = _certifier(geom, vvals, lam, tol)
     q0 = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()

@@ -9,6 +9,12 @@ inner loop re-evaluates it at the latest iterate to check insensitivity.
 
 The wind blows in +x, so the flux velocity is nonnegative and upwinding
 from the left is the monotone choice.
+
+Each field gets one pass of the edge slopes: the projection takes those
+of the field it returns, and the step's ``max_slope`` and the next step's
+flux reuse them, as the next step reuses its mass.  A step returns a new
+field and multiplier that nothing else refers to, so snapshots hold them
+as they are; only snapshot 0 copies the caller's initial field.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .constitutive import (
     h_sup,
     lipschitz_bound,
 )
-from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, integrate, max_slope
+from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, edge_slopes, integrate, max_slope
 from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
     DEFAULT_MAX_ITER,
@@ -233,12 +239,13 @@ def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transport_flux(
-    u: HeightField, params: ModelParams, kernel: DiscreteKernel | None = None
+    u: HeightField, params: ModelParams, kernel: DiscreteKernel | None = None, slopes=None
 ) -> np.ndarray:
-    """Wind flux F = gamma(u) * H(nonlocal slope); nonnegative everywhere."""
+    """Wind flux F = gamma(u) * H(nonlocal slope); nonnegative everywhere.
+    ``slopes`` are the edge slopes of ``u`` if the caller has them."""
     if kernel is None:
         kernel = kernel_for(params, u.grid)
-    s = nonlocal_slope(u, kernel)
+    s = nonlocal_slope(u, kernel, slopes)
     return gamma_eval(params.gamma, u.values) * h_eval(params.h, s)
 
 
@@ -326,15 +333,21 @@ def _advance(
     kernel: DiscreteKernel,
     v_max: float,
     warm_dual=None,
+    slopes=None,
+    mass=None,
 ):
     """One split step of at most the checked ``dt``; returns (field,
-    multiplier, diagnostics, dual)."""
+    multiplier, diagnostics, dual, slopes).  ``slopes`` and ``mass``, the
+    edge slopes and mass of ``u``, are computed unless the previous step
+    returned them (its ``slopes`` and ``mass_post``).  The field and
+    multiplier returned are new arrays the caller owns, and ``slopes``
+    their one slope pass; ``u`` is only read."""
     grid = u.grid
     f = source_eval(params.source, grid, t)
-    flux = transport_flux(u, params, kernel)
+    flux = transport_flux(u, params, kernel, slopes)
     drive = f - transport_div(grid, flux)
 
-    mass_pre = integrate(grid, u.values)
+    mass_pre = integrate(grid, u.values) if mass is None else mass
     source_integral = integrate(grid, f)
     outflow = transport_outflow(grid, flux)
 
@@ -342,11 +355,12 @@ def _advance(
         u_new = HeightField(grid, u.values + dt * drive)
         m = MultiplierField.zeros(grid)
         proj_iters, proj_gap, dual = 0, 0.0, None
+        slopes = edge_slopes(grid, u_new.values)
     else:
         res = None
         for i in range(numerics.picard_iters):
             if i:
-                drive = f - transport_div(grid, transport_flux(res.u, params, kernel))
+                drive = f - transport_div(grid, transport_flux(res.u, params, kernel, res.slopes))
                 prev, warm_dual = res.u.values, res.dual
             res = resolvent_step(
                 u,
@@ -365,7 +379,7 @@ def _advance(
                 f"projection not converged at t={t:.6g} "
                 f"(gap {res.primal_dual_gap:.3e} after {res.iterations} iterations)"
             )
-        u_new, m = res.u, res.m
+        u_new, m, slopes = res.u, res.m, res.slopes
         proj_iters, proj_gap, dual = res.iterations, res.primal_dual_gap, res.dual
 
     mass_post = integrate(grid, u_new.values)
@@ -381,10 +395,10 @@ def _advance(
         projection_iterations=proj_iters,
         projection_gap=proj_gap,
         cfl_number=v_max * dt / min(grid.spacing),
-        max_slope=max_slope(u_new, numerics.constraint_mode),
+        max_slope=max_slope(u_new, numerics.constraint_mode, slopes),
         crest_index=_crest_index(u_new.values, grid),
     )
-    return u_new, m, diag, dual
+    return u_new, m, diag, dual, slopes
 
 
 def step(
@@ -397,7 +411,7 @@ def step(
     """Advance one split step and return the new state and multiplier."""
     kernel = kernel_for(params, u.grid)
     v_max = _checked_speed(u, dt, params, numerics, kernel)
-    u_new, m, _, _ = _advance(u, t, dt, params, numerics, kernel, v_max)
+    u_new, m, *_ = _advance(u, t, dt, params, numerics, kernel, v_max)
     return u_new, m
 
 
@@ -429,7 +443,7 @@ def run(
     )
     n_steps = 0 if params.T == 0.0 else max(1, math.ceil(params.T / dt - 1e-12))
 
-    failure = None
+    failure, slopes = None, None
     if n_steps > 0:
         v_max = _checked_speed(u0, dt, params, numerics, kernel)
         if not admissible(u0, params.lam, numerics.constraint_mode):
@@ -441,7 +455,7 @@ def run(
                 max_iter=numerics.proj_max_iter,
                 mode=numerics.constraint_mode,
             )
-            u0 = res.u
+            u0, slopes = res.u, res.slopes
             if not res.converged and numerics.strict:
                 failure = (
                     "start projection not converged "
@@ -460,20 +474,20 @@ def run(
         failure=failure,
     )
 
-    u = u0
-    warm = None
+    u, warm, mass = u0, None, None
     for k in range(1, n_steps + 1):
         t_prev = (k - 1) * dt
         dt_k = dt if k < n_steps else params.T - (n_steps - 1) * dt
         try:
-            u, m, diag, warm = _advance(
-                u, t_prev, dt_k, params, numerics, kernel, v_max, warm_dual=warm
+            u, m, diag, warm, slopes = _advance(
+                u, t_prev, dt_k, params, numerics, kernel, v_max, warm, slopes, mass
             )
         except NonConvergedError as exc:
             traj.failure = str(exc)
             logger.error("run aborted: %s", exc)
             break
         traj.steps.append(diag)
+        mass = diag.mass_post
         if k % snapshot_every == 0 or k == n_steps:
-            traj.snapshots.append(Snapshot(t_prev + dt_k, u.copy(), m))
+            traj.snapshots.append(Snapshot(t_prev + dt_k, u, m))
     return traj

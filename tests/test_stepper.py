@@ -398,6 +398,100 @@ def test_run_2d_projections_settle_in_newton(monkeypatch):
         assert admissible(snap.u, p.lam)
 
 
+def _guard_run(case):
+    """A windy 1D run, or a windy 2D run that starts outside the cone, with
+    its constraint mode and initial field."""
+    if case == "1d":
+        g = make_grid(1, 1.0, 64)
+        dx = g.spacing[0]
+        p = ModelParams(
+            lam=0.5,
+            h=HProfile.erf_smoothed(0.25),
+            gamma=GammaProfile.identity(),
+            kernel=KernelSpec("cosine_bump", 10 * dx),
+            T=0.06,
+        )
+        u0 = skew_hump(g, 0.35, 0.08, 0.26, 0.45)
+        return run(p, u0), "isotropic", u0
+    mode = case.split("-")[1]
+    g = make_grid(2, (1.0, 1.0), (24, 24))
+    X, Y = g.meshgrid()
+    r = np.sqrt((X - 0.4) ** 2 + (Y - 0.5) ** 2)
+    u0 = HeightField(g, 0.085 * np.clip(1.0 - (r / 0.25) ** 2, 0.0, 1.0) ** 2)
+    p = ModelParams(lam=0.5, kernel=KernelSpec("triangle", 4 * g.spacing[0]), T=0.01)
+    return run(p, u0, numerics=Numerics(constraint_mode=mode)), mode, u0
+
+
+@pytest.mark.parametrize("case", ["1d", "2d-isotropic", "2d-componentwise"])
+def test_step_loop_carries_mass_and_slopes_and_owns_fields(case):
+    # A step hands the next one the mass of its field and reuses the edge
+    # slopes the projection took of it; both must equal a fresh evaluation
+    # bit for bit.  And each snapshot owns its arrays.
+    traj, mode, u0 = _guard_run(case)
+    steps, snaps = traj.steps, traj.snapshots
+    assert traj.failure is None and len(steps) >= 5
+    assert len(snaps) == len(steps) + 1
+    assert any(d.projection_iterations > 0 for d in steps)
+    for prev, d in zip(steps, steps[1:]):
+        assert d.mass_pre == prev.mass_post
+    for d, snap in zip(steps, snaps[1:]):
+        assert d.max_slope == max_slope(snap.u, mode)
+    kept = [(s.u.values.copy(), s.m.values.copy()) for s in snaps]
+
+    def unchanged():
+        return all(
+            np.array_equal(s.u.values, u) and np.array_equal(s.m.values, m)
+            for s, (u, m) in zip(snaps, kept)
+        )
+
+    u0.values += 1.0
+    assert unchanged(), "a snapshot shares the initial field's array"
+    for i, s in enumerate(snaps):
+        s.u.values += 1.0
+        s.m.values += 1.0
+        kept[i] = (s.u.values.copy(), s.m.values.copy())
+        assert unchanged(), f"snapshot {i} shares an array with another"
+
+
+# The windy dune of the crest-advance test (T = 0.06, the kernel radius held
+# at 0.15), run at n and 2n + 1 nodes.  The L1 distance of the final fields,
+# the fine one sampled at the coarse nodes, falls by about 2 per refinement:
+# first order, as upwind transport with implicit Euler avalanches gives.
+# Hump height -> the ratios measured over n = 63, 127, 255 and 511.  At 0.2
+# the avalanche is active from the start and the first ratio is still
+# pre-asymptotic.
+CAUCHY_RATIOS = {0.08: (1.983, 2.023), 0.2: (3.021, 1.948)}
+# The distances are 2e-5 or more, where each projection is certified to
+# 1e-8, so rounding moves a ratio by far less than this; a larger move is a
+# change of the scheme.
+CAUCHY_MARGIN = 0.05
+
+
+def _windy_final(n, height):
+    g = make_grid(1, 1.0, n)
+    p = ModelParams(
+        lam=0.5,
+        h=HProfile.erf_smoothed(0.25),
+        gamma=GammaProfile.identity(),
+        kernel=KernelSpec("cosine_bump", 0.15),
+        T=0.06,
+    )
+    traj = run(p, skew_hump(g, 0.35, height, 0.26, 0.45))
+    assert traj.failure is None and traj.snapshots[-1].t == pytest.approx(0.06)
+    return g, traj.snapshots[-1].u.values
+
+
+@pytest.mark.parametrize("height", sorted(CAUCHY_RATIOS))
+def test_windy_dune_converges_at_first_order(height):
+    runs = [_windy_final(n, height) for n in (63, 127, 255, 511)]
+    dist = [
+        integrate(g, np.abs(u - fine[1::2])) for (g, u), (_, fine) in zip(runs, runs[1:])
+    ]
+    ratios = [a / b for a, b in zip(dist, dist[1:])]
+    for got, want in zip(ratios, CAUCHY_RATIOS[height]):
+        assert abs(got / want - 1.0) <= CAUCHY_MARGIN, (ratios, CAUCHY_RATIOS[height])
+
+
 # The windless growing sandpile (Prigozhin, Eur. J. Appl. Math. 7, 1996): a
 # point source of mass rate Q at the centre c builds the cone
 # u = max(0, H(t) - lam r) until its base reaches the wall, with r and H

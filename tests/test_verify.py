@@ -65,6 +65,23 @@ def windy_traj(n=48, lam=0.6, T=0.02):
     return run(p, u0)
 
 
+def wall_traj(n=48, lam=0.6, T=0.02):
+    # a windy hump against the right wall: the wall node sits at the cone
+    # bound lam * dx and the erf-smoothed response blows sand out through
+    # the wall even on the lee side, so the wall flux is nonzero throughout
+    g = make_grid(1, 1.0, n)
+    p = ModelParams(
+        lam=lam,
+        h=HProfile.erf_smoothed(0.25),
+        gamma=GammaProfile.identity(),
+        kernel=KernelSpec("cosine_bump", 5.0 / (n + 1)),
+        T=T,
+    )
+    x = g.coords(0)
+    s = np.clip((x - 0.8) / 0.25, -1.0, 1.0)
+    return run(p, HeightField(g, 0.08 * (1.0 - s * s) ** 2))
+
+
 def source_traj_2d(mode):
     # windy 2D run with a source on a non-square grid, so a swapped axis shows
     g = make_grid(2, (1.0, 0.8), (12, 9))
@@ -218,13 +235,21 @@ def test_windy_residual_within_envelope():
 
 
 @pytest.mark.parametrize(
-    "make_traj",
-    [frozen_traj, windy_traj, lambda: source_traj_2d("isotropic"),
-     lambda: source_traj_2d("componentwise")],
-    ids=["frozen", "windy", "2d-isotropic", "2d-componentwise"],
+    "make_traj, at_wall",
+    [
+        pytest.param(frozen_traj, False, id="frozen"),
+        pytest.param(windy_traj, False, id="windy"),
+        pytest.param(wall_traj, True, id="windy-wall"),
+        pytest.param(lambda: source_traj_2d("isotropic"), False, id="2d-isotropic"),
+        pytest.param(lambda: source_traj_2d("componentwise"), False, id="2d-componentwise"),
+    ],
 )
-def test_vi_residual_matches_snapshot_loop(make_traj):
+def test_vi_residual_matches_snapshot_loop(make_traj, at_wall):
     traj = make_traj()
+    # with wind through the right wall, the wall term of the forward
+    # x-difference (0 - w at the last node) enters the residual
+    flux = verify._interval_drives(traj)[1]
+    assert np.any(flux[:, -1] > 0.0) == at_wall
     mode = traj.numerics.constraint_mode
     ts = make_test_functions(traj.grid, traj.params.lam, count=6, seed=4, mode=mode)
     for k in (0.01, 0.1, 1.0, np.inf):
