@@ -8,10 +8,12 @@ stored as plain arrays over interior nodes only.
 zero-extended field, one array per axis in every dimension, including the
 differences that cross the boundary; bounding them makes the
 slope-constrained set identical to the admissible cone.  It and its exact
-adjoint ``edge_slopes_adjoint`` are the operator pair the cone projection
-relies on.  Each interior node hosts the forward difference to its next
-neighbour on every axis (``hosted``); only the first difference of an axis,
-which crosses the left/bottom boundary, has no host.
+adjoint ``edge_slopes_adjoint`` are the operator pair of the cone
+projection, which reads and writes their per-axis arrays through one array
+holding all axes (its dual lattice).  Each interior node hosts the
+forward difference to its next neighbour on every axis (``hosted``); only
+the first difference of an axis, which crosses the left/bottom boundary,
+has no host.
 
 Slope constraints come in two flavours, selected by ``mode``:
 
@@ -158,7 +160,6 @@ def _along(axis: int, index) -> tuple:
 # Per-axis index tuples, built once (grids have one or two axes).
 _HEAD = tuple(_along(a, slice(None, -1)) for a in range(2))
 _TAIL = tuple(_along(a, slice(1, None)) for a in range(2))
-_FIRST = tuple(_along(a, 0) for a in range(2))
 _LAST = tuple(_along(a, -1) for a in range(2))
 
 
@@ -197,21 +198,8 @@ def hosted(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """The edge entries hosted by interior nodes: per axis, the difference
     from each node to its next neighbour (the forward difference).  The
     first edge of each axis crosses the left/bottom boundary and has no
-    host (:func:`unhosted`).  The results are views."""
+    host.  The results are views."""
     return tuple([qa[_TAIL[a]] for a, qa in enumerate(q)])
-
-
-def backward(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Per axis, the edge entry from each node's previous neighbour to the
-    node (its backward difference), shaped like the grid.  With
-    :func:`hosted` these are the two edges of each axis a node lies on.
-    The results are views."""
-    return tuple([qa[_HEAD[a]] for a, qa in enumerate(q)])
-
-
-def unhosted(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """The first edge entries of each axis, those without a host node."""
-    return tuple([qa[_FIRST[a]] for a, qa in enumerate(q)])
 
 
 def paired(grid: Grid, mode: str) -> bool:

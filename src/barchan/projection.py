@@ -8,6 +8,16 @@ over all nearest-neighbour slopes of the zero-extended field, including
 the edges crossing the boundary, so the feasible set is exactly the
 admissible cone (slope bound plus the distance cone bound it implies).
 
+All dual vectors, edge slopes and Newton iterates live on one axis-first
+array, the dual lattice ``L`` of shape ``(dim, *(counts + 1))``: ``L[a][c]``
+is the forward difference along axis ``a`` at node ``c`` of the field
+padded with zeros (Chambolle, JMIV 20, 2004).  The pair that interior node
+``i`` hosts shares cell ``i + 1``; the first edge of an axis shares a cell
+of the padding with structural zeros.  So a constraint's magnitude is one
+formula: the cell norm ``sqrt(L[0]**2 + L[1]**2)`` when paired, ``|L|``
+otherwise.  Only ``warm_dual`` and the result's ``dual`` and ``slopes``
+are per-axis tuples, shaped like :func:`edge_slopes`.
+
 Two solvers compute it:
 
 * ``project_pdhg``, a primal-dual (Chambolle-Pock) iteration, works in any
@@ -27,9 +37,9 @@ Two solvers compute it:
     in a finite number of operations, with no tolerance.
   - Otherwise one step is one banded Cholesky solve over the active
     constraints, with the generalized Jacobian of the paired (Euclidean)
-    constraints; numbering the active edges with the axes interleaved
-    keeps the band about two grid lines wide.  When it cannot certify
-    within ``NEWTON_MAX_STEPS`` solves, or an active block is not positive
+    constraints; numbering the active entries cell by cell keeps the band
+    within two grid lines.  When it cannot certify within
+    ``NEWTON_MAX_STEPS`` solves, or an active block is not positive
     definite, PDHG takes over.
 
 PDHG stays the 2D fallback, the oracle the tests hold ``project`` to, and
@@ -62,12 +72,9 @@ from .grid import (
     TOL_CONSTRAINT,
     Grid,
     HeightField,
-    backward,
     edge_slopes,
     edge_slopes_adjoint,
-    hosted,
     paired,
-    unhosted,
 )
 
 DEFAULT_TOL = 1e-8
@@ -122,8 +129,10 @@ class ProjectionResult:
     per-axis tuple shaped like :func:`edge_slopes` (a 1-tuple in 1D);
     feeding it back as ``warm_dual`` of a nearby projection cuts its
     iteration count without changing the limit.  ``slopes`` holds the
-    :func:`edge_slopes` of ``u``, which every route computes.  ``u`` and
-    ``m`` are new arrays, never views of the input.
+    :func:`edge_slopes` of ``u``, which every route computes.  Both tuples
+    are views of the route's dual lattice (see the module docstring),
+    whose other entries are the structural zeros.  ``u`` and ``m`` are
+    new arrays, never views of the input.
     """
 
     u: HeightField
@@ -136,23 +145,24 @@ class ProjectionResult:
     slopes: tuple[np.ndarray, ...] | None = None
 
 
-@lru_cache(maxsize=16)
 def _implied_edges(grid: Grid, pairs: bool) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The corner edge constraints that another constraint of the same
-    node implies, as ``(axis, index)`` entries of a dual vector.
+    node implies, as ``(axis, index)`` entries of the per-axis tuple of
+    :func:`edge_slopes`.
 
     Every boundary-crossing edge of a corner node bounds the same value,
     ``|u| / h_a``, so only the tightest (smallest ``h_a``) is needed, and a
     pair holding a boundary edge implies every scalar one whose ``h_a`` is at
-    least its own; on ties a hosted edge is kept, so the multiplier sees its
-    dual.  An implied constraint leaves the feasible set as it is but makes
-    the dual non-unique: PDHG's dual then drifts between the two at the rate
-    of the residual slope error, and Newton's active block is singular.
+    least its own; on ties a node's own forward edge is kept, so the
+    multiplier sees its dual.  An implied constraint leaves the feasible set
+    as it is but makes the dual non-unique: PDHG's dual then drifts between
+    the two at the rate of the residual slope error, and Newton's active
+    block is singular.
     """
     implied = []
     n = grid.counts
     for node in itertools.product(*[(0, m - 1) for m in n]):
-        edges = []  # (h, unhosted, axis, index)
+        edges = []  # (h, whether it is the first edge of its axis, axis, index)
         for a, h in enumerate(grid.spacing):
             if node[a] == 0:
                 edges.append((h, True, a, node[:a] + (0,) + node[a + 1 :]))
@@ -166,15 +176,16 @@ def _implied_edges(grid: Grid, pairs: bool) -> tuple[tuple[int, tuple[int, ...]]
 
 
 class _ConeGeometry:
-    """Dual norm machinery of the edge-slope constraints for one
-    grid/constraint-mode pair.  Dual vectors are per-axis tuples shaped
-    like :func:`edge_slopes`.
+    """The dual lattice of one grid and constraint mode: ``D`` and ``D^T``
+    (:func:`edge_slopes` and its adjoint, through the lattice), the
+    constraint norms, and the conversions from and to per-axis tuples.  Its
+    arrays are read-only, so :func:`_geometry` shares one per pair.
 
-    Every edge is its own constraint, except when ``paired``: then the
-    differences hosted by one interior node form a Euclidean pair, and only
-    the boundary-crossing first edge of each axis, which has no host, stays
-    scalar.  The constraints in ``implied`` (see :func:`_implied_edges`)
-    carry no dual: :meth:`shrink` and :meth:`group_norm` zero them.
+    When ``paired`` the two entries of an interior cell form a Euclidean
+    pair; every other edge is its own constraint.  ``keep`` is 0.0 on the
+    structural zeros and on the ``implied`` constraints (see
+    :func:`_implied_edges`), which carry no dual; ``in_pair`` marks the
+    entries of the pairs.
     """
 
     def __init__(self, grid: Grid, mode: str):
@@ -184,71 +195,94 @@ class _ConeGeometry:
         self.paired = paired(grid, mode)
         self.op_norm = 2.0 * math.sqrt(sum(1.0 / s**2 for s in grid.spacing))
         self.implied = _implied_edges(grid, self.paired)
-
-    def _drop_implied(self, q) -> tuple[np.ndarray, ...]:
+        dim, axes = grid.dim, range(grid.dim)
+        self.shape = (dim,) + tuple(m + 1 for m in grid.counts)
+        every, tail = slice(None), slice(1, None)
+        # the cells of the interior nodes, and where each axis's edges sit
+        self.tail = (tail,) * dim
+        self.edge_index = tuple((a,) + tuple(every if b == a else tail for b in axes) for a in axes)
+        self.keep = self.lattice([1.0] * dim)
         for a, ix in self.implied:
-            q[a][ix] = 0.0
-        return q
+            self.keep[self.edge_index[a]][ix] = 0.0
+        self.in_pair = np.zeros(self.shape, dtype=bool)
+        self.in_pair[(every,) + self.tail] = self.paired
+        self.keep.setflags(write=False)
+        self.in_pair.setflags(write=False)
 
-    def _pair_norm(self, q) -> np.ndarray:
-        return np.sqrt(reduce(np.add, [h * h for h in hosted(q)]))
+    def zeros(self) -> np.ndarray:
+        return np.zeros(self.shape)
+
+    def slopes(self, x: np.ndarray) -> np.ndarray:
+        """``D x``: the :func:`edge_slopes` of ``x``, as a lattice."""
+        return self.lattice(edge_slopes(self.grid, x))
+
+    def adjoint(self, q: np.ndarray) -> np.ndarray:
+        """``D^T q``: the :func:`edge_slopes_adjoint` of the lattice's edges."""
+        return edge_slopes_adjoint(self.grid, self.edges(q))
+
+    def lattice(self, edges) -> np.ndarray:
+        """The lattice of a per-axis tuple shaped like :func:`edge_slopes`."""
+        out = self.zeros()
+        for ix, e in zip(self.edge_index, edges):
+            out[ix] = e
+        return out
+
+    def edges(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The per-axis tuple of a lattice, as views."""
+        return tuple([q[ix] for ix in self.edge_index])
+
+    def _magnitude(self, q: np.ndarray) -> np.ndarray:
+        """The magnitude of each constraint slot: the cell's norm, shaped
+        ``(1, *cells)``, when paired; each entry's ``|q|`` otherwise."""
+        if self.paired:  # dim is 2
+            sq = q * q
+            return np.sqrt(sq[0] + sq[1])[None]
+        return np.abs(q)
 
     def max_norm(self, q) -> float:
         """Largest constraint magnitude.  An implied constraint never exceeds
         the one that implies it, also in rounding, so it is not dropped."""
-        if not self.paired:
-            return max([float(np.abs(qa).max()) for qa in q])
-        return max([float(self._pair_norm(q).max())] + [float(np.abs(s).max()) for s in unhosted(q)])
+        return float(self._magnitude(q).max())
 
     def dual_l1(self, q) -> float:
         """Sum of per-constraint magnitudes (support function weight)."""
-        out = float(self._pair_norm(q).sum()) if self.paired else 0.0
-        for s in unhosted(q) if self.paired else q:  # the scalar constraints
-            out += float(np.abs(s).sum())
-        return out
+        return float(self._magnitude(q).sum())
 
-    def shrink(self, q, t: float):
+    def group_norm(self, q) -> np.ndarray:
+        """The lattice holding, at every entry, the magnitude of the
+        constraint the entry belongs to (its pair's norm when paired), and 0
+        on the structural zeros and the implied constraints."""
+        return self._magnitude(q) * self.keep
+
+    def shrink(self, q, t: float) -> np.ndarray:
         """prox of t * (sum of per-constraint magnitudes): magnitude
         soft-threshold, producing hard zeros below t."""
-        return tuple(
-            np.where(g > t, qa * (1.0 - t / np.maximum(g, t)), 0.0)
-            for qa, g in zip(q, self.group_norm(q))
-        )
-
-    def group_norm(self, q) -> tuple[np.ndarray, ...]:
-        """Per-axis arrays holding, at every entry, the magnitude of the
-        constraint the entry belongs to (its pair's norm when paired)."""
-        out = tuple(np.abs(qa) for qa in q)
-        if self.paired:
-            core = self._pair_norm(q)
-            for o in hosted(out):
-                o[...] = core
-        return self._drop_implied(out)
+        g = self.group_norm(q)
+        return np.where(g > t, q * (1.0 - t / np.maximum(g, t)), 0.0)
 
     def multiplier(self, q, lam: float) -> np.ndarray:
-        """Per-node multiplier from the dual hosted by each interior node."""
-        if self.paired:
-            return self._pair_norm(q) / lam
-        return reduce(np.add, [np.abs(h) for h in hosted(q)]) / lam
+        """Per-node multiplier from the dual each interior node hosts."""
+        return reduce(np.add, self._magnitude(q))[self.tail] / lam
 
-    def zeros_dual(self) -> tuple[np.ndarray, ...]:
-        n = self.grid.counts
-        return tuple(np.zeros(n[:a] + (n[a] + 1,) + n[a + 1 :]) for a in range(len(n)))
+
+@lru_cache(maxsize=16)
+def _geometry(grid: Grid, mode: str) -> _ConeGeometry:
+    return _ConeGeometry(grid, mode)
 
 
 class _Certificate(NamedTuple):
     """Duality-gap certificate of a primal-dual pair ``(x, q)``.
 
-    ``dx`` holds the edge slopes of ``x``, ``viol`` its slope violation;
-    ``xf`` is ``x`` scaled by
-    ``lam / (lam + viol)``, which restores exact feasibility because edge
-    slopes are linear in the field; ``gap`` is the duality gap of
-    ``(xf, q)`` and ``err = sqrt(2 gap)`` the L2 error of ``xf`` it
-    certifies.  ``ok`` holds when ``err`` is at most ``tol`` (or the gap is
-    at its rounding floor) and ``viol`` is within ``TOL_CONSTRAINT``.
+    ``dx`` holds the edge slopes of ``x`` (a lattice), ``viol`` its slope
+    violation; ``xf`` is ``x`` scaled by ``lam / (lam + viol)``, which
+    restores exact feasibility because edge slopes are linear in the field;
+    ``gap`` is the duality gap of ``(xf, q)`` and ``err = sqrt(2 gap)`` the
+    L2 error of ``xf`` it certifies.  ``ok`` holds when ``err`` is at most
+    ``tol`` (or the gap is at its rounding floor) and ``viol`` is within
+    ``TOL_CONSTRAINT``.
     """
 
-    dx: tuple[np.ndarray, ...]
+    dx: np.ndarray
     viol: float
     xf: np.ndarray
     gap: float
@@ -265,7 +299,7 @@ def _gap_floor(vvals: np.ndarray) -> float:
 
 def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
     """``certify(x, q, dx=None, aq=None)``: the :class:`_Certificate` of the
-    pair.  ``dx`` and ``aq`` are the edge slopes of ``x`` and ``D^T q``;
+    pair, ``q`` a lattice.  ``dx`` and ``aq`` are ``D x`` and ``D^T q``;
     a loop that has them already passes them in, and each one left out is
     computed here, with the same result."""
     floor = _gap_floor(vvals)
@@ -273,9 +307,9 @@ def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
 
     def certify(x, q, dx=None, aq=None) -> _Certificate:
         if dx is None:
-            dx = edge_slopes(geom.grid, x)
+            dx = geom.slopes(x)
         if aq is None:
-            aq = edge_slopes_adjoint(geom.grid, q)
+            aq = geom.adjoint(q)
         viol = max(0.0, geom.max_norm(dx) - lam)
         xf = x * (lam / (lam + viol)) if viol > 0.0 else x
         primal = 0.5 * float(((xf - vvals) ** 2).sum())
@@ -295,10 +329,11 @@ def _finalize(
     ``cert.xf`` (a new array on every route, so it is not copied), flagged
     ``converged`` when the certificate passed.  When ``cert.viol`` is 0,
     ``xf`` is the certified ``x``, with slopes ``cert.dx`` and violation
-    exactly 0; otherwise both are evaluated here for the rescaled field."""
+    exactly 0; otherwise both are evaluated here for the rescaled field.
+    ``dual`` and ``slopes`` leave as per-axis tuples."""
     viol, slopes = 0.0, cert.dx
     if cert.viol > 0.0:
-        slopes = edge_slopes(geom.grid, cert.xf)
+        slopes = geom.slopes(cert.xf)
         viol = max(0.0, geom.max_norm(slopes) - lam)
     return ProjectionResult(
         u=HeightField(geom.grid, cert.xf),
@@ -307,8 +342,8 @@ def _finalize(
         primal_dual_gap=cert.err,
         constraint_violation=viol,
         converged=cert.ok,
-        dual=q,
-        slopes=slopes,
+        dual=geom.edges(q),
+        slopes=geom.edges(slopes),
     )
 
 
@@ -320,7 +355,8 @@ def _check_bounds(lam: float, tol: float) -> None:
 
 
 def _fixed_point(geom: _ConeGeometry, v: HeightField, dv) -> ProjectionResult:
-    """An admissible input (edge slopes ``dv``) is its own projection."""
+    """An admissible input (edge slopes ``dv``, a lattice) is its own
+    projection."""
     return ProjectionResult(
         u=v.copy(),
         m=MultiplierField.zeros(v.grid),
@@ -328,8 +364,8 @@ def _fixed_point(geom: _ConeGeometry, v: HeightField, dv) -> ProjectionResult:
         primal_dual_gap=0.0,
         constraint_violation=0.0,
         converged=True,
-        dual=geom.zeros_dual(),
-        slopes=dv,
+        dual=geom.edges(geom.zeros()),
+        slopes=geom.edges(dv),
     )
 
 
@@ -362,9 +398,9 @@ def project_pdhg(
     it never changes the limit, only the iteration count.
     """
     _check_bounds(lam, tol)
-    geom = _ConeGeometry(v.grid, mode)
+    geom = _geometry(v.grid, mode)
     vvals = v.values
-    dv = edge_slopes(v.grid, vvals)
+    dv = geom.slopes(vvals)
     if geom.max_norm(dv) <= lam:
         return _fixed_point(geom, v, dv)
 
@@ -375,7 +411,7 @@ def project_pdhg(
 
     x = vvals.copy()
     xbar = x.copy()
-    q = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
+    q = geom.lattice(warm_dual) if warm_dual is not None else geom.zeros()
 
     certify = _certifier(geom, vvals, lam, tol)
     check_every = 16
@@ -386,9 +422,8 @@ def project_pdhg(
     it = solves = 0
     while it + solves < max_iter:
         it += 1
-        ascent = zip(q, edge_slopes(v.grid, xbar))
-        q = geom.shrink(tuple(qa + sigma * ea for qa, ea in ascent), sigma * lam)
-        x_new = (x - tau * edge_slopes_adjoint(v.grid, q) + tau * vvals) / (1.0 + tau)
+        q = geom.shrink(q + sigma * geom.slopes(xbar), sigma * lam)
+        x_new = (x - tau * geom.adjoint(q) + tau * vvals) / (1.0 + tau)
         xbar = x_new + theta * (x_new - x)
         x = x_new
 
@@ -438,7 +473,7 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
     1x1 system is divided out: the ``dptsv`` wrapper rejects one.
     """
     if rhs.size == 1:
-        if not band[-1, 0] > 0.0:
+        if not (band[-1, 0] > 0.0 or pivot and band[-1, 0] != 0.0):
             raise np.linalg.LinAlgError("1x1 system not positive definite")
         return rhs / band[-1]
     if band.shape[0] == 2:
@@ -462,7 +497,8 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
 def _path_newton(
     geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray, certify, dv=None
 ):
-    """Primal-dual active-set (semismooth Newton) iteration on the 1D dual.
+    """Primal-dual active-set (semismooth Newton) iteration on the 1D dual
+    ``q``, a lattice of shape ``(1, n + 1)``.
 
     Each step takes the active edges and their signs from
     ``z = q + c D u``, with ``u = v - D^T q`` and ``c = dx^2 / 2``, then
@@ -479,40 +515,37 @@ def _path_newton(
     repeated within ``NEWTON_MAX_STEPS`` solves, or when every edge became
     active (constants span the kernel of ``D D^T``, so it is singular).
     """
-    grid = geom.grid
-    dx = grid.spacing[0]
+    dx = geom.grid.spacing[0]
     c = 0.5 * dx * dx
     if dv is None:
-        (dv,) = edge_slopes(grid, vvals)
+        dv = geom.slopes(vvals)
     diag = np.full(dv.size, 2.0)
     diag[0] = diag[-1] = 1.0
     pattern, solves = None, 0
+    (dv0,) = dv
     while True:
-        aq = edge_slopes_adjoint(grid, (q,))
+        aq = geom.adjoint(q)
         u = vvals - aq
-        du = edge_slopes(grid, u)
-        z = q + c * du[0]
+        du = geom.slopes(u)
+        z = q[0] + c * du[0]
         active = np.abs(z) > c * lam
         signs = np.sign(z[active])
-        if (
-            pattern is not None
-            and np.array_equal(active, pattern[0])
-            and np.array_equal(signs, pattern[1])
-        ):
-            return certify(u, (q,), du, aq), q, solves
+        # signs compare only when the active sets, and so their sizes, do
+        if pattern is not None and (active == pattern[0]).all() and (signs == pattern[1]).all():
+            return certify(u, q, du, aq), q, solves
         if solves == NEWTON_MAX_STEPS or active.all():
             return None, None, solves
         pattern = (active, signs)
         # The active block of dx^2 D D^T: nonzero off the diagonal only
         # between adjacent edges.
         idx = np.flatnonzero(active)
-        rhs = (dv[idx] - lam * signs) * (dx * dx)
+        rhs = (dv0[idx] - lam * signs) * (dx * dx)
         q = np.zeros_like(dv)
         if idx.size:
             band = np.zeros((2, idx.size))
-            band[0, 1:] = np.where(np.diff(idx) == 1, -1.0, 0.0)
+            band[0, 1:] = np.where(idx[1:] - idx[:-1] == 1, -1.0, 0.0)
             band[1] = diag[idx]
-            q[idx] = _banded_solve(band, rhs)
+            q[0][idx] = _banded_solve(band, rhs)
         solves += 1
 
 
@@ -530,7 +563,8 @@ def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
     ``x*_{i-1}`` to the window around ``u_i``, starting from ``u_n = 0``.
 
     The dual follows from ``v - u = D^T q`` up to a constant: the median
-    gauge minimises ``|q|_1``, so it is a dual optimum.  Returns ``(u, q)``.
+    gauge minimises ``|q|_1``, so it is a dual optimum.  Returns ``(u, q)``,
+    ``q`` a lattice of shape ``(1, n + 1)``.
     """
     dx = geom.grid.spacing[0]
     h = lam * dx
@@ -562,135 +596,133 @@ def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
         nxt = min(max(xstar[i], nxt - h), nxt + h)
         u[i] = nxt
     p = np.concatenate(([0.0], -dx * np.cumsum(vvals - u)))
-    return u, p - np.median(p)
+    return u, (p - np.median(p))[None]
 
 
 class _Stencil(NamedTuple):
-    """``D D^T`` of one grid over the lattice of :func:`_stencil`."""
+    """``D D^T`` of one grid over the positions of its dual lattice."""
 
-    positions: tuple[np.ndarray, ...]  # per axis, the position of each entry (C order)
     offsets: np.ndarray  # (k,): the offsets of the entries above the diagonal
     products: np.ndarray  # (k,): their values
     partners: np.ndarray  # (size, k): p + offsets[k], or size where none is coupled to p
     diag: np.ndarray  # (size,)
-    hosted_flat: np.ndarray  # (dim, nodes): the flat index of each node's hosted entries
 
 
 @lru_cache(maxsize=16)
 def _stencil(grid: Grid) -> _Stencil:
     """The :class:`_Stencil` of ``grid``, built on first use.
 
-    The lattice has ``counts[a] + 1`` slots per axis and the axes
-    interleaved: axis ``a``'s entry at index ``ix`` sits at position
-    ``dim * ravel(ix) + a``.  ``D D^T`` sums one outer product per node: on
-    each axis a node lies on the edge from its previous neighbour
-    (coefficient ``1 / h_a``) and on the edge it hosts (``-1 / h_a``).  Two
+    Lattice entry ``L[a][c]`` sits at position ``p = dim * ravel(c) + (dim -
+    1 - a)``: cell by cell, the axes of a cell next to each other, the last
+    axis first.  ``D D^T`` sums one outer product per interior node, padded
+    node ``c``: on each axis it lies on the entry at ``c - e_a``
+    (coefficient ``1 / h_a``) and on the one at ``c`` (``-1 / h_a``).  Two
     distinct entries share at most one node, so each off-diagonal entry is
     one node's product of two coefficients.  Positions are affine in the
-    node, so each pair of a node's edges sits at one fixed offset, with one
-    fixed product: the offsets are ``1`` in 1D, and ``1, 2, 3, 2W - 3,
-    2W - 1, 2W`` with ``W = ny + 1`` in 2D.  The last edge of a y line is
-    2 positions before the first of the next, but shares no node with it.
+    node, so each pair of a node's entries sits at one fixed offset, with
+    one fixed product: the offsets are ``1`` in 1D, and ``1, 2, 3, 2W - 3,
+    2W - 1, 2W`` with ``W = ny + 1`` in 2D.  With the axis along x first,
+    they would be ``1, 2, 2W - 1, 2W, 2W + 1``: a band one row wider.  The
+    structural zeros lie on no interior node, so their rows are empty.
     """
-    shape = tuple(m + 1 for m in grid.counts) + (grid.dim,)
-    lattice = np.arange(math.prod(shape)).reshape(shape)
-    entries = tuple(
-        lattice[tuple(slice(m + (a == b)) for b, m in enumerate(grid.counts)) + (a,)]
-        for a in range(grid.dim)
-    )
-    # per node, the positions of the 2 * dim edges it lies on
-    ends = [e.ravel() for e in backward(entries) + hosted(entries)]
-    coef = [1.0 / h for h in grid.spacing] + [-1.0 / h for h in grid.spacing]
-    diag = np.zeros(lattice.size)
+    dim = grid.dim
+    cells = tuple(m + 1 for m in grid.counts)
+    position = np.arange(dim * math.prod(cells)).reshape(cells + (dim,))[..., ::-1]
+    inner = (slice(1, None),) * dim
+    # per interior node, the positions of the 2 * dim entries it lies on
+    ends, coef = [], []
+    for a, h in enumerate(grid.spacing):
+        back = inner[:a] + (slice(None, -1),) + inner[a + 1 :]
+        ends += [position[back + (a,)].ravel(), position[inner + (a,)].ravel()]
+        coef += [1.0 / h, -1.0 / h]
+    diag = np.zeros(position.size)
     for e, ce in zip(ends, coef):
         diag[e] += ce * ce
     pairs = sorted(
-        (int(abs(eb[0] - ea[0])), ca * cb, np.minimum(ea, eb))
-        for (ea, ca), (eb, cb) in itertools.combinations(zip(ends, coef), 2)
+        (
+            (int(abs(eb[0] - ea[0])), ca * cb, np.minimum(ea, eb))
+            for (ea, ca), (eb, cb) in itertools.combinations(zip(ends, coef), 2)
+        ),
+        key=lambda pair: pair[:2],
     )
-    partners = np.full((lattice.size, len(pairs)), lattice.size, dtype=np.int32)
+    partners = np.full((position.size, len(pairs)), position.size)
     for k, (d, _, rows) in enumerate(pairs):
         partners[rows, k] = rows + d
-    flat = tuple(np.arange(e.size).reshape(e.shape) for e in entries)
     return _Stencil(
-        positions=tuple(e.ravel() for e in entries),
         offsets=np.array([d for d, _, _ in pairs]),
         products=np.array([p for _, p, _ in pairs]),
         partners=partners,
         diag=diag,
-        hosted_flat=np.stack([f.ravel() for f in hosted(flat)]),
     )
 
 
 def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delta: float = 0.0):
     """The upper band of ``(M_A^{-1} - I) / c + D_A D_A^T + delta I`` over
-    the active entries, for :func:`_banded_solve`, and per axis a pair
-    ``(flat, number)``: the flat indices of the axis's active entries, in C
-    order, and their numbers in the band.
+    the active entries, for :func:`_banded_solve`; with it ``flat``, the
+    flat lattice indices of the active entries in band order, and ``zh =
+    z / |z_g|`` on them.  ``mag`` is ``geom.group_norm(z)``, ``active`` the
+    lattice ``mag > t``.
 
-    The entries are numbered in the order of their positions in the
-    lattice of :func:`_stencil`, whose axes are interleaved, so the edges a
-    node lies on get nearby numbers: the band spans about two grid lines of
-    active entries, where a numbering axis by axis spans half the block.
-    Beyond one lattice-sized lookup from position to number, the work is
-    on arrays of active size: each active entry looks up the numbers of its
-    stencil partners, and one assignment puts the products of the active
-    ones in the band.
+    The entries are numbered in the order of their positions in
+    :func:`_stencil`, cell by cell, so the band spans at most two grid lines
+    of active entries.  Beyond one lattice-sized lookup from position to
+    number, the work is on arrays of active size: each entry looks up its
+    stencil partners' numbers, and one assignment puts the products of the
+    active ones in the band.
 
     ``M`` is the Jacobian of ``shrink(., t)`` at ``z``, with ``t = c lam``:
     ``M_A^{-1} - I`` is ``a / (1 - a) (I - zh zh^T)`` on an active pair,
-    with ``a = t / |z_g|`` and ``zh = z_g / |z_g|``, and zero on a scalar
-    constraint.  It adds to the diagonal and to the entry between the
-    pair's two edges, which ``D D^T`` couples through their host node.
+    with ``a = t / |z_g|``, and zero on a scalar constraint.  A pair's
+    entries share a cell and so have consecutive numbers: its curvature is
+    one update of the diagonal and one of the first superdiagonal.
     """
-    grid = geom.grid
-    st = _stencil(grid)
-    flat = [np.flatnonzero(m) for m in active]
-    at = [p[f] for p, f in zip(st.positions, flat)]
-    pos = np.sort(np.concatenate(at))
+    dim = geom.grid.dim
+    st = _stencil(geom.grid)
+    cells = st.diag.size // dim
+    axis, cell = np.divmod(np.flatnonzero(active), cells)
+    pos = np.sort(dim * cell + (dim - 1 - axis))
+    cell, axis = np.divmod(pos, dim)
+    axis = dim - 1 - axis
+    flat = axis * cells + cell
     seq = np.arange(pos.size)
     number = np.full(st.diag.size + 1, -1)  # by position; -1 off the active entries
     number[pos] = seq
     col = np.take(number, np.take(st.partners, pos, axis=0))
     lag = col - seq[:, None]
     bw = max(int(lag.max()), 0)
-    band = np.zeros((bw + 2, pos.size))  # the last row takes the partners that are not active
-    band[bw - np.maximum(lag, -1), col] = st.products
-    band = band[:-1]
+    band = np.zeros((bw + 1, pos.size))
+    # A partner that is not active has number -1, so its product lands on
+    # the last entry of the diagonal row: that row is then assigned, not
+    # added to.
+    band.reshape(-1)[(bw - np.maximum(lag, -1)) * pos.size + col] = st.products
     band[bw] = st.diag[pos]
-    if geom.paired:
-        first = math.prod(grid.counts[1:])  # axis 0's hosted entries follow its first slice
-        hx = flat[0][flat[0] >= first]  # one per active pair
-        hf = st.hosted_flat[:, hx - first]  # per axis, the pairs' entries
-        core = np.take(mag[0], hx)
-        zh = np.stack([np.take(za, f) for za, f in zip(z, hf)]) / core
-        k = np.stack([number[p[f]] for p, f in zip(st.positions, hf)])
-        w = lam / (core - t)  # a / ((1 - a) c)
-        band[bw, k] += w * (1.0 - zh * zh)
-        for a, b in itertools.combinations(range(grid.dim), 2):
-            row, cl = np.minimum(k[a], k[b]), np.maximum(k[a], k[b])
-            band[bw - (cl - row), cl] -= w * (zh[a] * zh[b])
-    band[-1] += delta
-    return band, tuple((f, number[p]) for f, p in zip(flat, at))
+    core = mag.take(flat)
+    zh = z.take(flat) / core
+    pair = geom.in_pair.take(flat)
+    w = lam / (core - t)  # a / ((1 - a) c) on a pair's entries
+    band[bw] += np.where(pair, w * (1.0 - zh * zh), 0.0)
+    second = pair[1:] & (axis[1:] == 0)  # the entry along x of a pair, after the one along y
+    band[bw - 1, 1:] -= np.where(second, w[1:] * (zh[:-1] * zh[1:]), 0.0)
+    band[bw] += delta
+    return band, flat, zh
 
 
 def _first_break(geom: _ConeGeometry, z0, z1, t: float) -> float:
     """The first ``s`` in (0, 1) at which a constraint enters or leaves the
     active set (``|z_g| = t``) along ``z0 + s (z1 - z0)``; 1 if none does."""
-    dz = tuple(b - a for a, b in zip(z0, z1))
+    n0, n1, nd = geom.group_norm(z0), geom.group_norm(z1), geom.group_norm(z1 - z0)
+    # |z0 + s dz|^2 - t^2 = a s^2 + b s + c0 on each entry's constraint
+    a, c0 = nd * nd, n0 * n0 - t * t
+    b = n1 * n1 - a - n0 * n0
+    disc = b * b - 4.0 * a * c0
+    ok = (a > 0.0) & (disc >= 0.0)
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    den = np.where(ok, 2.0 * a, 1.0)
     first = 1.0
-    for n0, n1, nd in zip(geom.group_norm(z0), geom.group_norm(z1), geom.group_norm(dz)):
-        # |z0 + s dz|^2 - t^2 = a s^2 + b s + c0 on each entry's constraint
-        a, c0 = nd * nd, n0 * n0 - t * t
-        b = n1 * n1 - a - n0 * n0
-        disc = b * b - 4.0 * a * c0
-        ok = (a > 0.0) & (disc >= 0.0)
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        den = np.where(ok, 2.0 * a, 1.0)
-        for s in ((-b - root) / den, (-b + root) / den):
-            s = s[ok & (s > 1e-12) & (s < first)]
-            if s.size:
-                first = float(s.min())
+    for s in ((-b - root) / den, (-b + root) / den):
+        s = s[ok & (s > 1e-12) & (s < first)]
+        if s.size:
+            first = float(s.min())
     return first
 
 
@@ -706,7 +738,7 @@ def _grid_newton(
 ):
     """Semismooth Newton iteration on the dual fixed point
     ``q = shrink(q + c D u, c lam)`` with ``u = v - D^T q`` and
-    ``c = 2 / |D|^2`` (``h^2 / 4`` on a square grid).
+    ``c = 2 / |D|^2`` (``h^2 / 4`` on a square grid), ``q`` a lattice.
 
     Each step takes the active constraints from ``z = q + c D u`` (those
     with ``|z_g| > c lam``), sets ``q = 0`` off them and solves
@@ -739,26 +771,26 @@ def _grid_newton(
     the gap of the line search.  Each iterate takes one pass of each grid
     operator: ``D^T q``, then ``u`` and its edge slopes, which the
     certificate and the next ``z`` share.  ``dv``, the edge slopes of
-    ``v``, is computed here unless the caller has them.  The right-hand
-    side is gathered, and ``q_A`` scattered, through the flat indices of
-    the active entries that :func:`_newton_band` returns.
+    ``v``, is computed here unless the caller has them.  The right-hand side
+    is one gather, and ``q_A`` one scatter, through the flat indices that
+    :func:`_newton_band` returns.
 
-    Returns ``(cert, q, solves)`` with the certificate of the final pair ``(u, q)``; ``cert`` and ``q`` are None
-    when nothing was certified within ``max_steps`` solves, when a block
-    was not positive definite (loops of active edges carry divergence-free
-    duals), or when halving a damped step found no lower gap.
+    Returns ``(cert, q, solves)`` with the certificate of the final pair
+    ``(u, q)``; ``cert`` and ``q`` are None when nothing was certified
+    within ``max_steps`` solves, when a block was not positive definite
+    (loops of active edges carry divergence-free duals), or when halving a
+    damped step found no lower gap.
     """
-    grid = geom.grid
     c = 2.0 / geom.op_norm**2
     t = c * lam
     delta = POLISH_DAMPING * geom.op_norm**2 if damped else 0.0
     if dv is None:
-        dv = edge_slopes(grid, vvals)
+        dv = geom.slopes(vvals)
 
     def evaluate(q):  # the edge slopes of u = v - D^T q, and the pair's certificate
-        aq = edge_slopes_adjoint(grid, q)
+        aq = geom.adjoint(q)
         u = vvals - aq
-        du = edge_slopes(grid, u)
+        du = geom.slopes(u)
         return du, certify(u, q, du, aq)
 
     solves = 0
@@ -766,35 +798,31 @@ def _grid_newton(
         du, cert = evaluate(q)
         gap = cert.gap
     else:
-        du = edge_slopes(grid, vvals - edge_slopes_adjoint(grid, q))
+        du = geom.slopes(vvals - geom.adjoint(q))
     while solves < max_steps:
-        z = tuple(qa + c * ea for qa, ea in zip(q, du))
+        z = q + c * du
         mag = geom.group_norm(z)
-        active = tuple(m > t for m in mag)
-        q_new = tuple(np.zeros_like(qa) for qa in q)
-        if any(m.any() for m in active):
-            band, index = _newton_band(geom, z, mag, active, lam, t, delta)
-            rhs = np.empty(band.shape[1])
-            for (f, k), d, za, ma, qa in zip(index, dv, z, mag, q):
-                rhs[k] = np.take(d, f) - lam * np.take(za, f) / np.take(ma, f)
-                if damped:
-                    rhs[k] += delta * np.take(qa, f)
+        active = mag > t
+        q_new = np.zeros_like(q)
+        if active.any():
+            band, flat, zh = _newton_band(geom, z, mag, active, lam, t, delta)
+            rhs = dv.take(flat) - lam * zh
+            if damped:
+                rhs += delta * q.take(flat)
             try:
                 q_act = _banded_solve(band, rhs, pivot=damped)
             except np.linalg.LinAlgError:  # singular
                 return None, None, solves
-            for qa, (f, k) in zip(q_new, index):
-                np.put(qa, f, q_act[k])
+            q_new.put(flat, q_act)
         solves += 1
         du_new, cert = evaluate(q_new)
         if damped:
             if not cert.gap < gap:
-                z_new = tuple(qa + c * ea for qa, ea in zip(q_new, du_new))
-                s = _first_break(geom, z, z_new, t)
+                s = _first_break(geom, z, q_new + c * du_new, t)
                 halve = s >= 1.0
                 s = 0.5 if halve else s
                 while True:
-                    q_try = tuple(qa + s * (qn - qa) for qa, qn in zip(q, q_new))
+                    q_try = q + s * (q_new - q)
                     du_try, cert = evaluate(q_try)
                     if not halve or cert.gap < gap:
                         break
@@ -825,7 +853,7 @@ def project(
     unused) the steps are banded solves; if no active pattern repeats, or
     the result fails the certificate, the exact path dynamic program
     replaces it, and ``iterations`` counts the banded solves plus one.
-    Otherwise the steps are banded Cholesky solves in interleaved order;
+    Otherwise the steps are banded Cholesky solves, numbered cell by cell;
     when they cannot certify within ``min(NEWTON_MAX_STEPS, max_iter)``
     solves, or a block is not positive definite, :func:`project_pdhg` takes
     over from ``warm_dual`` with the rest of the ``max_iter`` budget, and
@@ -834,23 +862,21 @@ def project(
     ``converged`` has the meaning it has in :func:`project_pdhg`.
     """
     _check_bounds(lam, tol)
-    geom = _ConeGeometry(v.grid, mode)
+    geom = _geometry(v.grid, mode)
     vvals = v.values
-    dv = edge_slopes(v.grid, vvals)
+    dv = geom.slopes(vvals)
     if geom.max_norm(dv) <= lam:
         return _fixed_point(geom, v, dv)
 
     certify = _certifier(geom, vvals, lam, tol)
-    q0 = tuple(warm_dual) if warm_dual is not None else geom.zeros_dual()
+    q0 = geom.lattice(warm_dual) if warm_dual is not None else geom.zeros()
     if v.grid.dim == 1:
-        cert, q, solves = _path_newton(
-            geom, vvals, lam, np.asarray(q0[0], dtype=float), certify, dv[0]
-        )
+        cert, q, solves = _path_newton(geom, vvals, lam, q0, certify, dv)
         if cert is None or not cert.ok:
             x, q = _path_dp(geom, vvals, lam)
             solves += 1
-            cert = certify(x, (q,))
-        return _finalize(geom, cert, (q,), lam, solves)
+            cert = certify(x, q)
+        return _finalize(geom, cert, q, lam, solves)
     steps = min(NEWTON_MAX_STEPS, max_iter)
     cert, q, solves = _grid_newton(geom, vvals, lam, q0, steps, certify, dv=dv)
     if cert is None:
@@ -880,8 +906,8 @@ def resolvent_step(
     diffusion density of the step; the raw projection multiplier is
     ``m * dt``.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     predicted = HeightField(u_prev.grid, u_prev.values + dt * np.asarray(g, dtype=float))
     res = project(predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
     res.m = MultiplierField(res.m.grid, res.m.values / dt)

@@ -133,10 +133,8 @@ class Numerics:
 
     def __post_init__(self) -> None:
         for name in ("cfl_number", "dt_max", "proj_tol"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not (self.proj_tol < math.inf):
-            raise ValueError(f"proj_tol must be finite, got {self.proj_tol}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("picard_iters", "proj_max_iter"):
             if not (getattr(self, name) >= 1):
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

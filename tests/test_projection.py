@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from barchan.grid import (
     admissible,
     dist_to_boundary,
     edge_slopes,
+    edge_slopes_adjoint,
     make_grid,
     node_slope_magnitude,
 )
@@ -287,6 +289,17 @@ def test_resolvent_growth_approaches_cone():
     assert gap[14:17].max() <= 2 * g.spacing[0] * lam
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_resolvent_step_rejects_a_bad_dt_by_name(dt):
+    # NaN and inf used to pass the sign check and fail later, inside the
+    # projection, as a non-finite height field (inf with a RuntimeWarning)
+    g = make_grid(1, 1.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            resolvent_step(HeightField.zeros(g), np.ones(5), dt, 1.0)
+
+
 def test_multiplier_field_validation():
     g = make_grid(1, 1.0, 5)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -390,7 +403,7 @@ def test_path_newton_matches_dp(case):
     geom = _ConeGeometry(v.grid, "isotropic")
     u_dp, q_dp = _path_dp(geom, v.values, lam)
     certify = _certifier(geom, v.values, lam, DEFAULT_TOL)
-    for start in (np.zeros(v.grid.counts[0] + 1), q_dp):
+    for start in (np.zeros((1, v.grid.counts[0] + 1)), q_dp):
         cert, _, _ = _path_newton(geom, v.values, lam, start, certify)
         if cert is not None:
             assert np.max(np.abs(cert.xf - u_dp)) <= 1e-10
@@ -517,7 +530,7 @@ def test_path_all_active_qp():
     v = HeightField(g, np.array([0.0, 0.5, 0.0]))
     geom = _ConeGeometry(g, "isotropic")
     certify = _certifier(geom, v.values, 1.0, DEFAULT_TOL)
-    cert, _, _ = _path_newton(geom, v.values, 1.0, np.zeros(4), certify)
+    cert, _, _ = _path_newton(geom, v.values, 1.0, np.zeros((1, 4)), certify)
     assert cert is None
     res = project(v, 1.0, tol=1e-10)
     assert res.converged
@@ -535,10 +548,10 @@ def test_path_single_active_edge():
     expected = [0.0, 0.03, -0.07, -0.02, 0.0]
     geom = _ConeGeometry(g, "isotropic")
     certify = _certifier(geom, v.values, 1.0, DEFAULT_TOL)
-    cert, q_newton, solves = _path_newton(geom, v.values, 1.0, np.zeros(6), certify)
+    cert, q_newton, solves = _path_newton(geom, v.values, 1.0, np.zeros((1, 6)), certify)
     assert solves == 1
     np.testing.assert_allclose(cert.xf, expected, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(q_newton, [0, 0, -0.001, 0, 0, 0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(q_newton, [[0, 0, -0.001, 0, 0, 0]], rtol=0.0, atol=1e-12)
     u_dp, _ = _path_dp(geom, v.values, 1.0)
     np.testing.assert_allclose(u_dp, expected, rtol=0.0, atol=1e-12)
     res = project(v, 1.0)
@@ -703,7 +716,7 @@ def test_newton_singular_block_falls_back_to_pdhg(mode, pdhg_budgets):
     v = HeightField(g, np.random.default_rng(4).normal(size=(8, 8)))
     geom = _ConeGeometry(g, mode)
     u, q, solves = projection._grid_newton(
-        geom, v.values, 1.0, geom.zeros_dual(), NEWTON_MAX_STEPS, lambda u, q: False
+        geom, v.values, 1.0, geom.zeros(), NEWTON_MAX_STEPS, lambda u, q: False
     )
     assert u is None and q is None and solves == 0
     res = project(v, 1.0, mode=mode)
@@ -749,11 +762,23 @@ def test_pdhg_budget_exhaustion_reports_the_returned_pairs_certificate():
     assert not project_pdhg(v, 1.0, max_iter=3).converged
 
 
+def _edge_slices(dim, a):
+    """Where axis a's edges sit in its slice of the dual lattice."""
+    return tuple(slice(None) if b == a else slice(1, None) for b in range(dim))
+
+
 def _dense_slopes(grid):
     """D as a dense matrix, built by applying edge_slopes to unit vectors;
-    its rows run over the edges axis by axis, each axis in C order."""
-    units = np.eye(grid.node_count).reshape((-1,) + grid.shape)
-    return np.array([np.concatenate([e.ravel() for e in edge_slopes(grid, u)]) for u in units]).T
+    its rows run over the dual lattice, axis first, each axis in C order,
+    with a zero row at every structural zero."""
+    shape = (grid.dim,) + tuple(m + 1 for m in grid.counts)
+    rows = []
+    for u in np.eye(grid.node_count).reshape((-1,) + grid.shape):
+        lattice = np.zeros(shape)
+        for a, e in enumerate(edge_slopes(grid, u)):
+            lattice[a][_edge_slices(grid.dim, a)] = e
+        rows.append(lattice.ravel())
+    return np.array(rows).T
 
 
 def _unband(band):
@@ -773,13 +798,13 @@ def _random_newton_state(grid, mode, seed, lam):
     c = 2.0 / geom.op_norm**2
     t = c * lam
     rng = np.random.default_rng(seed)
-    z = tuple(1.2 * t * rng.normal(size=qa.shape) for qa in geom.zeros_dual())
-    for a, za in enumerate(z):  # one steep edge across each wall, off the corners
+    edges = [1.2 * t * rng.normal(size=e.shape) for e in edge_slopes(grid, np.zeros(grid.shape))]
+    for a, za in enumerate(edges):  # one steep edge across each wall, off the corners
         za[(1,) * a + (0,)] = 2.0 * t
         za[(1,) * a + (-1,)] = -2.0 * t
+    z = geom.lattice(edges)
     mag = geom.group_norm(z)
-    active = tuple(m > t for m in mag)
-    return geom, c, t, z, mag, active
+    return geom, c, t, z, mag, mag > t
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.37])
@@ -793,37 +818,42 @@ def test_newton_band_matches_dense_block(counts, mode, seed, delta):
     g = make_grid(2, (1.0, 1.3), counts)
     lam = 1.3
     geom, c, t, z, mag, active = _random_newton_state(g, mode, seed, lam)
-    band, index = projection._newton_band(geom, z, mag, active, lam, t, delta)
+    band, flat, zh = projection._newton_band(geom, z, mag, active, lam, t, delta)
     nx, ny = counts
-    sel = np.concatenate([m.ravel() for m in active])
+    edges = geom.edges(active)
+    sel = np.concatenate([m.ravel() for m in edges])
     assert 0 < sel.sum() < sel.size
     # boundary edges among the active ones, first and last of each axis
-    assert active[0][0].any() and active[0][-1].any()
-    assert active[1][:, 0].any() and active[1][:, -1].any()
+    assert edges[0][0].any() and edges[0][-1].any()
+    assert edges[1][:, 0].any() and edges[1][:, -1].any()
 
-    minv = np.zeros((sel.size, sel.size))
+    cells = (nx + 1) * (ny + 1)
+    minv = np.zeros((2 * cells, 2 * cells))
     pairs = 0
     if mode == "isotropic":
         for i, j in itertools.product(range(nx), range(ny)):
-            ix, iy = (i + 1) * ny + j, (nx + 1) * ny + i * (ny + 1) + j + 1
-            zg = np.array([z[0][i + 1, j], z[1][i, j + 1]])
+            # node (i, j) hosts the pair of cell (i + 1, j + 1)
+            ix = (i + 1) * (ny + 1) + j + 1
+            iy = cells + ix
+            zg = z[:, i + 1, j + 1]
             norm = np.linalg.norm(zg)
             if norm > t:
                 pairs += 1
-                a, zh = t / norm, zg / norm
-                jac = (1.0 - a) * np.eye(2) + a * np.outer(zh, zh)
+                a, zh_g = t / norm, zg / norm
+                jac = (1.0 - a) * np.eye(2) + a * np.outer(zh_g, zh_g)
                 minv[np.ix_([ix, iy], [ix, iy])] = np.linalg.inv(jac) - np.eye(2)
         assert 0 < pairs < nx * ny
-    dense = _dense_slopes(g)[sel]
-    want = minv[np.ix_(sel, sel)] / c + dense @ dense.T + delta * np.eye(sel.sum())
+    act = np.flatnonzero(active)
+    dense = _dense_slopes(g)[act]
+    want = minv[np.ix_(act, act)] / c + dense @ dense.T + delta * np.eye(act.size)
 
-    perm = np.concatenate([number for _, number in index])
-    assert np.array_equal(np.sort(perm), np.arange(sel.sum()))
-    # the numbered entries are the active ones, in C order
-    assert all(np.array_equal(f, np.flatnonzero(m)) for (f, _), m in zip(index, active))
-    # the interleaved numbering keeps the band within two grid lines
+    # the numbered entries are the active ones, each once
+    assert np.array_equal(np.sort(flat), act)
+    np.testing.assert_array_equal(zh, z.take(flat) / mag.take(flat))
+    # numbering cell by cell keeps the band within two grid lines
     assert band.shape[0] - 1 <= 2 * (ny + 1)
-    got = _unband(band)[np.ix_(perm, perm)]
+    number = np.argsort(flat)  # the band row of each active entry, in lattice order
+    got = _unband(band)[np.ix_(number, number)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -834,14 +864,14 @@ def test_newton_band_1d_is_path_block(seed):
     g = make_grid(1, 1.0, 9)
     lam = 0.8
     geom, c, t, z, mag, active = _random_newton_state(g, "isotropic", seed, lam)
-    band, ((flat, number),) = projection._newton_band(geom, z, mag, active, lam, t)
-    (act,) = active
-    idx = np.flatnonzero(act)
-    assert 1 < idx.size < act.size
+    band, flat, _ = projection._newton_band(geom, z, mag, active, lam, t)
+    idx = np.flatnonzero(active)
+    assert 1 < idx.size < active.size
     diag = np.where((idx == 0) | (idx == g.counts[0]), 1.0, 2.0)
     adjacent = np.diff(idx) == 1
     want = np.diag(diag) - np.diag(adjacent * 1.0, 1) - np.diag(adjacent * 1.0, -1)
-    assert np.array_equal(flat, idx) and np.array_equal(number, np.arange(idx.size))
+    # the active edges are numbered in their order along the path
+    assert np.array_equal(flat, idx)
     got = _unband(band) * g.spacing[0] ** 2
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -850,25 +880,140 @@ def test_newton_band_1d_is_path_block(seed):
     "dim, counts, offsets", [(1, (9,), [1]), (2, (5, 7), [1, 2, 3, 13, 15, 16])]
 )
 def test_stencil_is_dense_d_dt(dim, counts, offsets):
-    # D D^T over the whole lattice: the diagonal, and each nonzero entry
-    # above it once, at one of the offsets 1, 2, 3, 2W - 3, 2W - 1, 2W
-    # (W = ny + 1) in 2D; the last edge of a y line is not coupled to the
-    # first edge of the next, though they are 2 positions apart
+    # D D^T over the whole lattice, at positions
+    # p = dim * ravel(cell) + (dim - 1 - axis): the diagonal, and each
+    # nonzero entry above it once, at one of the offsets 1, 2, 3, 2W - 3,
+    # 2W - 1, 2W (W = ny + 1) in 2D
     g = make_grid(dim, 1.0, counts)
     st = projection._stencil(g)
     assert st.offsets.tolist() == offsets
     d = _dense_slopes(g)
     dense = d @ d.T
-    pos = np.concatenate(st.positions)  # rows of d are the entries axis by axis
-    lattice = np.zeros((st.diag.size, st.diag.size))
+    size = d.shape[0]
+    axis, cell = np.divmod(np.arange(size), size // dim)  # rows of d: the lattice, axis first
+    pos = dim * cell + (dim - 1 - axis)
+    lattice = np.zeros((size, size))
     lattice[np.ix_(pos, pos)] = dense
     np.testing.assert_allclose(np.diag(lattice), st.diag, rtol=1e-14, atol=0.0)
     built = np.zeros_like(lattice)
     for k, product in enumerate(st.products):
-        rows = np.flatnonzero(st.partners[:, k] < st.diag.size)
+        rows = np.flatnonzero(st.partners[:, k] < size)
         assert np.all(st.partners[rows, k] == rows + st.offsets[k])
         built[rows, rows + st.offsets[k]] += product
     np.testing.assert_allclose(built, np.triu(lattice, 1), rtol=1e-14, atol=0.0)
+
+
+# The dual lattice on 1D and on a 5x7 grid whose spacings differ, so that
+# the implied corner constraints depend on which spacing is smaller.
+LATTICE_CASES = [
+    pytest.param(1, 1.0, (9,), "isotropic", id="1d"),
+    pytest.param(2, (1.0, 1.3), (5, 7), "isotropic", id="5x7-isotropic"),
+    pytest.param(2, (1.0, 1.3), (5, 7), "componentwise", id="5x7-componentwise"),
+]
+
+
+def _random_edges(grid, rng):
+    return tuple(rng.normal(size=e.shape) for e in edge_slopes(grid, np.zeros(grid.shape)))
+
+
+@pytest.mark.parametrize("dim, extents, counts, mode", LATTICE_CASES)
+def test_lattice_operators_are_edge_slopes_and_adjoint(dim, extents, counts, mode):
+    g = make_grid(dim, extents, counts)
+    geom = _ConeGeometry(g, mode)
+    rng = np.random.default_rng(3)
+    structural = geom.lattice(tuple(np.ones_like(e) for e in _random_edges(g, rng))) == 0.0
+    assert structural.sum() == (dim - 1) * (sum(counts) + dim)
+    for _ in range(3):
+        u = rng.normal(size=g.shape)
+        du = geom.slopes(u)
+        assert du.shape == (dim,) + tuple(m + 1 for m in counts)
+        for got, want in zip(geom.edges(du), edge_slopes(g, u)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.all(du[structural] == 0.0)
+        edges = _random_edges(g, rng)
+        q = geom.lattice(edges)
+        assert geom.adjoint(q).tobytes() == edge_slopes_adjoint(g, edges).tobytes()
+        np.testing.assert_allclose(np.vdot(du, q), np.vdot(u, geom.adjoint(q)), rtol=1e-12)
+        # a structural entry lies on no interior node, so D^T does not see it
+        noisy = q + structural * rng.normal(size=q.shape)
+        assert geom.adjoint(noisy).tobytes() == geom.adjoint(q).tobytes()
+
+
+@pytest.mark.parametrize("dim, extents, counts, mode", LATTICE_CASES)
+def test_lattice_round_trips_warm_dual(dim, extents, counts, mode):
+    g = make_grid(dim, extents, counts)
+    geom = _ConeGeometry(g, mode)
+    rng = np.random.default_rng(5)
+    edges = _random_edges(g, rng)
+    q = geom.lattice(edges)
+    back = geom.edges(q)
+    assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(back, edges))
+    assert np.array_equal(geom.lattice(back), q)
+    # a projection result hands out its dual and slopes as per-axis tuples,
+    # and its dual goes back into the lattice unchanged
+    v = HeightField(g, 3.0 * rng.normal(size=g.shape))
+    res = project_pdhg(v, 1.0, mode=mode)
+    assert [d.shape for d in res.dual] == [e.shape for e in edges]
+    assert [s.shape for s in res.slopes] == [e.shape for e in edges]
+    back = geom.edges(geom.lattice(res.dual))
+    assert all(np.array_equal(a, b) for a, b in zip(back, res.dual))
+
+
+def _per_constraint(grid, mode, edges):
+    """Per-axis arrays shaped like edges: at every entry, the magnitude of
+    the constraint the entry belongs to, from the definitions: in 2D
+    isotropic mode node (i, j) pairs ex[i + 1, j] with ey[i, j + 1], and
+    the first edge of each axis stays scalar."""
+    out = [np.abs(e) for e in edges]
+    if mode == "isotropic" and grid.dim == 2:
+        ex, ey = edges
+        pair = np.sqrt(ex[1:, :] ** 2 + ey[:, 1:] ** 2)
+        out[0][1:, :] = pair
+        out[1][:, 1:] = pair
+    return out
+
+
+def _hosted(e, a):
+    """The entries of axis a's edges that interior nodes host."""
+    return e[(slice(None),) * a + (slice(1, None),)]
+
+
+@pytest.mark.parametrize("dim, extents, counts, mode", LATTICE_CASES)
+def test_lattice_norms_match_per_constraint_definitions(dim, extents, counts, mode):
+    g = make_grid(dim, extents, counts)
+    geom = _ConeGeometry(g, mode)
+    assert geom.implied or dim == 1  # the corners are covered in 2D
+    lam, t = 0.7, 0.9
+    isotropic_2d = mode == "isotropic" and dim == 2
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        edges = _random_edges(g, rng)
+        q = geom.lattice(edges)
+        mag = _per_constraint(g, mode, edges)
+        # max_norm and dual_l1 count every constraint once, implied ones too
+        assert geom.max_norm(q) == max(m.max() for m in mag)
+        if isotropic_2d:  # each pair once, and the first edge of each axis
+            want_l1 = mag[0][1:, :].sum() + mag[0][0].sum() + mag[1][:, 0].sum()
+        else:
+            want_l1 = sum(m.sum() for m in mag)
+        np.testing.assert_allclose(geom.dual_l1(q), want_l1, rtol=1e-13)
+        # the multiplier reads the constraint each node hosts
+        hosted = [_hosted(m, a) for a, m in enumerate(mag)]
+        want_m = (hosted[0] if isotropic_2d else sum(hosted)) / lam
+        np.testing.assert_allclose(geom.multiplier(q, lam), want_m, rtol=1e-15, atol=0.0)
+        # group_norm and shrink zero the implied corners
+        for a, ix in geom.implied:
+            mag[a][ix] = 0.0
+        for got, want in zip(geom.edges(geom.group_norm(q)), mag):
+            np.testing.assert_array_equal(got, want)
+        shrunk = geom.shrink(q, t)
+        for got, e, m in zip(geom.edges(shrunk), edges, mag):
+            want = np.where(m > t, e * (1.0 - t / np.maximum(m, t)), 0.0)
+            np.testing.assert_array_equal(got, want)
+        # and both keep every structural zero at zero
+        assert np.array_equal(geom.lattice(geom.edges(shrunk)), shrunk)
+        norms = geom.group_norm(q)
+        assert np.array_equal(geom.lattice(geom.edges(norms)), norms)
 
 
 def test_banded_solve_cholesky_and_pivoted_fallback():
@@ -885,6 +1030,14 @@ def test_banded_solve_cholesky_and_pivoted_fallback():
     np.testing.assert_array_equal(projection._banded_solve(np.array([[4.0]]), np.array([2.0])), [0.5])
     with pytest.raises(np.linalg.LinAlgError):
         projection._banded_solve(np.array([[0.0]]), np.array([2.0]))
+    # a 1x1 system keeps the pivoted contract: only an exactly singular
+    # pivot raises
+    with pytest.raises(np.linalg.LinAlgError):
+        projection._banded_solve(np.array([[-2.0]]), np.array([2.0]))
+    got = projection._banded_solve(np.array([[-2.0]]), np.array([2.0]), pivot=True)
+    np.testing.assert_array_equal(got, [-1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        projection._banded_solve(np.array([[0.0]]), np.array([2.0]), pivot=True)
     # LAPACK called directly returns solveh_banded's results bit for bit, on
     # tridiagonal bands (its ?ptsv route) and wider ones (?pbsv); the
     # diagonal outweighs each row's off-diagonal entries, so every band is

@@ -662,8 +662,11 @@ def test_source_center_entries_checked():
         ("cfl_number", 0.0),
         ("cfl_number", -0.5),
         ("cfl_number", float("nan")),
+        ("cfl_number", math.inf),
         ("dt_max", 0.0),
         ("dt_max", -1.0),
+        ("dt_max", math.inf),
+        ("dt_max", float("nan")),
         ("picard_iters", 0),
         ("proj_tol", 0.0),
         ("proj_tol", math.inf),
