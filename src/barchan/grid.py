@@ -5,15 +5,17 @@ boundary node carries an implicit Dirichlet value of zero, so fields are
 stored as plain arrays over interior nodes only.
 
 ``edge_slopes`` takes every nearest-neighbour difference of the
-zero-extended field, one array per axis in every dimension, including the
-differences that cross the boundary; bounding them makes the
-slope-constrained set identical to the admissible cone.  It and its exact
-adjoint ``edge_slopes_adjoint`` are the operator pair of the cone
-projection, which reads and writes their per-axis arrays through one array
-holding all axes (its dual lattice).  Each interior node hosts the
-forward difference to its next neighbour on every axis (``hosted``); only
-the first difference of an axis, which crosses the left/bottom boundary,
-has no host.
+zero-extended field, including the differences that cross the boundary;
+bounding them makes the slope-constrained set identical to the admissible
+cone.  It returns them as one axis-first array, the lattice ``L`` of shape
+``(dim, *(counts + 1))``: ``L[a][c]`` is the forward difference along axis
+``a`` at node ``c`` of the field padded with zeros (Chambolle, JMIV 20,
+2004).  The lattice is the package's one edge-slope format: the cone
+projection keeps its duals on it, and ``edge_slopes_adjoint`` reads it.
+Each interior node hosts the forward difference to its next neighbour on
+every axis, in one cell (``hosted``); the first difference of an axis,
+which crosses the left/bottom boundary, shares a cell of the padding with
+structural zeros.  ``axis_edges`` gives one axis's edges.
 
 Slope constraints come in two flavours, selected by ``mode``:
 
@@ -157,67 +159,94 @@ def _along(axis: int, index) -> tuple:
     return (slice(None),) * axis + (index,)
 
 
-# Per-axis index tuples, built once (grids have one or two axes).
+# Index tuples, built once (grids have one or two axes): per axis, all
+# entries but the last and all but the first along it; per dimension, where
+# each axis's edges sit in the lattice, and the cells of the interior nodes.
 _HEAD = tuple(_along(a, slice(None, -1)) for a in range(2))
 _TAIL = tuple(_along(a, slice(1, None)) for a in range(2))
-_LAST = tuple(_along(a, -1) for a in range(2))
+_EDGES = {
+    dim: tuple(
+        (a,) + tuple(slice(None) if b == a else slice(1, None) for b in range(dim))
+        for a in range(dim)
+    )
+    for dim in (1, 2)
+}
+_HOSTED = {dim: (slice(None),) + (slice(1, None),) * dim for dim in (1, 2)}
 
 
-def edge_slopes(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """All nearest-neighbour slopes of the zero-extended field, per axis.
+def edge_slopes(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """All nearest-neighbour slopes of the zero-extended field, as a lattice.
 
-    Axis ``a`` gets ``counts[a] + 1`` differences along it, including the
-    two that cross the boundary, so bounding every entry by ``lam`` is
-    equivalent to membership in the admissible cone.  Returns a 1-tuple in
-    1D and ``(ex, ey)`` of shapes ``(nx + 1, ny)`` and ``(nx, ny + 1)`` in 2D.
+    ``L[a][c]`` is the forward difference along axis ``a`` at node ``c`` of
+    the field padded with zeros, so ``L`` has shape ``(dim, *(counts +
+    1))``.  Axis ``a`` has ``counts[a] +
+    1`` differences along it (:func:`axis_edges`), including the two that
+    cross the boundary, so bounding every one by ``lam`` is membership in
+    the admissible cone.  The other entries of the lattice are structural
+    zeros: differences along ``a`` at padding nodes off axis ``a``.
     """
-    out = []
+    out = np.zeros((grid.dim,) + tuple(m + 1 for m in grid.counts))
     for a, h in enumerate(grid.spacing):
-        shape = list(values.shape)
-        shape[a] += 1
         # Filled in place: far cheaper than padding and np.diff on small grids.
-        e = np.empty(shape)
+        e = axis_edges(out, a)
         e[_HEAD[a]] = values
-        e[_LAST[a]] = 0.0
         e[_TAIL[a]] -= values
         e /= h
-        out.append(e)
-    return tuple(out)
+    return out
 
 
-def edge_slopes_adjoint(grid: Grid, q: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Exact adjoint of :func:`edge_slopes` in the Euclidean inner product."""
+def edge_slopes_adjoint(grid: Grid, L: np.ndarray) -> np.ndarray:
+    """Exact adjoint of :func:`edge_slopes` in the Euclidean inner product;
+    it reads only the real edges of ``L``, never its structural zeros."""
     out = None
-    for a, (qa, h) in enumerate(zip(q, grid.spacing)):
+    for a, h in enumerate(grid.spacing):
+        qa = axis_edges(L, a)
         d = (qa[_HEAD[a]] - qa[_TAIL[a]]) / h
         out = d if out is None else out + d
     return out
 
 
-def hosted(q: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """The edge entries hosted by interior nodes: per axis, the difference
-    from each node to its next neighbour (the forward difference).  The
-    first edge of each axis crosses the left/bottom boundary and has no
-    host.  The results are views."""
-    return tuple([qa[_TAIL[a]] for a, qa in enumerate(q)])
+def axis_edges(L: np.ndarray, a: int) -> np.ndarray:
+    """The view of axis ``a``'s edges in a lattice: shape ``counts`` with
+    ``counts[a] + 1`` along ``a``; entry 0 along ``a`` crosses the
+    left/bottom boundary, the last one the right/top boundary."""
+    return L[_EDGES[L.ndim - 1][a]]
+
+
+def hosted(L: np.ndarray) -> np.ndarray:
+    """The view of the lattice entries that interior nodes host, shape
+    ``(dim, *counts)``: per axis, the difference from each node to its next
+    neighbour (the forward difference).  The first edge of each axis
+    crosses the left/bottom boundary and has no host."""
+    return L[_HOSTED[L.ndim - 1]]
 
 
 def paired(grid: Grid, mode: str) -> bool:
     """Whether a node's forward differences are bounded together, by their
     Euclidean norm (isotropic mode in 2D), rather than one by one
-    (componentwise mode, and 1D, where the two modes coincide)."""
+    (componentwise mode, and 1D, where the two modes coincide).  Raises
+    ``ValueError`` on an unknown mode."""
+    if mode not in CONSTRAINT_MODES:
+        raise ValueError(f"unknown constraint mode {mode!r}")
     return mode == "isotropic" and grid.dim > 1
+
+
+def constraint_magnitude(L: np.ndarray, pairs: bool) -> np.ndarray:
+    """The magnitude of each slope constraint of a lattice: the cell norm
+    ``sqrt(L[0]**2 + L[1]**2)``, shaped ``(1, *cells)``, when ``pairs``;
+    each entry's ``|L|`` otherwise.  A first edge shares its cell with a
+    structural zero, so its norm is its own ``|L|``."""
+    if pairs:  # dim is 2
+        sq = L * L
+        return np.sqrt(sq[0] + sq[1])[None]
+    return np.abs(L)
 
 
 def node_slope_magnitude(field: HeightField, mode: str = "isotropic", slopes=None) -> np.ndarray:
     """Per-node magnitude of the forward differences under the given norm;
     ``slopes`` are the field's :func:`edge_slopes` if the caller has them."""
-    if mode not in CONSTRAINT_MODES:
-        raise ValueError(f"unknown constraint mode {mode!r}")
-    g = hosted(slopes if slopes is not None else edge_slopes(field.grid, field.values))
-    if paired(field.grid, mode):
-        return np.sqrt(reduce(np.add, [d * d for d in g]))
-    return reduce(np.maximum, [np.abs(d) for d in g])
+    L = edge_slopes(field.grid, field.values) if slopes is None else slopes
+    return hosted(constraint_magnitude(L, paired(field.grid, mode))).max(0)
 
 
 def max_slope(field: HeightField, mode: str = "isotropic", slopes=None) -> float:
@@ -230,17 +259,11 @@ def admissible(
     mode: str = "isotropic",
     tol: float = TOL_CONSTRAINT,
 ) -> bool:
-    """Membership test for the lam-Lipschitz cone with zero boundary values.
-
-    Checks both the per-node slope bound and the distance cone bound
-    ``|u(x)| <= lam * dist(x, boundary)``; the latter covers the slopes
-    crossing the left/bottom boundary that the per-node gradient does not
-    see.
-    """
-    if max_slope(field, mode) > lam + tol:
-        return False
-    bound = lam * dist_to_boundary(field.grid)
-    return bool(np.all(np.abs(field.values) <= bound + tol))
+    """Membership test for the lam-Lipschitz cone with zero boundary values:
+    every slope constraint, the edges crossing the boundary included, is at
+    most ``lam + tol``."""
+    magnitude = constraint_magnitude(edge_slopes(field.grid, field.values), paired(field.grid, mode))
+    return bool(magnitude.max() <= lam + tol)
 
 
 def integrate(grid: Grid, a: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import HeightField, edge_slopes
+from .grid import HeightField, axis_edges, edge_slopes
 
 KERNEL_PROFILES = ("triangle", "cosine_bump", "box")
 
@@ -125,9 +125,10 @@ def nonlocal_slope(field: HeightField, kernel: DiscreteKernel, slopes=None) -> n
 
     The field is extended by zero outside the domain, so the slope samples
     include the differences crossing both boundaries: they are the x-axis
-    entry of the field's :func:`edge_slopes`, which a caller that has them
-    passes as ``slopes``.  The columns along x are convolved with the
-    stencil by direct summation, in one ``np.convolve`` call.
+    edges (:func:`axis_edges` along axis 0) of the field's
+    :func:`edge_slopes` lattice, which a caller that has it passes as
+    ``slopes``.  The columns along x are convolved with the stencil by
+    direct summation, in one ``np.convolve`` call.
     """
     grid = field.grid
     dx = grid.spacing[0]
@@ -136,7 +137,8 @@ def nonlocal_slope(field: HeightField, kernel: DiscreteKernel, slopes=None) -> n
             f"kernel spacing {kernel.spacing} does not match grid spacing {dx}"
         )
 
-    g = (edge_slopes(grid, field.values) if slopes is None else slopes)[0]  # offsets -1 .. n-1
+    L = edge_slopes(grid, field.values) if slopes is None else slopes
+    g = axis_edges(L, 0)  # offsets -1 .. n-1
     c = _convolve_rows(g, kernel.weights) * dx
     k = kernel.half_width
     n = grid.counts[0]

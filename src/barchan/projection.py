@@ -8,15 +8,13 @@ over all nearest-neighbour slopes of the zero-extended field, including
 the edges crossing the boundary, so the feasible set is exactly the
 admissible cone (slope bound plus the distance cone bound it implies).
 
-All dual vectors, edge slopes and Newton iterates live on one axis-first
-array, the dual lattice ``L`` of shape ``(dim, *(counts + 1))``: ``L[a][c]``
-is the forward difference along axis ``a`` at node ``c`` of the field
-padded with zeros (Chambolle, JMIV 20, 2004).  The pair that interior node
-``i`` hosts shares cell ``i + 1``; the first edge of an axis shares a cell
-of the padding with structural zeros.  So a constraint's magnitude is one
-formula: the cell norm ``sqrt(L[0]**2 + L[1]**2)`` when paired, ``|L|``
-otherwise.  Only ``warm_dual`` and the result's ``dual`` and ``slopes``
-are per-axis tuples, shaped like :func:`edge_slopes`.
+All dual vectors, edge slopes and Newton iterates live on the lattice of
+:func:`~barchan.grid.edge_slopes`, shape ``(dim, *(counts + 1))``, and so
+do ``warm_dual`` and the result's ``dual`` and ``slopes``.  The pair that
+interior node ``i`` hosts shares cell ``i + 1``; the first edge of an axis
+shares a cell of the padding with structural zeros.  So a constraint's
+magnitude is one formula, :func:`~barchan.grid.constraint_magnitude`: the
+cell norm when paired, ``|L|`` otherwise.
 
 Two solvers compute it:
 
@@ -60,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -68,12 +66,14 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpbsv, dptsv
 
 from .grid import (
-    CONSTRAINT_MODES,
     TOL_CONSTRAINT,
     Grid,
     HeightField,
+    axis_edges,
+    constraint_magnitude,
     edge_slopes,
     edge_slopes_adjoint,
+    hosted,
     paired,
 )
 
@@ -125,14 +125,13 @@ class ProjectionResult:
     (plus one for the path dynamic program, or plus the PDHG count when PDHG
     took over from Newton), and 0 for an admissible input.
     ``constraint_violation`` is the max slope excess of the returned field,
-    clamped at zero.  ``dual`` keeps the raw dual vector as a
-    per-axis tuple shaped like :func:`edge_slopes` (a 1-tuple in 1D);
-    feeding it back as ``warm_dual`` of a nearby projection cuts its
-    iteration count without changing the limit.  ``slopes`` holds the
-    :func:`edge_slopes` of ``u``, which every route computes.  Both tuples
-    are views of the route's dual lattice (see the module docstring),
-    whose other entries are the structural zeros.  ``u`` and ``m`` are
-    new arrays, never views of the input.
+    clamped at zero.  ``dual`` keeps the raw dual vector on the lattice
+    (see the module docstring), its structural zeros and implied
+    constraints at zero; feeding it back as ``warm_dual`` of a nearby
+    projection cuts its iteration count without changing the limit.
+    ``slopes`` holds the :func:`edge_slopes` lattice of ``u``, which every
+    route computes.  ``u`` and ``m`` are new arrays, never views of the
+    input.
     """
 
     u: HeightField
@@ -141,14 +140,14 @@ class ProjectionResult:
     primal_dual_gap: float
     constraint_violation: float
     converged: bool
-    dual: tuple[np.ndarray, ...] | None = None
-    slopes: tuple[np.ndarray, ...] | None = None
+    dual: np.ndarray | None = None
+    slopes: np.ndarray | None = None
 
 
 def _implied_edges(grid: Grid, pairs: bool) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The corner edge constraints that another constraint of the same
-    node implies, as ``(axis, index)`` entries of the per-axis tuple of
-    :func:`edge_slopes`.
+    node implies, as ``(axis, index)``: entry ``index`` of
+    ``axis_edges(L, axis)``.
 
     Every boundary-crossing edge of a corner node bounds the same value,
     ``|u| / h_a``, so only the tightest (smallest ``h_a``) is needed, and a
@@ -176,10 +175,9 @@ def _implied_edges(grid: Grid, pairs: bool) -> tuple[tuple[int, tuple[int, ...]]
 
 
 class _ConeGeometry:
-    """The dual lattice of one grid and constraint mode: ``D`` and ``D^T``
-    (:func:`edge_slopes` and its adjoint, through the lattice), the
-    constraint norms, and the conversions from and to per-axis tuples.  Its
-    arrays are read-only, so :func:`_geometry` shares one per pair.
+    """The constraint norms of one grid and constraint mode on the lattice of
+    :func:`edge_slopes`, all from :func:`constraint_magnitude`.  Its arrays
+    are read-only, so :func:`_geometry` shares one per pair.
 
     When ``paired`` the two entries of an interior cell form a Euclidean
     pair; every other edge is its own constraint.  ``keep`` is 0.0 on the
@@ -189,70 +187,38 @@ class _ConeGeometry:
     """
 
     def __init__(self, grid: Grid, mode: str):
-        if mode not in CONSTRAINT_MODES:
-            raise ValueError(f"unknown constraint mode {mode!r}")
         self.grid = grid
         self.paired = paired(grid, mode)
         self.op_norm = 2.0 * math.sqrt(sum(1.0 / s**2 for s in grid.spacing))
         self.implied = _implied_edges(grid, self.paired)
-        dim, axes = grid.dim, range(grid.dim)
-        self.shape = (dim,) + tuple(m + 1 for m in grid.counts)
-        every, tail = slice(None), slice(1, None)
-        # the cells of the interior nodes, and where each axis's edges sit
-        self.tail = (tail,) * dim
-        self.edge_index = tuple((a,) + tuple(every if b == a else tail for b in axes) for a in axes)
-        self.keep = self.lattice([1.0] * dim)
+        self.shape = (grid.dim,) + tuple(m + 1 for m in grid.counts)
+        self.keep = self.zeros()
+        for a in range(grid.dim):
+            axis_edges(self.keep, a)[...] = 1.0
         for a, ix in self.implied:
-            self.keep[self.edge_index[a]][ix] = 0.0
+            axis_edges(self.keep, a)[ix] = 0.0
         self.in_pair = np.zeros(self.shape, dtype=bool)
-        self.in_pair[(every,) + self.tail] = self.paired
+        hosted(self.in_pair)[...] = self.paired
         self.keep.setflags(write=False)
         self.in_pair.setflags(write=False)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
 
-    def slopes(self, x: np.ndarray) -> np.ndarray:
-        """``D x``: the :func:`edge_slopes` of ``x``, as a lattice."""
-        return self.lattice(edge_slopes(self.grid, x))
-
-    def adjoint(self, q: np.ndarray) -> np.ndarray:
-        """``D^T q``: the :func:`edge_slopes_adjoint` of the lattice's edges."""
-        return edge_slopes_adjoint(self.grid, self.edges(q))
-
-    def lattice(self, edges) -> np.ndarray:
-        """The lattice of a per-axis tuple shaped like :func:`edge_slopes`."""
-        out = self.zeros()
-        for ix, e in zip(self.edge_index, edges):
-            out[ix] = e
-        return out
-
-    def edges(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The per-axis tuple of a lattice, as views."""
-        return tuple([q[ix] for ix in self.edge_index])
-
-    def _magnitude(self, q: np.ndarray) -> np.ndarray:
-        """The magnitude of each constraint slot: the cell's norm, shaped
-        ``(1, *cells)``, when paired; each entry's ``|q|`` otherwise."""
-        if self.paired:  # dim is 2
-            sq = q * q
-            return np.sqrt(sq[0] + sq[1])[None]
-        return np.abs(q)
-
     def max_norm(self, q) -> float:
         """Largest constraint magnitude.  An implied constraint never exceeds
         the one that implies it, also in rounding, so it is not dropped."""
-        return float(self._magnitude(q).max())
+        return float(constraint_magnitude(q, self.paired).max())
 
     def dual_l1(self, q) -> float:
         """Sum of per-constraint magnitudes (support function weight)."""
-        return float(self._magnitude(q).sum())
+        return float(constraint_magnitude(q, self.paired).sum())
 
     def group_norm(self, q) -> np.ndarray:
         """The lattice holding, at every entry, the magnitude of the
         constraint the entry belongs to (its pair's norm when paired), and 0
         on the structural zeros and the implied constraints."""
-        return self._magnitude(q) * self.keep
+        return constraint_magnitude(q, self.paired) * self.keep
 
     def shrink(self, q, t: float) -> np.ndarray:
         """prox of t * (sum of per-constraint magnitudes): magnitude
@@ -262,7 +228,7 @@ class _ConeGeometry:
 
     def multiplier(self, q, lam: float) -> np.ndarray:
         """Per-node multiplier from the dual each interior node hosts."""
-        return reduce(np.add, self._magnitude(q))[self.tail] / lam
+        return hosted(constraint_magnitude(q, self.paired)).sum(0) / lam
 
 
 @lru_cache(maxsize=16)
@@ -307,9 +273,9 @@ def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
 
     def certify(x, q, dx=None, aq=None) -> _Certificate:
         if dx is None:
-            dx = geom.slopes(x)
+            dx = edge_slopes(geom.grid, x)
         if aq is None:
-            aq = geom.adjoint(q)
+            aq = edge_slopes_adjoint(geom.grid, q)
         viol = max(0.0, geom.max_norm(dx) - lam)
         xf = x * (lam / (lam + viol)) if viol > 0.0 else x
         primal = 0.5 * float(((xf - vvals) ** 2).sum())
@@ -329,11 +295,10 @@ def _finalize(
     ``cert.xf`` (a new array on every route, so it is not copied), flagged
     ``converged`` when the certificate passed.  When ``cert.viol`` is 0,
     ``xf`` is the certified ``x``, with slopes ``cert.dx`` and violation
-    exactly 0; otherwise both are evaluated here for the rescaled field.
-    ``dual`` and ``slopes`` leave as per-axis tuples."""
+    exactly 0; otherwise both are evaluated here for the rescaled field."""
     viol, slopes = 0.0, cert.dx
     if cert.viol > 0.0:
-        slopes = geom.slopes(cert.xf)
+        slopes = edge_slopes(geom.grid, cert.xf)
         viol = max(0.0, geom.max_norm(slopes) - lam)
     return ProjectionResult(
         u=HeightField(geom.grid, cert.xf),
@@ -342,31 +307,19 @@ def _finalize(
         primal_dual_gap=cert.err,
         constraint_violation=viol,
         converged=cert.ok,
-        dual=geom.edges(q),
-        slopes=geom.edges(slopes),
+        dual=q,
+        slopes=slopes,
     )
 
 
-def _check_bounds(lam: float, tol: float) -> None:
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+def _check_inputs(geom: _ConeGeometry, lam: float, tol: float, warm_dual) -> None:
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-
-
-def _fixed_point(geom: _ConeGeometry, v: HeightField, dv) -> ProjectionResult:
-    """An admissible input (edge slopes ``dv``, a lattice) is its own
-    projection."""
-    return ProjectionResult(
-        u=v.copy(),
-        m=MultiplierField.zeros(v.grid),
-        iterations=0,
-        primal_dual_gap=0.0,
-        constraint_violation=0.0,
-        converged=True,
-        dual=geom.edges(geom.zeros()),
-        slopes=geom.edges(dv),
-    )
+    shape = getattr(warm_dual, "shape", None)  # an array's; None for a tuple or list
+    if warm_dual is not None and shape != geom.shape:
+        raise ValueError(f"warm_dual must be a dual lattice of shape {geom.shape}, got {shape}")
 
 
 def project_pdhg(
@@ -397,12 +350,13 @@ def project_pdhg(
     ``warm_dual`` seeds the dual vector (useful across resolvent steps);
     it never changes the limit, only the iteration count.
     """
-    _check_bounds(lam, tol)
     geom = _geometry(v.grid, mode)
+    _check_inputs(geom, lam, tol, warm_dual)
     vvals = v.values
-    dv = geom.slopes(vvals)
-    if geom.max_norm(dv) <= lam:
-        return _fixed_point(geom, v, dv)
+    dv = edge_slopes(v.grid, vvals)
+    if geom.max_norm(dv) <= lam:  # admissible: its own projection, with a zero dual
+        cert = _Certificate(dv, 0.0, vvals.copy(), 0.0, 0.0, True)
+        return _finalize(geom, cert, geom.zeros(), lam, 0)
 
     L = geom.op_norm
     tau = 2.0 / L
@@ -411,7 +365,7 @@ def project_pdhg(
 
     x = vvals.copy()
     xbar = x.copy()
-    q = geom.lattice(warm_dual) if warm_dual is not None else geom.zeros()
+    q = geom.zeros() if warm_dual is None else np.array(warm_dual, dtype=float)
 
     certify = _certifier(geom, vvals, lam, tol)
     check_every = 16
@@ -422,8 +376,8 @@ def project_pdhg(
     it = solves = 0
     while it + solves < max_iter:
         it += 1
-        q = geom.shrink(q + sigma * geom.slopes(xbar), sigma * lam)
-        x_new = (x - tau * geom.adjoint(q) + tau * vvals) / (1.0 + tau)
+        q = geom.shrink(q + sigma * edge_slopes(geom.grid, xbar), sigma * lam)
+        x_new = (x - tau * edge_slopes_adjoint(geom.grid, q) + tau * vvals) / (1.0 + tau)
         xbar = x_new + theta * (x_new - x)
         x = x_new
 
@@ -518,15 +472,15 @@ def _path_newton(
     dx = geom.grid.spacing[0]
     c = 0.5 * dx * dx
     if dv is None:
-        dv = geom.slopes(vvals)
+        dv = edge_slopes(geom.grid, vvals)
     diag = np.full(dv.size, 2.0)
     diag[0] = diag[-1] = 1.0
     pattern, solves = None, 0
     (dv0,) = dv
     while True:
-        aq = geom.adjoint(q)
+        aq = edge_slopes_adjoint(geom.grid, q)
         u = vvals - aq
-        du = geom.slopes(u)
+        du = edge_slopes(geom.grid, u)
         z = q[0] + c * du[0]
         active = np.abs(z) > c * lam
         signs = np.sign(z[active])
@@ -785,12 +739,12 @@ def _grid_newton(
     t = c * lam
     delta = POLISH_DAMPING * geom.op_norm**2 if damped else 0.0
     if dv is None:
-        dv = geom.slopes(vvals)
+        dv = edge_slopes(geom.grid, vvals)
 
     def evaluate(q):  # the edge slopes of u = v - D^T q, and the pair's certificate
-        aq = geom.adjoint(q)
+        aq = edge_slopes_adjoint(geom.grid, q)
         u = vvals - aq
-        du = geom.slopes(u)
+        du = edge_slopes(geom.grid, u)
         return du, certify(u, q, du, aq)
 
     solves = 0
@@ -798,7 +752,7 @@ def _grid_newton(
         du, cert = evaluate(q)
         gap = cert.gap
     else:
-        du = geom.slopes(vvals - geom.adjoint(q))
+        du = edge_slopes(geom.grid, vvals - edge_slopes_adjoint(geom.grid, q))
     while solves < max_steps:
         z = q + c * du
         mag = geom.group_norm(z)
@@ -861,15 +815,16 @@ def project(
     never exceeds ``max_iter``.  An admissible input returns itself with 0.
     ``converged`` has the meaning it has in :func:`project_pdhg`.
     """
-    _check_bounds(lam, tol)
     geom = _geometry(v.grid, mode)
+    _check_inputs(geom, lam, tol, warm_dual)
     vvals = v.values
-    dv = geom.slopes(vvals)
-    if geom.max_norm(dv) <= lam:
-        return _fixed_point(geom, v, dv)
+    dv = edge_slopes(v.grid, vvals)
+    if geom.max_norm(dv) <= lam:  # admissible: its own projection, with a zero dual
+        cert = _Certificate(dv, 0.0, vvals.copy(), 0.0, 0.0, True)
+        return _finalize(geom, cert, geom.zeros(), lam, 0)
 
     certify = _certifier(geom, vvals, lam, tol)
-    q0 = geom.lattice(warm_dual) if warm_dual is not None else geom.zeros()
+    q0 = geom.zeros() if warm_dual is None else np.array(warm_dual, dtype=float)
     if v.grid.dim == 1:
         cert, q, solves = _path_newton(geom, vvals, lam, q0, certify, dv)
         if cert is None or not cert.ok:

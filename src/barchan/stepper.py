@@ -10,11 +10,12 @@ inner loop re-evaluates it at the latest iterate to check insensitivity.
 The wind blows in +x, so the flux velocity is nonnegative and upwinding
 from the left is the monotone choice.
 
-Each field gets one pass of the edge slopes: the projection takes those
-of the field it returns, and the step's ``max_slope`` and the next step's
-flux reuse them, as the next step reuses its mass.  A step returns a new
-field and multiplier that nothing else refers to, so snapshots hold them
-as they are; only snapshot 0 copies the caller's initial field.
+Each field gets one pass of the edge slopes, one lattice: the projection
+takes that of the field it returns, and the step's ``max_slope`` (its
+hosted entries) and the next step's flux (its x edges) reuse it, as the
+next step reuses its mass.  A step returns a new field and multiplier
+that nothing else refers to, so snapshots hold them as they are; only
+snapshot 0 copies the caller's initial field.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ class Numerics:
         for name in ("cfl_number", "dt_max", "proj_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.cfl_number > 1.0:  # the explicit upwind step is stable up to Courant number 1
+            raise ValueError(f"cfl_number must be at most 1, got {self.cfl_number}")
         for name in ("picard_iters", "proj_max_iter"):
             if not (getattr(self, name) >= 1):
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -247,8 +247,9 @@ def vi_residual(
     z = u - xv
     phi = _row_integrals(grid, _clamp_antiderivative(z, k) - _clamp_antiderivative(-xv, k))
     w = truncate(z, k, out=z)[:, 1:]
-    # The forward x-difference of hosted(edge_slopes(grid, w))[0], zero past
-    # the wall, as np.diff(w, axis=2, append=0.0) computes it.
+    # For each w, axis 0 of hosted(edge_slopes(grid, w)): the forward
+    # x-difference, zero past the wall, as np.diff(w, axis=2, append=0.0)
+    # computes it.
     gx = np.empty(w.shape)
     np.subtract(w[:, :, 1:], w[:, :, :-1], out=gx[:, :, :-1])
     np.subtract(0.0, w[:, :, -1], out=gx[:, :, -1])

@@ -6,12 +6,16 @@ from hypothesis import strategies as st
 from barchan.grid import (
     HeightField,
     admissible,
+    axis_edges,
+    constraint_magnitude,
     dist_to_boundary,
     edge_slopes,
     edge_slopes_adjoint,
     hosted,
     make_grid,
+    max_slope,
     node_slope_magnitude,
+    paired,
 )
 
 
@@ -118,7 +122,7 @@ def test_edge_slopes_adjoint_1d(n, seed):
     q = rng.normal(size=n + 1)
     (e,) = edge_slopes(g, u)
     lhs = np.vdot(e, q)
-    rhs = np.vdot(u, edge_slopes_adjoint(g, (q,)))
+    rhs = np.vdot(u, edge_slopes_adjoint(g, q[None]))
     scale = np.linalg.norm(u) * np.linalg.norm(q) + 1e-30
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -131,9 +135,12 @@ def test_edge_slopes_adjoint_2d(nx, ny, seed):
     u = rng.normal(size=(nx, ny))
     qx = rng.normal(size=(nx + 1, ny))
     qy = rng.normal(size=(nx, ny + 1))
-    ex, ey = edge_slopes(g, u)
-    lhs = np.vdot(ex, qx) + np.vdot(ey, qy)
-    rhs = np.vdot(u, edge_slopes_adjoint(g, (qx, qy)))
+    du = edge_slopes(g, u)
+    q = np.zeros_like(du)
+    axis_edges(q, 0)[...] = qx
+    axis_edges(q, 1)[...] = qy
+    lhs = np.vdot(axis_edges(du, 0), qx) + np.vdot(axis_edges(du, 1), qy)
+    rhs = np.vdot(u, edge_slopes_adjoint(g, q))
     scale = np.linalg.norm(u) * (np.linalg.norm(qx) + np.linalg.norm(qy)) + 1e-30
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -144,6 +151,46 @@ def test_edge_slopes_include_boundary_edges():
     assert e.shape == (5,)
     assert e[0] == pytest.approx(0.3 / g.spacing[0])
     assert e[-1] == pytest.approx(-0.2 / g.spacing[0])
+
+
+@pytest.mark.parametrize(
+    "dim, extents, counts, mode",
+    [
+        pytest.param(1, 1.0, (9,), "isotropic", id="1d"),
+        pytest.param(2, (1.0, 1.3), (5, 7), "isotropic", id="5x7-isotropic"),
+        pytest.param(2, (1.0, 1.3), (5, 7), "componentwise", id="5x7-componentwise"),
+    ],
+)
+def test_edge_slopes_lattice_structural_zeros_and_adjoint(dim, extents, counts, mode):
+    # the lattice (dim, *(counts + 1)) holds every edge once, per axis in
+    # axis_edges, and its other entries are exact zeros that neither D^T nor
+    # the constraint norm sees
+    g = make_grid(dim, extents, counts)
+    rng = np.random.default_rng(3)
+    structural = np.ones((dim,) + tuple(m + 1 for m in counts), dtype=bool)
+    for a in range(dim):
+        axis_edges(structural, a)[...] = False
+    assert structural.sum() == (dim - 1) * (sum(counts) + dim)
+    for _ in range(3):
+        u = rng.normal(size=g.shape)
+        du = edge_slopes(g, u)
+        assert du.shape == (dim,) + tuple(m + 1 for m in counts)
+        for a, h in enumerate(g.spacing):
+            padded = np.pad(u, [(1, 1) if b == a else (0, 0) for b in range(dim)])
+            want = np.diff(padded, axis=a) / h
+            np.testing.assert_allclose(axis_edges(du, a), want, rtol=1e-15, atol=0.0)
+        assert np.all(du[structural] == 0.0)
+        # the first edge of an axis shares its cell with structural zeros,
+        # so it is a constraint of its own in either mode
+        norms = np.broadcast_to(constraint_magnitude(du, paired(g, mode)), du.shape)
+        for a in range(dim):
+            first = (slice(None),) * a + (0,)
+            assert np.array_equal(axis_edges(norms, a)[first], np.abs(axis_edges(du, a)[first]))
+        q = np.where(structural, 0.0, rng.normal(size=du.shape))
+        np.testing.assert_allclose(np.vdot(du, q), np.vdot(u, edge_slopes_adjoint(g, q)), rtol=1e-12)
+        # a structural entry lies on no interior node, so D^T does not see it
+        noisy = q + structural * rng.normal(size=q.shape)
+        assert edge_slopes_adjoint(g, noisy).tobytes() == edge_slopes_adjoint(g, q).tobytes()
 
 
 def test_admissible_cone_and_hat():
@@ -158,11 +205,43 @@ def test_admissible_cone_and_hat():
 
 def test_admissible_catches_left_boundary_pin():
     # slopes between interior nodes are fine, but the jump from the zero
-    # boundary to the first node exceeds lam: the distance bound must fail
+    # boundary to the first node, an edge no node hosts, exceeds lam
     g = make_grid(1, 1.0, 9)
     u = HeightField(g, np.linspace(0.5, 0.1, 9))
     assert np.max(node_slope_magnitude(u)) <= 1.0
     assert not admissible(u, 1.0)
+
+
+@pytest.mark.parametrize("excess, accepted", [(7e-8, False), (5e-9, True)])
+def test_admissible_bounds_the_first_edge_in_slope_units(excess, accepted):
+    # the first edge of the cone exceeds lam by `excess`: the test allows
+    # TOL_CONSTRAINT (1e-8) in slope units on every edge, so 7e-8 fails even
+    # though the height excess, 7e-8 * h, is within 1e-8 of the distance cone
+    g = make_grid(1, 1.0, 17)
+    lam, h = 0.8, g.spacing[0]
+    u = lam * dist_to_boundary(g)
+    u[0] = (lam + excess) * h
+    assert abs(u[0]) <= lam * dist_to_boundary(g)[0] + 1e-8
+    for mode in ("isotropic", "componentwise"):
+        assert admissible(HeightField(g, u), lam, mode) == accepted
+
+
+@pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
+def test_admissible_catches_a_steep_bottom_edge_in_2d(mode):
+    # half the cone, with one bottom node raised so that only the y edge
+    # from the bottom wall to it is too steep: no node's forward
+    # differences see it
+    g = make_grid(2, (1.0, 1.3), (9, 12))
+    lam = 0.8
+    u = 0.5 * lam * dist_to_boundary(g)
+    u[4, 0] = 1.1 * lam * g.spacing[1]
+    field = HeightField(g, u)
+    bottom = axis_edges(edge_slopes(g, u), 1)[:, 0]
+    assert bottom[4] > lam + 1e-8 and np.all(np.delete(bottom, 4) <= lam)
+    assert max_slope(field, mode) <= lam
+    assert not admissible(field, lam, mode)
+    u[4, 0] = 0.5 * lam * g.spacing[1]
+    assert admissible(HeightField(g, u), lam, mode)
 
 
 def test_node_slope_modes_2d():

@@ -12,9 +12,9 @@ from barchan import projection
 from barchan.grid import (
     HeightField,
     admissible,
+    axis_edges,
     dist_to_boundary,
     edge_slopes,
-    edge_slopes_adjoint,
     make_grid,
     node_slope_magnitude,
 )
@@ -243,11 +243,15 @@ def test_non_convergence_flagged():
 
 
 def test_bad_lambda_rejected():
-    g = make_grid(1, 1.0, 5)
-    with pytest.raises(ValueError, match="lam"):
-        project_pdhg(HeightField.zeros(g), 0.0)
-    with pytest.raises(ValueError, match="lam"):
-        project(HeightField.zeros(g), -1.0)
+    # a NaN lam used to pass the check and run PDHG's whole budget
+    g = make_grid(2, (1.0, 1.0), (8, 8))
+    v = HeightField(g, np.random.default_rng(4).normal(size=(8, 8)))
+    for lam in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for solver in (project_pdhg, project):
+            with pytest.raises(ValueError, match="lam"):
+                solver(v, lam)
+        with pytest.raises(ValueError, match="lam"):
+            resolvent_step(v, np.zeros((8, 8)), 0.1, lam)
 
 
 def test_resolvent_zero_drive_is_stationary():
@@ -492,7 +496,7 @@ def test_implied_corner_constraints_carry_no_dual(mode, dropped):
     res = project_pdhg(v, 1.0, mode=mode)
     assert res.converged and admissible(res.u, 1.0, mode=mode)
     for a, ix in dropped:
-        assert res.dual[a][ix] == 0.0
+        assert axis_edges(res.dual, a)[ix] == 0.0
 
 
 # Inputs on which PDHG alone used to stall for the whole budget: a corner
@@ -762,23 +766,12 @@ def test_pdhg_budget_exhaustion_reports_the_returned_pairs_certificate():
     assert not project_pdhg(v, 1.0, max_iter=3).converged
 
 
-def _edge_slices(dim, a):
-    """Where axis a's edges sit in its slice of the dual lattice."""
-    return tuple(slice(None) if b == a else slice(1, None) for b in range(dim))
-
-
 def _dense_slopes(grid):
     """D as a dense matrix, built by applying edge_slopes to unit vectors;
     its rows run over the dual lattice, axis first, each axis in C order,
     with a zero row at every structural zero."""
-    shape = (grid.dim,) + tuple(m + 1 for m in grid.counts)
-    rows = []
-    for u in np.eye(grid.node_count).reshape((-1,) + grid.shape):
-        lattice = np.zeros(shape)
-        for a, e in enumerate(edge_slopes(grid, u)):
-            lattice[a][_edge_slices(grid.dim, a)] = e
-        rows.append(lattice.ravel())
-    return np.array(rows).T
+    units = np.eye(grid.node_count).reshape((-1,) + grid.shape)
+    return np.array([edge_slopes(grid, u).ravel() for u in units]).T
 
 
 def _unband(band):
@@ -798,11 +791,13 @@ def _random_newton_state(grid, mode, seed, lam):
     c = 2.0 / geom.op_norm**2
     t = c * lam
     rng = np.random.default_rng(seed)
-    edges = [1.2 * t * rng.normal(size=e.shape) for e in edge_slopes(grid, np.zeros(grid.shape))]
-    for a, za in enumerate(edges):  # one steep edge across each wall, off the corners
+    z = geom.zeros()
+    for a in range(grid.dim):
+        za = axis_edges(z, a)
+        za[...] = 1.2 * t * rng.normal(size=za.shape)
+        # one steep edge across each wall, off the corners
         za[(1,) * a + (0,)] = 2.0 * t
         za[(1,) * a + (-1,)] = -2.0 * t
-    z = geom.lattice(edges)
     mag = geom.group_norm(z)
     return geom, c, t, z, mag, mag > t
 
@@ -820,7 +815,7 @@ def test_newton_band_matches_dense_block(counts, mode, seed, delta):
     geom, c, t, z, mag, active = _random_newton_state(g, mode, seed, lam)
     band, flat, zh = projection._newton_band(geom, z, mag, active, lam, t, delta)
     nx, ny = counts
-    edges = geom.edges(active)
+    edges = [axis_edges(active, a) for a in range(2)]
     sel = np.concatenate([m.ravel() for m in edges])
     assert 0 < sel.sum() < sel.size
     # boundary edges among the active ones, first and last of each axis
@@ -912,51 +907,45 @@ LATTICE_CASES = [
 ]
 
 
-def _random_edges(grid, rng):
-    return tuple(rng.normal(size=e.shape) for e in edge_slopes(grid, np.zeros(grid.shape)))
-
-
-@pytest.mark.parametrize("dim, extents, counts, mode", LATTICE_CASES)
-def test_lattice_operators_are_edge_slopes_and_adjoint(dim, extents, counts, mode):
-    g = make_grid(dim, extents, counts)
-    geom = _ConeGeometry(g, mode)
-    rng = np.random.default_rng(3)
-    structural = geom.lattice(tuple(np.ones_like(e) for e in _random_edges(g, rng))) == 0.0
-    assert structural.sum() == (dim - 1) * (sum(counts) + dim)
-    for _ in range(3):
-        u = rng.normal(size=g.shape)
-        du = geom.slopes(u)
-        assert du.shape == (dim,) + tuple(m + 1 for m in counts)
-        for got, want in zip(geom.edges(du), edge_slopes(g, u)):
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-        assert np.all(du[structural] == 0.0)
-        edges = _random_edges(g, rng)
-        q = geom.lattice(edges)
-        assert geom.adjoint(q).tobytes() == edge_slopes_adjoint(g, edges).tobytes()
-        np.testing.assert_allclose(np.vdot(du, q), np.vdot(u, geom.adjoint(q)), rtol=1e-12)
-        # a structural entry lies on no interior node, so D^T does not see it
-        noisy = q + structural * rng.normal(size=q.shape)
-        assert geom.adjoint(noisy).tobytes() == geom.adjoint(q).tobytes()
+def _random_lattice(grid, rng):
+    """A lattice whose edges are standard normal draws, each axis in turn,
+    and whose structural entries are zero."""
+    q = np.zeros((grid.dim,) + tuple(m + 1 for m in grid.counts))
+    for a in range(grid.dim):
+        qa = axis_edges(q, a)
+        qa[...] = rng.normal(size=qa.shape)
+    return q
 
 
 @pytest.mark.parametrize("dim, extents, counts, mode", LATTICE_CASES)
 def test_lattice_round_trips_warm_dual(dim, extents, counts, mode):
     g = make_grid(dim, extents, counts)
-    geom = _ConeGeometry(g, mode)
     rng = np.random.default_rng(5)
-    edges = _random_edges(g, rng)
-    q = geom.lattice(edges)
-    back = geom.edges(q)
-    assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(back, edges))
-    assert np.array_equal(geom.lattice(back), q)
-    # a projection result hands out its dual and slopes as per-axis tuples,
-    # and its dual goes back into the lattice unchanged
+    # a projection result hands out its dual and slopes as lattices, the
+    # slopes those of its field, and its dual goes back as a warm start
+    # unchanged: the warm start copies it
     v = HeightField(g, 3.0 * rng.normal(size=g.shape))
     res = project_pdhg(v, 1.0, mode=mode)
-    assert [d.shape for d in res.dual] == [e.shape for e in edges]
-    assert [s.shape for s in res.slopes] == [e.shape for e in edges]
-    back = geom.edges(geom.lattice(res.dual))
-    assert all(np.array_equal(a, b) for a, b in zip(back, res.dual))
+    shape = (dim,) + tuple(m + 1 for m in counts)
+    assert res.dual.shape == res.slopes.shape == shape
+    assert res.slopes.tobytes() == edge_slopes(g, res.u.values).tobytes()
+    dual = res.dual.copy()
+    for solver in (project, project_pdhg):
+        warm = solver(v, 1.0, mode=mode, warm_dual=res.dual)
+        assert warm.converged and warm.dual is not res.dual
+        assert np.array_equal(res.dual, dual)
+
+
+@pytest.mark.parametrize("dim, counts", [(1, (9,)), (2, (5, 7))])
+@pytest.mark.parametrize("solver", [project, project_pdhg])
+def test_warm_dual_of_the_wrong_shape_is_rejected_by_name(solver, dim, counts):
+    # the old per-axis tuple, and lattices of the wrong shape
+    g = make_grid(dim, 1.0, counts)
+    v = HeightField(g, 3.0 * np.random.default_rng(2).normal(size=g.shape))
+    tuples = tuple(np.zeros(axis_edges(edge_slopes(g, v.values), a).shape) for a in range(dim))
+    for warm in (tuples, np.zeros(g.shape), np.zeros((dim,) + g.shape)):
+        with pytest.raises(ValueError, match="warm_dual"):
+            solver(v, 1.0, warm_dual=warm)
 
 
 def _per_constraint(grid, mode, edges):
@@ -987,8 +976,8 @@ def test_lattice_norms_match_per_constraint_definitions(dim, extents, counts, mo
     isotropic_2d = mode == "isotropic" and dim == 2
     rng = np.random.default_rng(7)
     for _ in range(3):
-        edges = _random_edges(g, rng)
-        q = geom.lattice(edges)
+        q = _random_lattice(g, rng)
+        edges = [axis_edges(q, a) for a in range(dim)]
         mag = _per_constraint(g, mode, edges)
         # max_norm and dual_l1 count every constraint once, implied ones too
         assert geom.max_norm(q) == max(m.max() for m in mag)
@@ -1004,16 +993,48 @@ def test_lattice_norms_match_per_constraint_definitions(dim, extents, counts, mo
         # group_norm and shrink zero the implied corners
         for a, ix in geom.implied:
             mag[a][ix] = 0.0
-        for got, want in zip(geom.edges(geom.group_norm(q)), mag):
-            np.testing.assert_array_equal(got, want)
-        shrunk = geom.shrink(q, t)
-        for got, e, m in zip(geom.edges(shrunk), edges, mag):
-            want = np.where(m > t, e * (1.0 - t / np.maximum(m, t)), 0.0)
-            np.testing.assert_array_equal(got, want)
-        # and both keep every structural zero at zero
-        assert np.array_equal(geom.lattice(geom.edges(shrunk)), shrunk)
         norms = geom.group_norm(q)
-        assert np.array_equal(geom.lattice(geom.edges(norms)), norms)
+        for a, want in enumerate(mag):
+            np.testing.assert_array_equal(axis_edges(norms, a), want)
+        shrunk = geom.shrink(q, t)
+        for a, (e, m) in enumerate(zip(edges, mag)):
+            want = np.where(m > t, e * (1.0 - t / np.maximum(m, t)), 0.0)
+            np.testing.assert_array_equal(axis_edges(shrunk, a), want)
+        # and both keep every structural zero at zero (q's only zeros)
+        structural = q == 0.0
+        assert structural.sum() == (dim - 1) * (sum(counts) + dim)
+        assert np.all(shrunk[structural] == 0.0) and np.all(norms[structural] == 0.0)
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+@pytest.mark.parametrize("dim, extents, counts, mode", LATTICE_CASES)
+def test_one_cone_norm_matches_per_constraint_definitions(dim, extents, counts, mode, scale):
+    # random fields scaled so that their steepest constraint, by the
+    # per-constraint definitions, is scale * lam: admissible, the per-node
+    # slope, the projection's norm and its admissible short-cut all agree
+    g = make_grid(dim, extents, counts)
+    geom = _ConeGeometry(g, mode)
+    lam = 0.7
+    isotropic_2d = mode == "isotropic" and dim == 2
+    rng = np.random.default_rng(11)
+
+    def per_constraint(values):
+        du = edge_slopes(g, values)
+        return du, _per_constraint(g, mode, [axis_edges(du, a) for a in range(dim)])
+
+    for _ in range(3):
+        raw = rng.normal(size=g.shape)
+        _, mag = per_constraint(raw)
+        u = HeightField(g, raw * (scale * lam / max(m.max() for m in mag)))
+        du, mag = per_constraint(u.values)
+        top = max(m.max() for m in mag)
+        assert top == pytest.approx(scale * lam, rel=1e-12)
+        assert geom.max_norm(du) == top
+        assert admissible(u, lam, mode) == (scale < 1.0)
+        assert (project(u, lam, mode=mode).iterations == 0) == (scale < 1.0)
+        node = [_hosted(m, a) for a, m in enumerate(mag)]
+        want = node[0] if isotropic_2d else np.maximum.reduce(node)
+        np.testing.assert_array_equal(node_slope_magnitude(u, mode), want)
 
 
 def test_banded_solve_cholesky_and_pivoted_fallback():

@@ -663,6 +663,7 @@ def test_source_center_entries_checked():
         ("cfl_number", -0.5),
         ("cfl_number", float("nan")),
         ("cfl_number", math.inf),
+        ("cfl_number", 1.5),  # beyond the upwind step's stability limit
         ("dt_max", 0.0),
         ("dt_max", -1.0),
         ("dt_max", math.inf),
@@ -678,3 +679,7 @@ def test_source_center_entries_checked():
 def test_numerics_validation(field, value):
     with pytest.raises(ValueError, match=field):
         Numerics(**{field: value})
+
+
+def test_numerics_accepts_courant_number_one():
+    assert Numerics(cfl_number=1.0).cfl_number == 1.0
