@@ -93,12 +93,13 @@ def make_grid(
     Raises
     ------
     ValueError
-        On unsupported dimension, non-positive extent or count < 3.
+        On unsupported dimension, non-positive extent, or a count that is
+        not an integer of at least 3.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     ext = tuple(float(e) for e in np.atleast_1d(extents))
-    cnt = tuple(int(c) for c in np.atleast_1d(counts))
+    cnt = tuple(float(c) for c in np.atleast_1d(counts))
     if len(ext) == 1:
         ext = ext * dim
     if len(cnt) == 1:
@@ -111,8 +112,9 @@ def make_grid(
         if not (e > 0.0) or not np.isfinite(e):
             raise ValueError(f"extents must be positive, got {ext}")
     for c in cnt:
-        if c < 3:
-            raise ValueError(f"counts must be >= 3 on each axis, got {cnt}")
+        if not (c.is_integer() and c >= 3):
+            raise ValueError(f"counts must be integers >= 3 on each axis, got {cnt}")
+    cnt = tuple(int(c) for c in cnt)
     spacing = tuple(e / (c + 1) for e, c in zip(ext, cnt))
     return Grid(dim=dim, extents=ext, counts=cnt, spacing=spacing)
 

@@ -398,7 +398,7 @@ def project_pdhg(
                         polish_at = 2 * it
                         steps = min(NEWTON_MAX_STEPS, max_iter - it - solves)
                         polished, qn, k = _grid_newton(
-                            geom, vvals, lam, q, steps, certify, damped=True
+                            geom, vvals, lam, q, steps, certify, dv, damped=True
                         )
                         solves += k
                         if polished is not None:
@@ -449,7 +449,7 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
 
 
 def _path_newton(
-    geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray, certify, dv=None
+    geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray, certify, dv: np.ndarray
 ):
     """Primal-dual active-set (semismooth Newton) iteration on the 1D dual
     ``q``, a lattice of shape ``(1, n + 1)``.
@@ -461,8 +461,7 @@ def _path_newton(
     (``1 / dx^2`` on the boundary edges 0 and n), ``-1 / dx^2`` beside it.
     A pattern that repeats is an exact KKT point, and the pair ``(u, q)``
     is certified with the ``D^T q`` and edge slopes of ``u`` that the
-    iterate has computed.  ``dv``, the edge slopes of ``v``, is computed
-    here unless the caller has them.
+    iterate has computed.  ``dv`` is the lattice of the edge slopes of ``v``.
 
     Returns ``(cert, q, solves)`` with the certificate of the final pair,
     which the caller checks; ``cert`` and ``q`` are None when no pattern
@@ -471,8 +470,6 @@ def _path_newton(
     """
     dx = geom.grid.spacing[0]
     c = 0.5 * dx * dx
-    if dv is None:
-        dv = edge_slopes(geom.grid, vvals)
     diag = np.full(dv.size, 2.0)
     diag[0] = diag[-1] = 1.0
     pattern, solves = None, 0
@@ -687,8 +684,8 @@ def _grid_newton(
     q,
     max_steps: int,
     certify,
+    dv: np.ndarray,
     damped: bool = False,
-    dv=None,
 ):
     """Semismooth Newton iteration on the dual fixed point
     ``q = shrink(q + c D u, c lam)`` with ``u = v - D^T q`` and
@@ -724,10 +721,9 @@ def _grid_newton(
     pair is certified once, and in damped mode that certificate also gives
     the gap of the line search.  Each iterate takes one pass of each grid
     operator: ``D^T q``, then ``u`` and its edge slopes, which the
-    certificate and the next ``z`` share.  ``dv``, the edge slopes of
-    ``v``, is computed here unless the caller has them.  The right-hand side
-    is one gather, and ``q_A`` one scatter, through the flat indices that
-    :func:`_newton_band` returns.
+    certificate and the next ``z`` share.  ``dv`` is the lattice of the
+    edge slopes of ``v``.  The right-hand side is one gather, and ``q_A``
+    one scatter, through the flat indices that :func:`_newton_band` returns.
 
     Returns ``(cert, q, solves)`` with the certificate of the final pair
     ``(u, q)``; ``cert`` and ``q`` are None when nothing was certified
@@ -738,8 +734,6 @@ def _grid_newton(
     c = 2.0 / geom.op_norm**2
     t = c * lam
     delta = POLISH_DAMPING * geom.op_norm**2 if damped else 0.0
-    if dv is None:
-        dv = edge_slopes(geom.grid, vvals)
 
     def evaluate(q):  # the edge slopes of u = v - D^T q, and the pair's certificate
         aq = edge_slopes_adjoint(geom.grid, q)
@@ -833,7 +827,7 @@ def project(
             cert = certify(x, q)
         return _finalize(geom, cert, q, lam, solves)
     steps = min(NEWTON_MAX_STEPS, max_iter)
-    cert, q, solves = _grid_newton(geom, vvals, lam, q0, steps, certify, dv=dv)
+    cert, q, solves = _grid_newton(geom, vvals, lam, q0, steps, certify, dv)
     if cert is None:
         res = project_pdhg(
             v, lam, tol=tol, max_iter=max_iter - solves, mode=mode, warm_dual=warm_dual
@@ -865,5 +859,5 @@ def resolvent_step(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     predicted = HeightField(u_prev.grid, u_prev.values + dt * np.asarray(g, dtype=float))
     res = project(predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
-    res.m = MultiplierField(res.m.grid, res.m.values / dt)
+    res.m.values /= dt  # a new array on every route, so scaling it in place is safe
     return res

@@ -7,6 +7,11 @@ state.  The flux is evaluated at the previous iterate, the same freezing
 the fixed-point construction of the continuous problem uses; an optional
 inner loop re-evaluates it at the latest iterate to check insensitivity.
 
+A run projects inadmissible start data with the same resolvent and a zero
+drive.  :func:`_resolve` holds every projection of a run to one convergence
+policy: a failed certificate stops a strict run, and a lenient run logs a
+warning and carries on.
+
 The wind blows in +x, so the flux velocity is nonnegative and upwinding
 from the left is the monotone choice.
 
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import reduce
@@ -37,14 +43,13 @@ from .constitutive import (
     h_sup,
     lipschitz_bound,
 )
-from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, edge_slopes, integrate, max_slope
+from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, integrate, max_slope
 from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     MultiplierField,
     NonConvergedError,
-    project,
     project_pdhg,  # noqa: F401  (perfbench/spans.py traces it under this name)
     resolvent_step,
 )
@@ -91,6 +96,8 @@ class SourceSpec:
         for name, value in [("rate", self.rate)] + [("center", c) for c in self.center]:
             if not math.isfinite(value):
                 raise ValueError(f"source {name} must be finite, got {value}")
+        if self.kind == "tabulated" and not self.path:
+            raise ValueError("a tabulated source needs a path to its rate table")
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Solver knobs kept apart from the physics."""
+    """Solver knobs kept apart from the physics.
+
+    The ``proj_*`` settings and ``constraint_mode`` govern every projection
+    of a run, the start one included, under one policy: a projection that
+    fails its certificate stops a ``strict`` run, and a lenient run logs a
+    warning for it and carries on.
+    """
 
     cfl_number: float = 0.45
     dt_max: float = 0.1
@@ -130,7 +143,6 @@ class Numerics:
     proj_max_iter: int = DEFAULT_MAX_ITER
     strict: bool = True
     constraint_mode: str = "isotropic"
-    disable_projection: bool = False
 
     def __post_init__(self) -> None:
         for name in ("cfl_number", "dt_max", "proj_tol"):
@@ -139,8 +151,9 @@ class Numerics:
         if self.cfl_number > 1.0:  # the explicit upwind step is stable up to Courant number 1
             raise ValueError(f"cfl_number must be at most 1, got {self.cfl_number}")
         for name in ("picard_iters", "proj_max_iter"):
-            if not (getattr(self, name) >= 1):
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not (self.inner_tol >= 0.0):
             raise ValueError(f"inner_tol must be nonnegative, got {self.inner_tol}")
         if self.constraint_mode not in CONSTRAINT_MODES:
@@ -325,6 +338,26 @@ def _checked_speed(
     return v_max
 
 
+def _resolve(
+    u: HeightField, drive, dt: float, params: ModelParams, numerics: Numerics, warm_dual, what: str
+):
+    """The resolvent step of ``u`` under ``drive`` with the run's projection
+    settings, held to the run's one convergence policy: a result that fails
+    its certificate raises :class:`NonConvergedError` in a strict run and is
+    logged as a warning in a lenient one, both naming it ``what``."""
+    res = resolvent_step(
+        u, drive, dt, params.lam, tol=numerics.proj_tol, max_iter=numerics.proj_max_iter,
+        mode=numerics.constraint_mode, warm_dual=warm_dual,
+    )
+    if not res.converged:
+        gap, n = res.primal_dual_gap, res.iterations
+        msg = f"{what} not converged (gap {gap:.3e} after {n} iterations)"
+        if numerics.strict:
+            raise NonConvergedError(msg)
+        logger.warning("%s", msg)
+    return res
+
+
 def _advance(
     u: HeightField,
     t: float,
@@ -342,7 +375,8 @@ def _advance(
     edge slopes and mass of ``u``, are computed unless the previous step
     returned them (its ``slopes`` and ``mass_post``).  The field and
     multiplier returned are new arrays the caller owns, and ``slopes``
-    their one slope pass; ``u`` is only read."""
+    their one slope pass; ``u`` is only read.  Each Picard sweep's
+    projection is held to the convergence policy of :func:`_resolve`."""
     grid = u.grid
     f = source_eval(params.source, grid, t)
     flux = transport_flux(u, params, kernel, slopes)
@@ -352,36 +386,14 @@ def _advance(
     source_integral = integrate(grid, f)
     outflow = transport_outflow(grid, flux)
 
-    if numerics.disable_projection:
-        u_new = HeightField(grid, u.values + dt * drive)
-        m = MultiplierField.zeros(grid)
-        proj_iters, proj_gap, dual = 0, 0.0, None
-        slopes = edge_slopes(grid, u_new.values)
-    else:
-        res = None
-        for i in range(numerics.picard_iters):
-            if i:
-                drive = f - transport_div(grid, transport_flux(res.u, params, kernel, res.slopes))
-                prev, warm_dual = res.u.values, res.dual
-            res = resolvent_step(
-                u,
-                drive,
-                dt,
-                params.lam,
-                tol=numerics.proj_tol,
-                max_iter=numerics.proj_max_iter,
-                mode=numerics.constraint_mode,
-                warm_dual=warm_dual,
-            )
-            if i and float(np.max(np.abs(res.u.values - prev))) <= numerics.inner_tol:
-                break
-        if not res.converged and numerics.strict:
-            raise NonConvergedError(
-                f"projection not converged at t={t:.6g} "
-                f"(gap {res.primal_dual_gap:.3e} after {res.iterations} iterations)"
-            )
-        u_new, m, slopes = res.u, res.m, res.slopes
-        proj_iters, proj_gap, dual = res.iterations, res.primal_dual_gap, res.dual
+    for i in range(numerics.picard_iters):
+        if i:
+            drive = f - transport_div(grid, transport_flux(res.u, params, kernel, res.slopes))
+            prev, warm_dual = res.u.values, res.dual
+        res = _resolve(u, drive, dt, params, numerics, warm_dual, f"projection at t={t:.6g}")
+        if i and float(np.max(np.abs(res.u.values - prev))) <= numerics.inner_tol:
+            break
+    u_new, slopes = res.u, res.slopes
 
     mass_post = integrate(grid, u_new.values)
     mass_star = mass_pre + dt * (source_integral - outflow)
@@ -393,13 +405,13 @@ def _advance(
         source_integral=source_integral,
         transport_outflow=outflow,
         avalanche_mass_change=mass_post - mass_star,
-        projection_iterations=proj_iters,
-        projection_gap=proj_gap,
+        projection_iterations=res.iterations,
+        projection_gap=res.primal_dual_gap,
         cfl_number=v_max * dt / min(grid.spacing),
         max_slope=max_slope(u_new, numerics.constraint_mode, slopes),
         crest_index=_crest_index(u_new.values, grid),
     )
-    return u_new, m, diag, dual, slopes
+    return u_new, res.m, diag, res.dual, slopes
 
 
 def step(
@@ -427,10 +439,14 @@ def run(
     A run with ``T == 0`` takes no step and returns ``u0`` as given.
     Otherwise a fixed ``dt`` above the stable step raises
     :class:`CFLViolationError`, and initial data outside the admissible
-    cone is projected onto it with a logged warning, so snapshot 0 holds
-    the projection.  On a numerical failure the partial trajectory is
-    returned with ``failure`` set; strict mode stops at the failing
-    projection, the start projection included.
+    cone is projected onto it with a logged warning: the resolvent step of
+    ``u0`` with a zero drive, so snapshot 0 holds the projection.  Every
+    projection of the run, that one included, follows the one policy of
+    ``numerics.strict``.  A strict run stops at the first projection that
+    fails its certificate and returns the partial trajectory with
+    ``failure`` set (after a failed start projection, snapshot 0 holds
+    ``u0`` as given); a lenient run logs a warning for each such projection
+    and carries on.
     """
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
@@ -443,27 +459,7 @@ def run(
         else float(params.dt)
     )
     n_steps = 0 if params.T == 0.0 else max(1, math.ceil(params.T / dt - 1e-12))
-
-    failure, slopes = None, None
-    if n_steps > 0:
-        v_max = _checked_speed(u0, dt, params, numerics, kernel)
-        if not admissible(u0, params.lam, numerics.constraint_mode):
-            logger.warning("initial data is not admissible; projecting onto the cone")
-            res = project(
-                u0,
-                params.lam,
-                tol=numerics.proj_tol,
-                max_iter=numerics.proj_max_iter,
-                mode=numerics.constraint_mode,
-            )
-            u0, slopes = res.u, res.slopes
-            if not res.converged and numerics.strict:
-                failure = (
-                    "start projection not converged "
-                    f"(gap {res.primal_dual_gap:.3e} after {res.iterations} iterations)"
-                )
-                logger.error("run aborted: %s", failure)
-                n_steps = 0
+    v_max = _checked_speed(u0, dt, params, numerics, kernel) if n_steps else 0.0
 
     traj = Trajectory(
         params=params,
@@ -472,23 +468,28 @@ def run(
         snapshots=[Snapshot(0.0, u0.copy(), MultiplierField.zeros(grid))],
         steps=[],
         snapshot_every=snapshot_every,
-        failure=failure,
     )
 
-    u, warm, mass = u0, None, None
-    for k in range(1, n_steps + 1):
-        t_prev = (k - 1) * dt
-        dt_k = dt if k < n_steps else params.T - (n_steps - 1) * dt
-        try:
+    # Step 1 starts cold even after a start projection: warm-started from
+    # the start's dual, dune2d's Newton took one solve more.
+    u, warm, slopes, mass = u0, None, None, None
+    try:
+        if n_steps and not admissible(u0, params.lam, numerics.constraint_mode):
+            logger.warning("initial data is not admissible; projecting onto the cone")
+            res = _resolve(u0, 0.0, dt, params, numerics, None, "start projection")
+            u, slopes = res.u, res.slopes
+            traj.snapshots[0].u = u
+        for k in range(1, n_steps + 1):
+            t_prev = (k - 1) * dt
+            dt_k = dt if k < n_steps else params.T - (n_steps - 1) * dt
             u, m, diag, warm, slopes = _advance(
                 u, t_prev, dt_k, params, numerics, kernel, v_max, warm, slopes, mass
             )
-        except NonConvergedError as exc:
-            traj.failure = str(exc)
-            logger.error("run aborted: %s", exc)
-            break
-        traj.steps.append(diag)
-        mass = diag.mass_post
-        if k % snapshot_every == 0 or k == n_steps:
-            traj.snapshots.append(Snapshot(t_prev + dt_k, u, m))
+            traj.steps.append(diag)
+            mass = diag.mass_post
+            if k % snapshot_every == 0 or k == n_steps:
+                traj.snapshots.append(Snapshot(t_prev + dt_k, u, m))
+    except NonConvergedError as exc:
+        traj.failure = str(exc)
+        logger.error("run aborted: %s", exc)
     return traj

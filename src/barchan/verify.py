@@ -260,15 +260,10 @@ def vi_residual(
     return res[0] if single else res
 
 
-def vi_report(
-    traj: Trajectory,
-    test_functions: TestFunctionSet,
-    tol: float,
-    k_levels: tuple[float, ...] | None = None,
-) -> VIReport:
-    """The worst :func:`vi_residual` of every (test function, k) pair, in
-    that order; the snapshot stack, fluxes and sources are built once for
-    all pairs.
+def vi_report(traj: Trajectory, test_functions: TestFunctionSet, tol: float) -> VIReport:
+    """The worst :func:`vi_residual` of every (test function, k) pair, k
+    from ``test_functions.k_levels``, in that order; the snapshot stack,
+    fluxes and sources are built once for all pairs.
 
     The test functions go to :func:`vi_residual` in blocks, one call per
     block and k level.  A block holds as many as keep one ``(X, S, *grid)``
@@ -280,7 +275,7 @@ def vi_report(
     An empty test set or an empty ``k_levels`` has nothing to check and
     raises ``ValueError``; a NaN residual makes ``worst`` NaN, which fails.
     """
-    ks = k_levels if k_levels is not None else test_functions.k_levels
+    ks = test_functions.k_levels
     xis = test_functions.xis
     if not xis:
         raise ValueError("the test function set is empty")

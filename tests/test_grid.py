@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,9 @@ def test_make_grid_2d_spacing():
 def test_make_grid_rejects_small_count():
     with pytest.raises(ValueError, match="counts"):
         make_grid(1, 1.0, 2)
+    for counts in (3.7, (9, 4.5), (9, math.nan)):  # not silently truncated
+        with pytest.raises(ValueError, match="counts"):
+            make_grid(2, 1.0, counts)
 
 
 def test_make_grid_rejects_bad_extent():

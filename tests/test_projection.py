@@ -407,8 +407,9 @@ def test_path_newton_matches_dp(case):
     geom = _ConeGeometry(v.grid, "isotropic")
     u_dp, q_dp = _path_dp(geom, v.values, lam)
     certify = _certifier(geom, v.values, lam, DEFAULT_TOL)
+    dv = edge_slopes(v.grid, v.values)
     for start in (np.zeros((1, v.grid.counts[0] + 1)), q_dp):
-        cert, _, _ = _path_newton(geom, v.values, lam, start, certify)
+        cert, _, _ = _path_newton(geom, v.values, lam, start, certify, dv)
         if cert is not None:
             assert np.max(np.abs(cert.xf - u_dp)) <= 1e-10
 
@@ -534,7 +535,8 @@ def test_path_all_active_qp():
     v = HeightField(g, np.array([0.0, 0.5, 0.0]))
     geom = _ConeGeometry(g, "isotropic")
     certify = _certifier(geom, v.values, 1.0, DEFAULT_TOL)
-    cert, _, _ = _path_newton(geom, v.values, 1.0, np.zeros((1, 4)), certify)
+    dv = edge_slopes(g, v.values)
+    cert, _, _ = _path_newton(geom, v.values, 1.0, np.zeros((1, 4)), certify, dv)
     assert cert is None
     res = project(v, 1.0, tol=1e-10)
     assert res.converged
@@ -552,7 +554,9 @@ def test_path_single_active_edge():
     expected = [0.0, 0.03, -0.07, -0.02, 0.0]
     geom = _ConeGeometry(g, "isotropic")
     certify = _certifier(geom, v.values, 1.0, DEFAULT_TOL)
-    cert, q_newton, solves = _path_newton(geom, v.values, 1.0, np.zeros((1, 6)), certify)
+    cert, q_newton, solves = _path_newton(
+        geom, v.values, 1.0, np.zeros((1, 6)), certify, edge_slopes(g, v.values)
+    )
     assert solves == 1
     np.testing.assert_allclose(cert.xf, expected, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(q_newton, [[0, 0, -0.001, 0, 0, 0]], rtol=0.0, atol=1e-12)
@@ -720,7 +724,8 @@ def test_newton_singular_block_falls_back_to_pdhg(mode, pdhg_budgets):
     v = HeightField(g, np.random.default_rng(4).normal(size=(8, 8)))
     geom = _ConeGeometry(g, mode)
     u, q, solves = projection._grid_newton(
-        geom, v.values, 1.0, geom.zeros(), NEWTON_MAX_STEPS, lambda u, q: False
+        geom, v.values, 1.0, geom.zeros(), NEWTON_MAX_STEPS, lambda u, q: False,
+        edge_slopes(g, v.values),
     )
     assert u is None and q is None and solves == 0
     res = project(v, 1.0, mode=mode)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from barchan import projection
+from barchan import projection, stepper
 from barchan.constitutive import GammaProfile, HProfile
 from barchan.grid import (
     HeightField,
@@ -180,10 +180,32 @@ def test_run_rejects_cfl_violation():
         run(p, hump(g, 0.5, 0.2, 0.3))
 
 
-def test_run_start_projection_budget_and_strict_stop(caplog):
+def _flag_projections(monkeypatch, unconverged=()):
+    """Wrap ``stepper.resolvent_step`` to record each result, and flag the
+    calls numbered in ``unconverged`` (from 1) as not converged."""
+    results = []
+
+    def wrapped(*args, **kwargs):
+        res = projection.resolvent_step(*args, **kwargs)
+        results.append(res)
+        if len(results) in unconverged:
+            res.converged = False
+        return res
+
+    monkeypatch.setattr(stepper, "resolvent_step", wrapped)
+    return results
+
+
+def _unconverged_warnings(caplog):
+    messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    return [m for m in messages if "not converged" in m]
+
+
+def test_run_start_projection_budget_and_strict_stop(caplog, monkeypatch):
     # A 2D start far outside the cone needs many PDHG iterations; with a
     # budget of 3 the start projection cannot converge, so a strict run
-    # stops before step 1 and a lenient one carries on.
+    # stops before step 1, keeping u0 as given, and a lenient one logs it
+    # and carries on.
     g = make_grid(2, (1.0, 1.0), (12, 12))
     X, Y = g.meshgrid()
     u0 = HeightField(g, np.exp(-40.0 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
@@ -193,9 +215,49 @@ def test_run_start_projection_budget_and_strict_stop(caplog):
     assert "start projection not converged" in traj.failure
     assert "after 3 iterations" in traj.failure
     assert traj.steps == [] and len(traj.snapshots) == 1
+    np.testing.assert_array_equal(traj.snapshots[0].u.values, u0.values)
     assert "run aborted" in caplog.text
-    lenient = run(p, u0, numerics=Numerics(proj_max_iter=3, strict=False))
+    caplog.clear()
+    results = _flag_projections(monkeypatch)
+    with caplog.at_level("WARNING"):
+        lenient = run(p, u0, numerics=Numerics(proj_max_iter=3, strict=False))
     assert lenient.failure is None and len(lenient.steps) == 1
+    logged = _unconverged_warnings(caplog)
+    assert logged[0].startswith("start projection not converged")
+    assert len(logged) == sum(not r.converged for r in results) >= 1
+
+
+def test_run_holds_every_step_projection_to_one_policy(caplog, monkeypatch):
+    g = make_grid(1, 1.0, 64)
+    p = wind_params(lam=0.7, T=0.05, n=64)
+    u0 = hump(g, 0.4, 0.12, 0.3)
+    assert admissible(u0, p.lam)  # no start projection: call k is step k
+    full = run(p, u0)
+    assert full.failure is None and len(full.steps) > 4
+
+    # strict: a failed step-3 projection keeps steps 1 and 2 and names the
+    # start time of step 3
+    results = _flag_projections(monkeypatch, {3})
+    with caplog.at_level("ERROR"):
+        traj = run(p, u0)
+    assert len(results) == 3
+    assert traj.steps == full.steps[:2] and len(traj.snapshots) == 3
+    assert traj.failure.startswith(f"projection at t={full.steps[1].t:.6g} not converged (gap ")
+    assert "run aborted" in caplog.text
+
+    # lenient: the run finishes as before and logs one warning per
+    # uncertified projection
+    caplog.clear()
+    results = _flag_projections(monkeypatch, {2, 4})
+    with caplog.at_level("WARNING"):
+        lenient = run(p, u0, numerics=Numerics(strict=False))
+    assert lenient.failure is None and lenient.steps == full.steps
+    assert len(results) == len(full.steps)
+    assert _unconverged_warnings(caplog) == [
+        f"projection at t={full.steps[k - 2].t:.6g} not converged "
+        f"(gap {results[k - 1].primal_dual_gap:.3e} after {results[k - 1].iterations} iterations)"
+        for k in (2, 4)
+    ]
 
 
 def test_run_T_zero_is_initial_state():
@@ -217,15 +279,20 @@ def test_run_frozen_sandpile_constant():
         np.testing.assert_array_equal(snap.u.values, u0.values)
 
 
-def test_run_inadmissible_u0_projected(caplog):
+def test_run_inadmissible_u0_projected(caplog, monkeypatch):
+    # the start projection is the resolvent of a zero drive, through the
+    # same stepper.resolvent_step as every step: one call more than steps
     g = make_grid(1, 1.0, 31)
     p = ModelParams(lam=0.5, h=HProfile.zero(), T=0.05, dt=0.05,
                     kernel=KernelSpec("triangle", 3 / 32))
     u0 = HeightField(g, 3.0 * dist_to_boundary(g))
+    results = _flag_projections(monkeypatch)
     with caplog.at_level("WARNING"):
         traj = run(p, u0)
     assert "not admissible" in caplog.text
     assert admissible(traj.snapshots[0].u, 0.5)
+    assert len(traj.steps) == 1 and len(results) == 2
+    np.testing.assert_array_equal(traj.snapshots[0].u.values, projection.project(u0, 0.5).u.values)
 
 
 def test_run_admissibility_and_height_bound():
@@ -263,17 +330,20 @@ def test_mass_budget_identity():
 
 
 def test_pure_transport_mass_conservation():
-    # projection disabled and flux vanishing near the boundary: the
-    # conservative form telescopes and mass is constant to 1e-12
+    # while the hump stays inside the cone the projection takes its
+    # admissible short-cut (0 iterations), so a step is pure transport;
+    # with the flux vanishing near the boundary the conservative form
+    # telescopes and mass is constant to 1e-12 over those steps
     g = make_grid(1, 1.0, 64)
     p = wind_params(lam=2.0, T=0.02, n=64)
-    nm = Numerics(disable_projection=True)
     u0 = hump(g, 0.35, 0.15, 0.2)
-    traj = run(p, u0, numerics=nm)
-    masses = [d.mass_pre for d in traj.steps] + [traj.steps[-1].mass_post]
-    for d in traj.steps:
+    traj = run(p, u0)
+    assert traj.failure is None
+    transport_only = [d for d in traj.steps if d.projection_iterations == 0]
+    assert len(transport_only) >= 100
+    for d in transport_only:
         assert d.transport_outflow == 0.0
-    assert np.max(np.abs(np.diff(masses))) <= 1e-12
+        assert abs(d.mass_post - d.mass_pre) <= 1e-12
 
 
 def test_sandpile_l2_nonexpansive():
@@ -632,6 +702,8 @@ def test_params_validation():
             ModelParams(lam=1.0, T=T)
     with pytest.raises(ValueError, match="source"):
         SourceSpec("rain")
+    with pytest.raises(ValueError, match="path"):
+        SourceSpec("tabulated", path="")
 
 
 @pytest.mark.parametrize(
@@ -669,9 +741,11 @@ def test_source_center_entries_checked():
         ("dt_max", math.inf),
         ("dt_max", float("nan")),
         ("picard_iters", 0),
+        ("picard_iters", 2.5),
         ("proj_tol", 0.0),
         ("proj_tol", math.inf),
         ("proj_max_iter", 0),
+        ("proj_max_iter", 100.5),
         ("inner_tol", -1e-12),
         ("constraint_mode", "diagonal"),
     ],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -326,7 +328,7 @@ def test_vi_report_rejects_bad_k_levels(ks):
     traj = frozen_traj(n=15)
     ts = make_test_functions(traj.grid, 1.0, count=4, seed=0)
     with pytest.raises(ValueError, match="truncation level"):
-        vi_report(traj, ts, tol=1e-3, k_levels=ks)
+        vi_report(traj, dataclasses.replace(ts, k_levels=ks), tol=1e-3)
 
 
 def test_vi_report_rejects_single_snapshot():
