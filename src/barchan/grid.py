@@ -121,7 +121,11 @@ def make_grid(
 
 @dataclass
 class HeightField:
-    """Heights (meters) at the interior nodes of a grid."""
+    """Heights (meters) at the interior nodes of a grid.  The constructor
+    checks shape and finiteness, as ``run``, ``step``, ``project``,
+    ``project_pdhg`` and ``resolvent_step`` check their inputs where they
+    enter; the solver's own results are built unchecked (:func:`_unchecked`),
+    and each projection's duality gap gets one finiteness test instead."""
 
     grid: Grid
     values: np.ndarray
@@ -136,11 +140,18 @@ class HeightField:
             raise ValueError("height field contains non-finite values")
 
     def copy(self) -> "HeightField":
-        return HeightField(self.grid, self.values.copy())
+        return _unchecked(HeightField, self.grid, self.values.copy())
 
     @classmethod
     def zeros(cls, grid: Grid) -> "HeightField":
         return cls(grid, np.zeros(grid.shape))
+
+
+def _unchecked(cls, grid: Grid, values: np.ndarray):
+    """A ``cls`` field of the solver's own ``values``, without the checks."""
+    field = object.__new__(cls)
+    field.grid, field.values = grid, values
+    return field
 
 
 def dist_to_boundary(grid: Grid) -> np.ndarray:
@@ -252,7 +263,8 @@ def node_slope_magnitude(field: HeightField, mode: str = "isotropic", slopes=Non
 
 
 def max_slope(field: HeightField, mode: str = "isotropic", slopes=None) -> float:
-    return float(node_slope_magnitude(field, mode, slopes).max())
+    L = edge_slopes(field.grid, field.values) if slopes is None else slopes
+    return float(hosted(constraint_magnitude(L, paired(field.grid, mode))).max())
 
 
 def admissible(

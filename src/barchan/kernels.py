@@ -112,12 +112,13 @@ def _convolve_rows(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     so that one ``np.convolve`` call gives every column's full output, each
     in its own slot; a single column (1D) is convolved as it is.
     """
+    if g.ndim == 1:
+        return np.convolve(g, w, mode="full")
     n, pad = g.shape[0], w.size - 1
-    cols = g.reshape(n, -1).T
-    seq = np.zeros((cols.shape[0], n + pad))
-    seq[:, :n] = cols
+    seq = np.zeros((g.shape[1], n + pad))
+    seq[:, :n] = g.T
     out = np.convolve(seq.ravel()[: seq.size - pad], w, mode="full")
-    return out.reshape(seq.shape).T.reshape((n + pad,) + g.shape[1:])
+    return out.reshape(seq.shape).T
 
 
 def nonlocal_slope(field: HeightField, kernel: DiscreteKernel, slopes=None) -> np.ndarray:

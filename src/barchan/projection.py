@@ -51,6 +51,11 @@ them, a PDHG run out of iterations included.
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
 m = |dual| / lam there and is exactly zero on inactive nodes.
+
+LAPACK runs under the caller's BLAS thread count.  The root ``conftest.py``
+and ``perfbench/run.py`` pin it to one thread; library callers are not
+pinned.  On these narrow bands that matters: for 314 unknowns the banded
+Cholesky and solve took 704 us unpinned against 207 us pinned (2 cores).
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .grid import (
     TOL_CONSTRAINT,
     Grid,
     HeightField,
+    _unchecked,
     axis_edges,
     constraint_magnitude,
     edge_slopes,
@@ -94,7 +100,9 @@ class NonConvergedError(RuntimeError):
 @dataclass
 class MultiplierField:
     """Nonnegative dual density approximating the unknown diffusion
-    coefficient; nonzero only where the slope constraint is active."""
+    coefficient; nonzero only where the slope constraint is active.  Checked
+    as :class:`~barchan.grid.HeightField` is, and for its sign; a
+    projection's own is a sum of dual magnitudes, built unchecked."""
 
     grid: Grid
     values: np.ndarray
@@ -295,14 +303,18 @@ def _finalize(
     ``cert.xf`` (a new array on every route, so it is not copied), flagged
     ``converged`` when the certificate passed.  When ``cert.viol`` is 0,
     ``xf`` is the certified ``x``, with slopes ``cert.dx`` and violation
-    exactly 0; otherwise both are evaluated here for the rescaled field."""
+    exactly 0; otherwise both are evaluated here for the rescaled field.
+    The fields are built unchecked: a NaN in ``cert.xf`` or ``q`` makes the
+    gap NaN (not ``viol``: ``max(0.0, nan)`` is 0), so such a gap raises."""
+    if not math.isfinite(cert.gap):
+        raise ValueError(f"projection iterate is not finite (duality gap {cert.gap})")
     viol, slopes = 0.0, cert.dx
     if cert.viol > 0.0:
         slopes = edge_slopes(geom.grid, cert.xf)
         viol = max(0.0, geom.max_norm(slopes) - lam)
     return ProjectionResult(
-        u=HeightField(geom.grid, cert.xf),
-        m=MultiplierField(geom.grid, geom.multiplier(q, lam)),
+        u=_unchecked(HeightField, geom.grid, cert.xf),
+        m=_unchecked(MultiplierField, geom.grid, geom.multiplier(q, lam)),
         iterations=iterations,
         primal_dual_gap=cert.err,
         constraint_violation=viol,
@@ -310,6 +322,14 @@ def _finalize(
         dual=q,
         slopes=slopes,
     )
+
+
+def _admissible_result(geom: _ConeGeometry, vvals: np.ndarray, dv: np.ndarray) -> ProjectionResult:
+    """The projection of an admissible ``vvals`` with edge slopes ``dv``: a
+    copy, with zero multiplier and dual, after no iteration."""
+    u = _unchecked(HeightField, geom.grid, vvals.copy())
+    m = _unchecked(MultiplierField, geom.grid, np.zeros(geom.grid.shape))
+    return ProjectionResult(u, m, 0, 0.0, 0.0, True, dual=geom.zeros(), slopes=dv)
 
 
 def _check_inputs(geom: _ConeGeometry, lam: float, tol: float, warm_dual) -> None:
@@ -354,9 +374,8 @@ def project_pdhg(
     _check_inputs(geom, lam, tol, warm_dual)
     vvals = v.values
     dv = edge_slopes(v.grid, vvals)
-    if geom.max_norm(dv) <= lam:  # admissible: its own projection, with a zero dual
-        cert = _Certificate(dv, 0.0, vvals.copy(), 0.0, 0.0, True)
-        return _finalize(geom, cert, geom.zeros(), lam, 0)
+    if geom.max_norm(dv) <= lam:
+        return _admissible_result(geom, vvals, dv)
 
     L = geom.op_norm
     tau = 2.0 / L
@@ -813,9 +832,8 @@ def project(
     _check_inputs(geom, lam, tol, warm_dual)
     vvals = v.values
     dv = edge_slopes(v.grid, vvals)
-    if geom.max_norm(dv) <= lam:  # admissible: its own projection, with a zero dual
-        cert = _Certificate(dv, 0.0, vvals.copy(), 0.0, 0.0, True)
-        return _finalize(geom, cert, geom.zeros(), lam, 0)
+    if geom.max_norm(dv) <= lam:
+        return _admissible_result(geom, vvals, dv)
 
     certify = _certifier(geom, vvals, lam, tol)
     q0 = geom.zeros() if warm_dual is None else np.array(warm_dual, dtype=float)

@@ -465,7 +465,7 @@ def run(
         params=params,
         numerics=numerics,
         grid=grid,
-        snapshots=[Snapshot(0.0, u0.copy(), MultiplierField.zeros(grid))],
+        snapshots=[Snapshot(0.0, HeightField(grid, u0.values.copy()), MultiplierField.zeros(grid))],
         steps=[],
         snapshot_every=snapshot_every,
     )

@@ -249,6 +249,23 @@ def test_admissible_catches_a_steep_bottom_edge_in_2d(mode):
     assert admissible(HeightField(g, u), lam, mode)
 
 
+@pytest.mark.parametrize(
+    "dim, extents, counts, mode",
+    [
+        (1, 1.0, 17, "isotropic"),
+        (2, (1.0, 1.3), (7, 9), "isotropic"),
+        (2, (1.0, 1.3), (7, 9), "componentwise"),
+    ],
+)
+def test_max_slope_is_the_largest_node_magnitude(dim, extents, counts, mode):
+    # max_slope reduces once; it equals the largest per-node magnitude bitwise
+    g = make_grid(dim, extents, counts)
+    f = HeightField(g, 0.3 * np.random.default_rng(11).normal(size=g.shape))
+    expected = node_slope_magnitude(f, mode).max()
+    assert max_slope(f, mode) == expected
+    assert max_slope(f, mode, edge_slopes(g, f.values)) == expected
+
+
 def test_node_slope_modes_2d():
     g = make_grid(2, (1.0, 1.0), (5, 5))
     rng = np.random.default_rng(3)

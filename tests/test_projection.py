@@ -24,6 +24,7 @@ from barchan.projection import (
     MultiplierField,
     _ConeGeometry,
     _certifier,
+    _finalize,
     _gap_floor,
     _path_dp,
     _path_newton,
@@ -63,13 +64,28 @@ def truncate(z, k):
 
 @pytest.mark.parametrize("solver", SOLVERS_1D)
 def test_admissible_input_is_fixed_point(solver):
-    g = make_grid(1, 1.0, 15)
+    # an admissible input is its own projection: a copy of itself, with
+    # zero multiplier and dual, its own edge slopes, and no iteration
     lam = 1.0
-    u = HeightField(g, 0.5 * lam * dist_to_boundary(g))
-    res = solver(u, lam)
-    np.testing.assert_array_equal(res.u.values, u.values)
-    np.testing.assert_array_equal(res.m.values, 0.0)
-    assert res.converged
+    cases = [
+        (make_grid(1, 1.0, 15), "isotropic"),
+        (make_grid(2, (1.0, 1.3), (9, 11)), "isotropic"),
+        (make_grid(2, (1.0, 1.3), (9, 11)), "componentwise"),
+    ]
+    for g, mode in cases:
+        u = HeightField(g, 0.5 * lam * dist_to_boundary(g))
+        assert admissible(u, lam, mode)
+        res = solver(u, lam, mode=mode)
+        np.testing.assert_array_equal(res.u.values, u.values)
+        assert not np.shares_memory(res.u.values, u.values)
+        assert res.m.values.shape == g.shape
+        np.testing.assert_array_equal(res.m.values, 0.0)
+        assert res.dual.shape == _ConeGeometry(g, mode).shape
+        np.testing.assert_array_equal(res.dual, 0.0)
+        np.testing.assert_array_equal(res.slopes, edge_slopes(g, u.values))
+        assert res.iterations == 0
+        assert res.primal_dual_gap == 0.0 and res.constraint_violation == 0.0
+        assert res.converged
 
 
 @pytest.mark.parametrize("solver", SOLVERS_1D)
@@ -308,6 +324,30 @@ def test_multiplier_field_validation():
     g = make_grid(1, 1.0, 5)
     with pytest.raises(ValueError, match="nonnegative"):
         MultiplierField(g, np.array([0.0, -0.1, 0.0, 0.0, 0.0]))
+
+
+def test_resolvent_step_rejects_non_finite_drive():
+    # the drive enters the package here, and is checked by name
+    g = make_grid(1, 1.0, 5)
+    drive = np.ones(5)
+    drive[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        resolvent_step(HeightField.zeros(g), drive, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("dim, mode", [(1, "isotropic"), (2, "isotropic"), (2, "componentwise")])
+def test_finalize_rejects_non_finite_iterate(dim, mode):
+    # results are built unchecked; a NaN iterate makes the duality gap NaN,
+    # which _finalize rejects by name (the violation reads 0 on it)
+    g = make_grid(dim, 1.0, 6)
+    geom = _ConeGeometry(g, mode)
+    certify = _certifier(geom, np.ones(g.shape), 1.0, DEFAULT_TOL)
+    nan_field, nan_dual = np.full(g.shape, np.nan), np.full(geom.shape, np.nan)
+    for x, q in [(nan_field, geom.zeros()), (np.zeros(g.shape), nan_dual)]:
+        cert = certify(x, q)
+        assert math.isnan(cert.gap) and not cert.ok
+        with pytest.raises(ValueError, match="not finite"):
+            _finalize(geom, cert, q, 1.0, 1)
 
 
 def test_warm_start_does_not_change_limit():

@@ -260,6 +260,21 @@ def test_run_holds_every_step_projection_to_one_policy(caplog, monkeypatch):
     ]
 
 
+def test_run_rejects_non_finite_start_before_any_step(monkeypatch):
+    # a NaN written into u0 after its construction is caught where run takes
+    # u0 in, before any projection or step
+    g = make_grid(1, 1.0, 31)
+    p = ModelParams(lam=1.0, h=HProfile.zero(), T=0.1, dt=0.05,
+                    kernel=KernelSpec("triangle", 3 / 32))
+    u0 = hump(g, 0.4, 0.2, 0.25)
+    u0.values[7] = np.nan
+    calls = []
+    monkeypatch.setattr(stepper, "resolvent_step", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="non-finite"):
+        run(p, u0)
+    assert calls == []
+
+
 def test_run_T_zero_is_initial_state():
     g = make_grid(1, 1.0, 31)
     p = ModelParams(lam=1.0, h=HProfile.zero(), T=0.0, kernel=KernelSpec("triangle", 3 / 32))
