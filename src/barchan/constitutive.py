@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import erf
 
 H_KINDS = ("erf_smoothed", "smooth_ramp", "constant", "zero")
 GAMMA_KINDS = ("identity", "scaled_identity", "saturating", "zero")
@@ -114,10 +114,24 @@ def h_eval(profile: HProfile, r):
     elif profile.kind == "smooth_ramp":
         out = np.maximum(arr, 0.0) / np.sqrt(1.0 + arr * arr)
     else:
-        eps = profile.eps
-        out = 1.0 - 0.5 * (erf(-arr / math.sqrt(eps)) - erf(-1.0 / eps))
+        # 1 - (erf(-r / sqrt(eps)) - erf(-1 / eps)) / 2, in place
+        erf = _erf()
+        out = np.divide(arr, -math.sqrt(profile.eps), out=np.empty_like(arr))
+        erf(out, out=out)
+        out -= erf(-1.0 / profile.eps)
+        out *= 0.5
+        np.subtract(1.0, out, out=out)
     out = out.clip(0.0, h_sup(profile))  # np.clip's own method, without its wrapper
     return float(out) if np.ndim(r) == 0 else out
+
+
+@cache
+def _erf():
+    """scipy's ``erf``, imported on the first ``erf_smoothed`` evaluation:
+    importing ``scipy.special`` costs more than the rest of the package."""
+    from scipy.special import erf
+
+    return erf
 
 
 def gamma_eval(profile: GammaProfile, u):

@@ -27,12 +27,14 @@ Two solvers compute it:
   linear solves whatever the grid size, where PDHG needs hundreds to
   thousands of iterations.  It has one loop per grid kind:
 
-  - In 1D the cone is polyhedral and ``D D^T`` (D the edge differences)
-    is tridiagonal, so one primal-dual active-set step is one banded
-    solve, and a repeated active pattern is an exact KKT point.  When no
-    pattern repeats within ``NEWTON_MAX_STEPS`` solves, an exact dynamic
-    program over the path (L2 Lipschitz regression) gives the projection
-    in a finite number of operations, with no tolerance.
+  - In 1D the cone is polyhedral and a primal-dual active-set step has a
+    closed form: the active edges join the nodes into runs, and on each
+    run the field is a potential of slope ``±lam`` per edge plus one
+    constant, so a step is a few prefix sums and no linear solve.  A
+    repeated active pattern is an exact KKT point.  When no pattern
+    repeats within ``NEWTON_MAX_STEPS`` solves, an exact dynamic program
+    over the path (L2 Lipschitz regression) gives the projection in a
+    finite number of operations, with no tolerance.
   - Otherwise one step is one banded Cholesky solve over the active
     constraints, with the generalized Jacobian of the paired (Euclidean)
     constraints; numbering the active entries cell by cell keeps the band
@@ -52,8 +54,10 @@ The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
 m = |dual| / lam there and is exactly zero on inactive nodes.
 
-LAPACK runs under the caller's BLAS thread count.  The root ``conftest.py``
-and ``perfbench/run.py`` pin it to one thread; library callers are not
+The 2D Newton solves call LAPACK through ``scipy.linalg``, imported on
+the first of them, so a 1D projection loads no scipy.  LAPACK runs under
+the caller's BLAS thread count.  The root ``conftest.py`` and
+``perfbench/run.py`` pin it to one thread; library callers are not
 pinned.  On these narrow bands that matters: for 314 unknowns the banded
 Cholesky and solve took 704 us unpinned against 207 us pinned (2 cores).
 """
@@ -63,12 +67,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpbsv, dptsv
 
 from .grid import (
     TOL_CONSTRAINT,
@@ -374,8 +376,11 @@ def project_pdhg(
     _check_inputs(geom, lam, tol, warm_dual)
     vvals = v.values
     dv = edge_slopes(v.grid, vvals)
-    if geom.max_norm(dv) <= lam:
+    top = geom.max_norm(dv)
+    if top <= lam:
         return _admissible_result(geom, vvals, dv)
+    if not math.isfinite(top):  # written to after its constructor checked it
+        raise ValueError("height field contains non-finite values")
 
     L = geom.op_norm
     tau = 2.0 / L
@@ -432,23 +437,37 @@ def project_pdhg(
     return _finalize(geom, cert, q, lam, it + solves)
 
 
+@cache
+def _lapack():
+    """scipy's banded solvers ``(dptsv, dpbsv, solve_banded)``, imported on
+    the first 2D Newton solve: no 1D projection needs them, and importing
+    ``scipy.linalg`` costs more than the rest of the package does."""
+    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dpbsv, dptsv
+
+    return dptsv, dpbsv, solve_banded
+
+
 def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.ndarray:
     """Solve the symmetric system whose upper band is ``band`` (LAPACK
     upper form: the diagonal in the last row) by a banded Cholesky
-    factorization.  Raises ``np.linalg.LinAlgError`` when the matrix is not
-    positive definite, unless ``pivot``: then banded LU with partial
-    pivoting solves it, and raises only on an exactly singular pivot.
+    factorization; the 2D Newton steps use it.  Raises
+    ``np.linalg.LinAlgError`` when the matrix is not positive definite,
+    unless ``pivot``: then banded LU with partial pivoting solves it, and
+    raises only on an exactly singular pivot.
 
-    LAPACK is called directly: ``dptsv`` for a band of two rows, ``dpbsv``
-    for a wider one, the routines and arguments ``solveh_banded`` uses, so
-    the results are bitwise equal to its own without its checks and
-    dispatch, which cost ten times the solve of a few dozen unknowns.  A
-    1x1 system is divided out: the ``dptsv`` wrapper rejects one.
+    LAPACK is called directly (see :func:`_lapack`): ``dptsv`` for a band of
+    two rows, ``dpbsv`` for a wider one, the routines and arguments
+    ``solveh_banded`` uses, so the results are bitwise equal to its own
+    without its checks and dispatch, which cost ten times the solve of a few
+    dozen unknowns.  A 1x1 system is divided out: the ``dptsv`` wrapper
+    rejects one.
     """
     if rhs.size == 1:
         if not (band[-1, 0] > 0.0 or pivot and band[-1, 0] != 0.0):
             raise np.linalg.LinAlgError("1x1 system not positive definite")
         return rhs / band[-1]
+    dptsv, dpbsv, solve_banded = _lapack()
     if band.shape[0] == 2:
         *_, x, info = dptsv(band[1], band[0, 1:], rhs)
     else:
@@ -476,11 +495,13 @@ def _path_newton(
     Each step takes the active edges and their signs from
     ``z = q + c D u``, with ``u = v - D^T q`` and ``c = dx^2 / 2``, then
     solves ``(D D^T)_AA q_A = (D v)_A - lam s_A`` with ``q = 0`` off the
-    active set.  ``D D^T`` is tridiagonal: ``2 / dx^2`` on the diagonal
-    (``1 / dx^2`` on the boundary edges 0 and n), ``-1 / dx^2`` beside it.
-    A pattern that repeats is an exact KKT point, and the pair ``(u, q)``
-    is certified with the ``D^T q`` and edge slopes of ``u`` that the
-    iterate has computed.  ``dv`` is the lattice of the edge slopes of ``v``.
+    active set (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002).
+    That system is solved in closed form (:func:`_path_step`), so no step
+    factors a matrix.  A pattern that repeats is an exact KKT point, and the
+    pair ``(u, q)`` is certified with the ``u`` and ``D^T q = v - u`` of the
+    step that found it, and the edge slopes of ``u`` its pattern test took.
+    ``dv`` is the lattice of the edge slopes of ``v``: those of ``u`` on a
+    cold start, where ``q`` is zero and so ``u`` is ``v``.
 
     Returns ``(cert, q, solves)`` with the certificate of the final pair,
     which the caller checks; ``cert`` and ``q`` are None when no pattern
@@ -489,34 +510,62 @@ def _path_newton(
     """
     dx = geom.grid.spacing[0]
     c = 0.5 * dx * dx
-    diag = np.full(dv.size, 2.0)
-    diag[0] = diag[-1] = 1.0
     pattern, solves = None, 0
-    (dv0,) = dv
+    aq = edge_slopes_adjoint(geom.grid, q)
+    u = vvals - aq
+    du = edge_slopes(geom.grid, u) if q.any() else dv
     while True:
-        aq = edge_slopes_adjoint(geom.grid, q)
-        u = vvals - aq
-        du = edge_slopes(geom.grid, u)
         z = q[0] + c * du[0]
         active = np.abs(z) > c * lam
-        signs = np.sign(z[active])
-        # signs compare only when the active sets, and so their sizes, do
-        if pattern is not None and (active == pattern[0]).all() and (signs == pattern[1]).all():
+        signs = np.sign(z) * active  # the signed pattern: 0 off the active edges
+        if pattern is not None and (signs == pattern).all():
             return certify(u, q, du, aq), q, solves
         if solves == NEWTON_MAX_STEPS or active.all():
             return None, None, solves
-        pattern = (active, signs)
-        # The active block of dx^2 D D^T: nonzero off the diagonal only
-        # between adjacent edges.
-        idx = np.flatnonzero(active)
-        rhs = (dv0[idx] - lam * signs) * (dx * dx)
-        q = np.zeros_like(dv)
-        if idx.size:
-            band = np.zeros((2, idx.size))
-            band[0, 1:] = np.where(idx[1:] - idx[:-1] == 1, -1.0, 0.0)
-            band[1] = diag[idx]
-            q[0][idx] = _banded_solve(band, rhs)
+        pattern = signs
+        u, aq, q = _path_step(vvals, (lam * dx) * signs, active, dx)
+        du = edge_slopes(geom.grid, u)
         solves += 1
+
+
+def _path_step(vvals: np.ndarray, t: np.ndarray, active: np.ndarray, dx: float):
+    """One step of :func:`_path_newton` in closed form: the minimiser ``u``
+    of ``|u - v|^2 / 2`` whose slope on every active edge ``k`` is ``t_k /
+    dx``, with ``D^T q = v - u`` and the dual ``q`` as a lattice.  ``t`` is
+    ``lam dx`` times the signed pattern, 0 off the active edges, and not
+    every edge is active.
+
+    Edge ``k`` joins nodes ``k - 1`` and ``k``, so the active edges join the
+    nodes into runs, a node off every active edge being a run of its own.
+    On a run ``u`` is the potential ``P = cumsum(t)`` plus one constant
+    ``C``: ``mean(v - P)`` over the run, but 0 on a run through edge 0
+    (``u_0 = t_0``) and ``-t_n - P_{n-1}`` on one through edge n (``u_{n-1}
+    = -t_n``).  ``v - u = (v - P) - C`` is then exactly 0 on a node of its
+    own, and sums to 0 over every run through neither boundary edge.  So
+    ``q_k = dx (S_L - sum_{i < k} (v - u)_i)`` on the active edges and 0
+    elsewhere, ``S_L`` being the sum of ``v - u`` over the run through edge
+    0 (0 if there is none).
+    """
+    n = vvals.size
+    p = np.add.accumulate(t[:-1])
+    cut = ~active  # runs start at node 0 and after each inactive edge; n ends the last
+    cut[0] = cut[-1] = True
+    bounds = np.flatnonzero(cut)
+    size = bounds[1:] - bounds[:-1]
+    r = vvals - p
+    const = np.add.reduceat(r, bounds[:-1])
+    const /= size
+    if active[0]:
+        const[0] = 0.0
+    if active[-1]:
+        const[-1] = -t[-1] - p[-1]
+    r -= np.repeat(const, size)  # now v - u
+    q = np.zeros(n + 1)  # first sum_{i < k} r_i at edge k, then the dual
+    np.add.accumulate(r, out=q[1:])
+    if active[0]:
+        q -= q[bounds[1]]
+    q *= -dx
+    return vvals - r, r, np.where(active, q, 0.0)[None]
 
 
 def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
@@ -817,23 +866,26 @@ def project(
 
     From the dual of a nearby projection it usually ends in one to three
     solves.  In 1D (where the two modes coincide and ``max_iter`` is
-    unused) the steps are banded solves; if no active pattern repeats, or
-    the result fails the certificate, the exact path dynamic program
-    replaces it, and ``iterations`` counts the banded solves plus one.
-    Otherwise the steps are banded Cholesky solves, numbered cell by cell;
-    when they cannot certify within ``min(NEWTON_MAX_STEPS, max_iter)``
-    solves, or a block is not positive definite, :func:`project_pdhg` takes
-    over from ``warm_dual`` with the rest of the ``max_iter`` budget, and
-    ``iterations`` counts the Newton solves plus the PDHG iterations, so it
-    never exceeds ``max_iter``.  An admissible input returns itself with 0.
+    unused) the steps are closed-form solves (:func:`_path_step`); if no
+    active pattern repeats, or the result fails the certificate, the exact
+    path dynamic program replaces it, and ``iterations`` counts the solves
+    plus one.  Otherwise the steps are banded Cholesky solves, numbered
+    cell by cell; when they cannot certify within ``min(NEWTON_MAX_STEPS,
+    max_iter)`` solves, or a block is not positive definite,
+    :func:`project_pdhg` takes over from ``warm_dual`` with the rest of the
+    ``max_iter`` budget, and ``iterations`` counts the Newton solves plus
+    the PDHG iterations, so it never exceeds ``max_iter``.  An admissible input returns itself with 0.
     ``converged`` has the meaning it has in :func:`project_pdhg`.
     """
     geom = _geometry(v.grid, mode)
     _check_inputs(geom, lam, tol, warm_dual)
     vvals = v.values
     dv = edge_slopes(v.grid, vvals)
-    if geom.max_norm(dv) <= lam:
+    top = geom.max_norm(dv)
+    if top <= lam:
         return _admissible_result(geom, vvals, dv)
+    if not math.isfinite(top):  # written to after its constructor checked it
+        raise ValueError("height field contains non-finite values")
 
     certify = _certifier(geom, vvals, lam, tol)
     q0 = geom.zeros() if warm_dual is None else np.array(warm_dual, dtype=float)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from barchan.constitutive import (
     GammaProfile,
@@ -44,6 +45,18 @@ def test_erf_smoothed_asymptotes():
     p = HProfile.erf_smoothed(0.01)
     assert h_eval(p, 3.0) == pytest.approx(1.0, abs=1e-6)
     assert h_eval(p, -3.0) == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.25, 0.9])
+def test_erf_smoothed_in_place_is_bitwise_the_formula(eps):
+    # h_eval works in place; it must give the written expression's bits
+    p = HProfile.erf_smoothed(eps)
+    rng = np.random.default_rng(7)
+    r = np.concatenate([rng.normal(scale=s, size=3000) for s in (0.1, 1.0, 10.0)])
+    want = (1.0 - 0.5 * (erf(-r / math.sqrt(eps)) - erf(-1.0 / eps))).clip(0.0, h_sup(p))
+    np.testing.assert_array_equal(h_eval(p, r), want)
+    np.testing.assert_array_equal(h_eval(p, r.reshape(90, 100)), want.reshape(90, 100))
+    assert [h_eval(p, float(x)) for x in r[:20]] == want[:20].tolist()
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.25])

@@ -184,13 +184,13 @@ def test_fft_matches_direct_2d():
     np.testing.assert_allclose(nonlocal_slope(u, k), fft_nonlocal(u, k), atol=1e-10)
 
 
-def _loaded_by_solver_imports(module: str) -> bool:
-    """Whether importing the solver modules in a fresh interpreter loads ``module``."""
+def _loaded_by_solver_imports(module: str, then: str = "") -> bool:
+    """Whether importing the solver modules in a fresh interpreter, then
+    running the statements ``then``, loads ``module``."""
     src = str(Path(barchan.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
-        "import sys, barchan, barchan.stepper, barchan.verify; "
-        f"print({module!r} in sys.modules)"
+    code = "\n".join(
+        ["import sys, barchan, barchan.stepper, barchan.verify", then, f"print({module!r} in sys.modules)"]
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -206,6 +206,57 @@ def test_import_does_not_load_scipy_signal():
 def test_import_does_not_load_scipy_sparse():
     # the Newton blocks are banded, so the solver needs no sparse matrices
     assert not _loaded_by_solver_imports("scipy.sparse")
+
+
+def test_import_loads_no_scipy():
+    # every scipy submodule loads the package itself
+    assert not _loaded_by_solver_imports("scipy")
+
+
+# A 1D run on the wind response ``{h}`` from a tent twice as steep as the
+# cone, so the start projection and the steps' avalanches project.
+_RUN_1D = """
+import numpy as np
+from barchan.constitutive import HProfile
+from barchan.grid import HeightField, make_grid
+from barchan.stepper import KernelSpec, ModelParams, SourceSpec, run
+g = make_grid(1, 1.0, 32)
+dx = g.spacing[0]
+x = g.coords(0)
+source = SourceSpec("patch", center=(0.5,), width=0.1, rate=2.0)
+params = ModelParams(
+    lam=1.0, h={h}, kernel=KernelSpec("triangle", 3 * dx), source=source, T={T}, dt={dt}
+)
+traj = run(params, HeightField(g, 2.0 * np.minimum(x, 1.0 - x)))
+assert traj.failure is None and all(d.projection_iterations for d in traj.steps)
+"""
+
+
+def test_windless_1d_run_and_audit_load_no_scipy():
+    audit = """
+from barchan.verify import make_test_functions, vi_report
+tests = make_test_functions(g, 1.0, 4, 0)
+assert vi_report(traj, tests, tol=2.0 * (0.01 + dx)).passed
+"""
+    run = _RUN_1D.format(h="HProfile.zero()", T=0.05, dt=0.01)
+    assert not _loaded_by_solver_imports("scipy", run + audit)
+
+
+def test_erf_smoothed_run_loads_scipy_special_only():
+    run = _RUN_1D.format(h="HProfile.erf_smoothed(0.25)", T=0.002, dt='"auto"')
+    assert _loaded_by_solver_imports("scipy.special", run)
+    assert not _loaded_by_solver_imports("scipy.linalg", run)
+
+
+def test_inadmissible_2d_projection_loads_scipy_linalg():
+    project = """
+import numpy as np
+from barchan.grid import HeightField, make_grid
+from barchan.projection import project
+res = project(HeightField(make_grid(2, (1.0, 1.0), (6, 6)), 3.0 * np.ones((6, 6))), 1.0)
+assert res.converged and res.iterations > 0
+"""
+    assert _loaded_by_solver_imports("scipy.linalg", project)
 
 
 def test_2d_is_rowwise():

@@ -350,6 +350,24 @@ def test_finalize_rejects_non_finite_iterate(dim, mode):
             _finalize(geom, cert, q, 1.0, 1)
 
 
+@pytest.mark.parametrize("dim, mode", [(1, "isotropic"), (2, "isotropic"), (2, "componentwise")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("solver", [project, project_pdhg])
+def test_non_finite_input_fails_before_any_iteration(solver, dim, mode, bad, monkeypatch):
+    # a value written into a checked field after its constructor ran is
+    # caught where the projection starts: no iteration may run on it
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("a projection iterated on a non-finite input")
+
+    for name in ("_certifier", "_path_newton", "_path_dp", "_grid_newton"):
+        monkeypatch.setattr(projection, name, no_iteration)
+    g = make_grid(dim, 1.0, 12)
+    v = HeightField(g, np.ones(g.shape))
+    v.values.flat[7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solver(v, 1.0, mode=mode)
+
+
 def test_warm_start_does_not_change_limit():
     rng = np.random.default_rng(37)
     g = make_grid(1, 1.0, 41)
@@ -565,6 +583,48 @@ def test_pdhg_2d_settles_degenerate_inputs(case, noise_seed):
     assert res.converged and res.iterations < 5000
     assert res.constraint_violation <= 1e-8
     assert np.all(res.m.values >= 0.0)
+
+
+def _dense_path_dual(v, lam, signs):
+    """The dual of one active-set step by a dense solve of
+    ``(D D^T)_AA q_A = (D v)_A - lam s_A``; ``signs`` is 0 off the active
+    edges."""
+    n = v.grid.counts[0]
+    D = (np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)) / v.grid.spacing[0]
+    act = np.flatnonzero(signs)
+    q = np.zeros(n + 1)
+    q[act] = np.linalg.solve((D @ D.T)[np.ix_(act, act)], (D @ v.values)[act] - lam * signs[act])
+    return q, v.values - D.T @ q
+
+
+@pytest.mark.parametrize(
+    "signs",
+    [
+        pytest.param({4: 1.0}, id="one-edge"),
+        pytest.param({0: 1.0, 1: 1.0, 2: -1.0}, id="run-at-edge-0"),
+        pytest.param({7: -1.0, 8: 1.0, 9: -1.0}, id="run-at-edge-n"),
+        pytest.param({2: 1.0, 3: 1.0, 5: -1.0, 6: -1.0}, id="two-runs-one-edge-apart"),
+        pytest.param({0: -1.0, 1: 1.0, 3: -1.0, 4: 1.0, 5: 1.0, 7: -1.0, 9: 1.0}, id="mixed"),
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_path_step_matches_dense_solve(signs, seed):
+    # the closed form of one 1D Newton step against the linear system it
+    # solves, on any signed pattern short of all edges
+    g = make_grid(1, 1.0, 9)
+    dx, lam = g.spacing[0], 0.7
+    v = HeightField(g, np.random.default_rng(seed).normal(size=9))
+    s = np.zeros(10)
+    for k, sign in signs.items():
+        s[k] = sign
+    q_want, u_want = _dense_path_dual(v, lam, s)
+    u, aq, q = projection._path_step(v.values, lam * dx * s, s != 0.0, dx)
+    np.testing.assert_allclose(q[0], q_want, rtol=0.0, atol=1e-12 * np.abs(q_want).max())
+    np.testing.assert_allclose(u, u_want, rtol=0.0, atol=1e-12 * np.abs(u_want).max())
+    np.testing.assert_allclose(aq, v.values - u_want, rtol=0.0, atol=1e-12 * np.abs(u_want).max())
+    assert np.all(q[0][s == 0.0] == 0.0)
+    # on the active edges the slope of u is lam times the sign
+    np.testing.assert_allclose(edge_slopes(g, u)[0][s != 0.0], lam * s[s != 0.0], rtol=1e-12)
 
 
 def test_path_all_active_qp():
