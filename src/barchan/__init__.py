@@ -4,9 +4,8 @@ Avalanche dynamics are an L2-projection flow onto the slope-constrained
 cone; wind transport is a nonlocal upwind flux.
 
 Importing the package loads numpy and no scipy.  scipy is imported on
-first use, by two paths only: the ``erf_smoothed`` wind response loads
-``scipy.special``, and the first Newton solve on a 2D grid (``project``
-of a field outside the cone, or the polish of a stalled ``project_pdhg``)
+one path only: the first Newton solve on a 2D grid (``project`` of a
+field outside the cone, or the polish of a stalled ``project_pdhg``)
 loads ``scipy.linalg`` for its banded Cholesky.
 """
 

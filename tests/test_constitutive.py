@@ -35,10 +35,15 @@ def test_smooth_ramp_vanishes_on_lee_side():
     np.testing.assert_array_equal(h_eval(p, r), 0.0)
 
 
-@pytest.mark.parametrize("eps,r", [(0.01, 3.0), (0.01, -3.0), (0.1, 0.5), (0.25, -0.2)])
+@pytest.mark.parametrize(
+    "eps,r",
+    [(0.01, 3.0), (0.01, -3.0), (0.1, 0.5), (0.25, -0.2), (0.25, 1), (0.5, np.array(-0.4))],
+)
 def test_erf_smoothed_matches_quadrature(eps, r):
+    # a Python int and a 0-d array are scalars too: they give a float
     p = HProfile.erf_smoothed(eps)
-    assert h_eval(p, r) == pytest.approx(h_quadrature(eps, r), abs=1e-6)
+    assert type(h_eval(p, r)) is float
+    assert h_eval(p, r) == pytest.approx(h_quadrature(eps, float(r)), abs=1e-6)
 
 
 def test_erf_smoothed_asymptotes():
@@ -47,16 +52,50 @@ def test_erf_smoothed_asymptotes():
     assert h_eval(p, -3.0) == pytest.approx(0.0, abs=1e-6)
 
 
+def erf_formula(eps: float, r, erf_fn) -> np.ndarray:
+    """The written expression of ``erf_smoothed``, clipped as ``h_eval`` clips."""
+    p = HProfile.erf_smoothed(eps)
+    return (1.0 - 0.5 * (erf_fn(-r / math.sqrt(eps)) - erf_fn(-1.0 / eps))).clip(0.0, h_sup(p))
+
+
+def math_erf(x):
+    """``math.erf`` one element at a time, on a scalar or an array."""
+    return np.vectorize(math.erf, otypes=[float])(x)
+
+
+def erf_draws() -> np.ndarray:
+    rng = np.random.default_rng(7)
+    return np.concatenate([rng.normal(scale=s, size=3000) for s in (0.1, 1.0, 10.0)])
+
+
 @pytest.mark.parametrize("eps", [0.01, 0.25, 0.9])
 def test_erf_smoothed_in_place_is_bitwise_the_formula(eps):
     # h_eval works in place; it must give the written expression's bits
     p = HProfile.erf_smoothed(eps)
-    rng = np.random.default_rng(7)
-    r = np.concatenate([rng.normal(scale=s, size=3000) for s in (0.1, 1.0, 10.0)])
-    want = (1.0 - 0.5 * (erf(-r / math.sqrt(eps)) - erf(-1.0 / eps))).clip(0.0, h_sup(p))
+    r = erf_draws()
+    want = erf_formula(eps, r, math_erf)
     np.testing.assert_array_equal(h_eval(p, r), want)
     np.testing.assert_array_equal(h_eval(p, r.reshape(90, 100)), want.reshape(90, 100))
     assert [h_eval(p, float(x)) for x in r[:20]] == want[:20].tolist()
+    # a list, and the empty shapes the flat evaluation must rebuild
+    assert h_eval(p, r[:20].tolist()).tolist() == want[:20].tolist()
+    for empty in (r[:0], r[:0].reshape(0, 3)):
+        assert h_eval(p, empty).shape == empty.shape
+    # NaN stays NaN; the infinities give the clipped limits
+    specials = [math.nan, math.inf, -math.inf]
+    ends = h_eval(p, specials)
+    np.testing.assert_array_equal(ends, erf_formula(eps, np.array(specials), math_erf))
+    assert math.isnan(ends[0]) and ends[1] == h_sup(p)
+    assert ends[2] == pytest.approx(0.5 * math.erfc(1.0 / eps), abs=np.spacing(1.0))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.25, 0.9])
+def test_erf_smoothed_within_ulps_of_scipy_erf(eps):
+    # math.erf and scipy's erf differ by at most one ulp
+    r = erf_draws()
+    want = erf_formula(eps, r, erf)
+    got = h_eval(HProfile.erf_smoothed(eps), r)
+    np.testing.assert_allclose(got, want, rtol=0, atol=2 * np.spacing(1.0))
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.25])
