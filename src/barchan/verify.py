@@ -18,14 +18,16 @@ splitting, which makes the residual vanish identically on stationary runs.
 
 One residual call covers every snapshot interval of a run and a block of
 test functions at once: once per report the snapshots are stacked as one
-``(S, *grid)`` array and the interval fluxes and sources as two
-``(S - 1, *grid)`` arrays; the energies and pairings are broadcasts of the
-block's ``(X, 1, *grid)`` stack against them, each field summed in the
-order of :func:`~barchan.grid.integrate`, so the residuals equal those of
-one test function at a time bit for bit.  The block is bounded because its
-``(X, S, *grid)`` temporaries are the report's peak memory; one call per
-truncation level k stays, so that a tracer or a test stub that replaces
-:func:`vi_residual` sees each level with a scalar k.
+``(S, *grid)`` array and the interval drives ``f - transport_div(F)``,
+paired by parts in place of the flux gradient (the wall term is the last
+entry of ``transport_div``), as one ``(S - 1, *grid)`` array; the energies
+and pairings are broadcasts of the block's ``(X, 1, *grid)`` stack against
+them, each field summed in the order of :func:`~barchan.grid.integrate`,
+so the residuals equal those of one test function at a time bit for bit.
+The block is bounded because its ``(X, S, *grid)`` temporaries are the
+report's peak memory; one call per truncation level k stays, so that a
+tracer or a test stub that replaces :func:`vi_residual` sees each level
+with a scalar k.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .stepper import (
     Trajectory,
     kernel_for,
     source_eval,
+    transport_div,
     transport_flux,
 )
 
@@ -183,21 +186,22 @@ def make_test_functions(
     return TestFunctionSet(xis=xis, seed=seed)
 
 
-def _interval_drives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The snapshots stacked as one ``(S, *grid)`` array, and the wind fluxes
-    and sources of the snapshot intervals, each taken at the interval's
-    older snapshot, as two stacked ``(S - 1, *grid)`` arrays; none of them
-    depends on the test function."""
+def _interval_drives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The snapshots stacked as one ``(S, *grid)`` array, and the drive
+    ``f - transport_div(F)`` of each snapshot interval at its older snapshot
+    as one ``(S - 1, *grid)`` array, which pairs with ``T_k(u1 - xi)`` by
+    parts, the wall term in the last entry of ``transport_div``."""
     if traj.snapshot_every != 1:
         raise ValueError("verification runs need snapshot_every = 1")
     if len(traj.snapshots) < 2:
         raise ValueError("verification needs at least two snapshots (a run with T > 0)")
-    kernel = kernel_for(traj.params, traj.grid)
-    return (
-        np.stack([s.u.values for s in traj.snapshots]),
-        np.stack([transport_flux(s.u, traj.params, kernel) for s in traj.snapshots[:-1]]),
-        np.stack([source_eval(traj.params.source, traj.grid, s.t) for s in traj.snapshots[:-1]]),
-    )
+    g, p = traj.grid, traj.params
+    kernel = kernel_for(p, g)
+    drives = [
+        source_eval(p.source, g, s.t) - transport_div(g, transport_flux(s.u, p, kernel))
+        for s in traj.snapshots[:-1]
+    ]
+    return np.stack([s.u.values for s in traj.snapshots]), np.stack(drives)
 
 
 def _row_integrals(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -211,22 +215,24 @@ def vi_residual(
 ) -> np.ndarray:
     """Per-interval residual of the truncated variational inequality.
 
-    For consecutive snapshots the residual is
+    For consecutive snapshots the paper's residual is
 
         [Phi(t1) - Phi(t0)] / dt - <F(t0), d/dx T_k(u1 - xi)> - <f(t0), T_k(u1 - xi)>
 
     with Phi the closed-form energy; nonpositive values up to the solver
-    tolerance mean the inequality holds on that interval.  ``xi`` is one
-    test function, giving an ``(S - 1,)`` array, or a nonempty sequence of
-    ``X`` of them, giving an ``(X, S - 1)`` array whose rows equal the
-    calls on each member bit for bit.  One call covers every interval and
-    every member: the test functions are stacked against the ``(S, *grid)``
-    snapshot stack, so every term is a broadcast over one ``(X, S, *grid)``
-    array, each field summed in the order of :func:`~barchan.grid.integrate`.
-    That array is the call's memory, so a caller with many test functions
-    passes them in blocks (:func:`vi_report`).  ``drives`` takes the
-    snapshot stack and the interval fluxes and sources of
-    :func:`_interval_drives` when the caller has them already.
+    tolerance mean the inequality holds on that interval.  Summed by parts,
+    ``<F, d/dx w> = -<transport_div(F), w>`` exactly for the forward
+    difference that is zero past the right wall, the wall term being the
+    last entry of ``transport_div``; so the residual is computed, up to
+    rounding, as ``dPhi / dt - <f - transport_div(F), T_k(u1 - xi)>``.
+    ``xi`` is one test function, giving an ``(S - 1,)`` array, or a
+    nonempty sequence of ``X`` of them, giving an ``(X, S - 1)`` array
+    whose rows equal the calls on each member bit for bit.  Every term is
+    a broadcast of the members against the snapshot stack over one
+    ``(X, S, *grid)`` array, each field summed in the order of
+    :func:`~barchan.grid.integrate`; that array is the call's memory, so
+    a caller with many test functions passes them in blocks
+    (:func:`vi_report`), with the ``drives`` of :func:`_interval_drives`.
     """
     if not k > 0.0:
         raise ValueError(f"truncation level k must be positive, got {k}")
@@ -239,60 +245,54 @@ def vi_residual(
     if any(x.grid != traj.grid for x in xis):
         raise ValueError("test function lives on a different grid")
     grid = traj.grid
-    u, flux, f = drives
+    u, drive = drives
     xv = np.stack([x.values for x in xis])[:, None]  # (X, 1, *grid)
     # Each (X, S, *grid) array alive at once is a block's worth of memory,
-    # so z = u - xi is truncated in place into w, and the products are
-    # formed in place; the values are those of the plain expressions.
+    # so z = u - xi is truncated in place into w, and the pairing is formed
+    # in place; the values are those of the plain expressions.
     z = u - xv
     phi = _row_integrals(grid, _clamp_antiderivative(z, k) - _clamp_antiderivative(-xv, k))
     w = truncate(z, k, out=z)[:, 1:]
-    # For each w, axis 0 of hosted(edge_slopes(grid, w)): the forward
-    # x-difference, zero past the wall, as np.diff(w, axis=2, append=0.0)
-    # computes it.
-    gx = np.empty(w.shape)
-    np.subtract(w[:, :, 1:], w[:, :, :-1], out=gx[:, :, :-1])
-    np.subtract(0.0, w[:, :, -1], out=gx[:, :, -1])
-    gx /= grid.spacing[0]
-    gx *= flux
-    w *= f
-    res = np.diff(phi) / np.diff(traj.times) - _row_integrals(grid, gx) - _row_integrals(grid, w)
+    w *= drive
+    res = np.diff(phi) / np.diff(traj.times) - _row_integrals(grid, w)
     return res[0] if single else res
 
 
 def vi_report(traj: Trajectory, test_functions: TestFunctionSet, tol: float) -> VIReport:
     """The worst :func:`vi_residual` of every (test function, k) pair, k
-    from ``test_functions.k_levels``, in that order; the snapshot stack,
-    fluxes and sources are built once for all pairs.
+    from ``test_functions.k_levels``, in that order; the snapshot stack and
+    the interval drives, paired by parts, are built once for all pairs.
 
     The test functions go to :func:`vi_residual` in blocks, one call per
     block and k level.  A block holds as many as keep one ``(X, S, *grid)``
     temporary within ``_VI_BLOCK_BYTES``: one batch of all of them was
     slower and raised peak memory.  Each call takes one scalar k through
     the module attribute, so a tracer or a test that replaces
-    ``vi_residual`` sees every call.
+    ``vi_residual`` sees every call.  The calls fill one ``(X, K, S - 1)``
+    array, whose one reduction gives every record's time and worst value.
 
     An empty test set or an empty ``k_levels`` has nothing to check and
     raises ``ValueError``; a NaN residual makes ``worst`` NaN, which fails.
     """
-    ks = test_functions.k_levels
-    xis = test_functions.xis
+    ks, xis = test_functions.k_levels, test_functions.xis
     if not xis:
         raise ValueError("the test function set is empty")
     if len(ks) == 0:
         raise ValueError("no truncation levels k to check")
     drives = _interval_drives(traj)
     block = max(1, _VI_BLOCK_BYTES // drives[0].nbytes)
-    records = []
-    times = traj.times
+    res = np.empty((len(xis), len(ks), len(drives[1])))  # (X, K, S - 1)
     for start in range(0, len(xis), block):
-        res = [vi_residual(traj, xis[start : start + block], k, drives) for k in ks]
-        for i in range(len(res[0])):
-            for k, r in zip(ks, res):
-                j = int(np.argmax(r[i]))
-                records.append(VIRecord(start + i, float(k), float(times[j + 1]), float(r[i, j])))
-    worst = float(np.max([r.residual for r in records]))
-    return VIReport(records=records, worst=worst, tol=tol)
+        rows = slice(start, start + block)
+        for c, k in enumerate(ks):
+            res[rows, c] = vi_residual(traj, xis[rows], k, drives)
+    j = np.argmax(res, axis=-1)
+    top = np.take_along_axis(res, j[..., None], axis=-1)[..., 0]
+    t, r = traj.times[j + 1].tolist(), top.tolist()
+    records = [
+        VIRecord(i, float(k), t[i][c], r[i][c]) for i in range(len(xis)) for c, k in enumerate(ks)
+    ]
+    return VIReport(records=records, worst=float(np.max(top)), tol=tol)
 
 
 def complementarity_report(traj: Trajectory, comp_tol: float = COMP_TOL) -> ComplementarityReport:

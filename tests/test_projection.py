@@ -472,6 +472,20 @@ def test_path_newton_matches_dp(case):
             assert np.max(np.abs(cert.xf - u_dp)) <= 1e-10
 
 
+def test_path_newton_cycle_ends_in_dp():
+    # From its second solve on, Newton goes round a cycle of three signed
+    # active patterns, so none repeats within NEWTON_MAX_STEPS solves and
+    # the exact path DP returns the projection, counted as one more solve.
+    v = HeightField(
+        make_grid(1, 1.0, 5), np.array([0.0829109, 0.57786201, -1.02689574, -0.54501314, 0.1094387])
+    )
+    res = project(v, 0.5)
+    assert res.converged and res.iterations == NEWTON_MAX_STEPS + 1
+    oracle = project_pdhg(v, 0.5)
+    assert oracle.converged
+    np.testing.assert_allclose(res.u.values, oracle.u.values, rtol=0.0, atol=1e-12)
+
+
 # --- project_pdhg in 2D, both constraint modes ---
 
 

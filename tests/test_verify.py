@@ -25,6 +25,7 @@ from barchan.stepper import (
     kernel_for,
     run,
     source_eval,
+    transport_div,
     transport_flux,
 )
 from barchan.verify import (
@@ -97,21 +98,70 @@ def source_traj_2d(mode):
     return run(p, u0, numerics=Numerics(constraint_mode=mode))
 
 
-def vi_residual_loop(traj, xi, k):
-    """Reference: the residual one snapshot interval at a time, with the
-    energy, flux and source of each snapshot evaluated on their own."""
+def interval_terms(traj, xi, k):
+    """Per snapshot interval, each evaluated on its own: the energy
+    quotient, the wind flux and source at the older snapshot, and
+    T_k(u1 - xi) at the newer one."""
     kernel = kernel_for(traj.params, traj.grid)
     snaps = traj.snapshots
     phi = [energy(s.u, xi, k) for s in snaps]
-    out = np.empty(len(snaps) - 1)
     for i, (s0, s1) in enumerate(zip(snaps[:-1], snaps[1:])):
+        dphi = (phi[i + 1] - phi[i]) / (s1.t - s0.t)
         flux = transport_flux(s0.u, traj.params, kernel)
         f = source_eval(traj.params.source, traj.grid, s0.t)
-        w = truncate(s1.u.values - xi.values, k)
-        dphi = (phi[i + 1] - phi[i]) / (s1.t - s0.t)
-        gx = hosted(edge_slopes(traj.grid, w))[0]
-        out[i] = dphi - integrate(traj.grid, flux * gx) - integrate(traj.grid, f * w)
-    return out
+        yield dphi, flux, f, truncate(s1.u.values - xi.values, k)
+
+
+def vi_residual_loop(traj, xi, k):
+    """Reference: the residual one snapshot interval at a time, T_k(u1 - xi)
+    paired with the drive f - transport_div(F) of the older snapshot."""
+    g = traj.grid
+    return np.array(
+        [
+            dphi - integrate(g, w * (f - transport_div(g, flux)))
+            for dphi, flux, f, w in interval_terms(traj, xi, k)
+        ]
+    )
+
+
+def flux_gradient_residual_loop(traj, xi, k):
+    """The paper's form of the residual, one interval at a time: the flux
+    paired with the forward x-difference of T_k(u1 - xi), zero past the
+    right wall, and the source paired with T_k(u1 - xi) itself."""
+    g = traj.grid
+    return np.array(
+        [
+            dphi - integrate(g, flux * hosted(edge_slopes(g, w))[0]) - integrate(g, f * w)
+            for dphi, flux, f, w in interval_terms(traj, xi, k)
+        ]
+    )
+
+
+def gamma_n(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff: the relative
+    error bound of a product of n roundings."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+def by_parts_bound(grid, flux, w, f=0.0, dphi=0.0):
+    """Bound on the difference of two float evaluations of one exact value:
+    dphi - <F, D w> - <f, w> and dphi - <f - transport_div(F), w>, with D the
+    forward x-difference zero past the right wall.  Each node term takes at
+    most four roundings (a difference, the division by dx, a subtraction
+    and a product), the sum over N nodes N - 1 more and the cell volume
+    one, so each integral is within gamma_{N+4} of the integral of its
+    terms' magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3 and 4); the at most two subtractions from
+    dphi add gamma_2 of the magnitudes and of |dphi|, and gamma_{N+4} +
+    gamma_2 <= gamma_{N+6}.  The two evaluations' bounds add up.  The
+    magnitudes are themselves computed in floats, which moves the bound
+    in second order only, (N u)^2."""
+    dx = grid.spacing[0]
+    dw = np.abs(np.diff(w, axis=0, append=0.0)) / dx
+    div = np.abs(np.diff(flux, axis=0, prepend=0.0)) / dx
+    mags = np.abs(flux) * dw + np.abs(w) * (div + 2.0 * np.abs(f))
+    return gamma_n(grid.node_count + 6) * integrate(grid, mags) + 2.0 * gamma_n(2) * abs(dphi)
 
 
 def sequential_test_functions(grid, lam, count, seed, mode):
@@ -236,7 +286,7 @@ def test_windy_residual_within_envelope():
     assert rep.worst <= 1e-4
 
 
-@pytest.mark.parametrize(
+SNAPSHOT_LOOP_CASES = pytest.mark.parametrize(
     "make_traj, at_wall",
     [
         pytest.param(frozen_traj, False, id="frozen"),
@@ -246,11 +296,15 @@ def test_windy_residual_within_envelope():
         pytest.param(lambda: source_traj_2d("componentwise"), False, id="2d-componentwise"),
     ],
 )
+
+
+@SNAPSHOT_LOOP_CASES
 def test_vi_residual_matches_snapshot_loop(make_traj, at_wall):
     traj = make_traj()
-    # with wind through the right wall, the wall term of the forward
-    # x-difference (0 - w at the last node) enters the residual
-    flux = verify._interval_drives(traj)[1]
+    # with wind through the right wall, the outflow (the last entry of
+    # transport_div) enters the drive
+    kernel = kernel_for(traj.params, traj.grid)
+    flux = np.stack([transport_flux(s.u, traj.params, kernel) for s in traj.snapshots[:-1]])
     assert np.any(flux[:, -1] > 0.0) == at_wall
     mode = traj.numerics.constraint_mode
     ts = make_test_functions(traj.grid, traj.params.lam, count=6, seed=4, mode=mode)
@@ -263,6 +317,49 @@ def test_vi_residual_matches_snapshot_loop(make_traj, at_wall):
             single = vi_residual(traj, xi, k)
             np.testing.assert_array_equal(single, vi_residual_loop(traj, xi, k))
             np.testing.assert_array_equal(row, single)
+
+
+@SNAPSHOT_LOOP_CASES
+def test_vi_residual_by_parts_matches_flux_gradient_form(make_traj, at_wall):
+    # the residual paired by parts equals the paper's flux-gradient form
+    # within the rounding bound of the two evaluations, interval by interval
+    traj = make_traj()
+    mode = traj.numerics.constraint_mode
+    ts = make_test_functions(traj.grid, traj.params.lam, count=6, seed=4, mode=mode)
+    for k in (0.01, 0.1, 1.0, np.inf):
+        for xi in ts.xis:
+            new = vi_residual(traj, xi, k)
+            old = flux_gradient_residual_loop(traj, xi, k)
+            bounds = [
+                by_parts_bound(traj.grid, flux, w, f, dphi)
+                for dphi, flux, f, w in interval_terms(traj, xi, k)
+            ]
+            assert np.all(np.abs(new - old) <= bounds)
+
+
+@pytest.mark.parametrize(
+    "dim, extents, counts",
+    [(1, 1.0, 17), (1, 1.0, 48), (2, (1.0, 0.8), (12, 9)), (2, (0.5, 1.0), (7, 16))],
+)
+def test_transport_div_is_minus_adjoint_of_forward_difference(dim, extents, counts):
+    # sum_i F_i (w_{i+1} - w_i) / dx = -sum_i (F_i - F_{i-1}) / dx * w_i with
+    # F_{-1} = 0 and w_n = 0: summation by parts, exact in real arithmetic,
+    # so the float values differ by rounding only; the outflow F_last > 0
+    # makes the wall terms count
+    g = make_grid(dim, extents, counts)
+    rng = np.random.default_rng(g.node_count)
+    for _ in range(20):
+        F = rng.uniform(0.0, 2.0, size=g.shape)
+        w = rng.normal(size=g.shape)
+        assert np.all(F[-1] > 0.0)
+        by_gradient = integrate(g, F * hosted(edge_slopes(g, w))[0])
+        by_parts = -integrate(g, transport_div(g, F) * w)
+        bound = by_parts_bound(g, F, w)
+        assert abs(by_gradient - by_parts) <= bound
+        # the wall term F_last * (0 - w_last) / dx is far above the bound,
+        # so a pairing that dropped it would fail
+        wall = integrate(g, F[-1] * w[-1]) / g.spacing[0]
+        assert abs(wall) > 1e6 * bound
 
 
 def test_vi_residual_rejects_empty_or_mixed_sequence():
