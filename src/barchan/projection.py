@@ -54,8 +54,10 @@ The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
 m = |dual| / lam there and is exactly zero on inactive nodes.
 
-The 2D Newton solves call LAPACK through ``scipy.linalg``, imported on
-the first of them, so a 1D projection loads no scipy.  LAPACK runs under
+The 2D Newton solves call LAPACK from scipy's compiled extension
+``scipy.linalg._flapack``, loaded alone on the first of them: the
+``scipy.linalg`` package costs about 0.16 s to import, more than the rest
+of the solver, and a 1D projection loads no scipy at all.  LAPACK runs under
 the caller's BLAS thread count.  The root ``conftest.py`` and
 ``perfbench/run.py`` pin it to one thread; library callers are not
 pinned.  On these narrow bands that matters: for 314 unknowns the banded
@@ -64,10 +66,14 @@ Cholesky and solve took 704 us unpinned against 207 us pinned (2 cores).
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
@@ -439,13 +445,30 @@ def project_pdhg(
 
 @cache
 def _lapack():
-    """scipy's banded solvers ``(dptsv, dpbsv, solve_banded)``, imported on
-    the first 2D Newton solve: no 1D projection needs them, and importing
-    ``scipy.linalg`` costs more than the rest of the package does."""
-    from scipy.linalg import solve_banded
-    from scipy.linalg.lapack import dpbsv, dptsv
-
-    return dptsv, dpbsv, solve_banded
+    """LAPACK's ``(dptsv, dpbsv, dgtsv, dgbsv)``, loaded on the first 2D
+    Newton solve from scipy's compiled extension ``scipy.linalg._flapack``
+    alone: no 1D projection needs them, and importing the ``scipy.linalg``
+    package costs about 0.16 s, more than the rest of the solver does.  The
+    extension needs numpy only, so it is found with ``find_spec``, which runs
+    no scipy code, and loaded from its file; it is registered in
+    ``sys.modules`` under its own name, so a later ``import scipy.linalg``
+    shares it, and one already imported is used as it is.  Raises
+    ``ImportError`` naming what is missing when scipy or the extension
+    cannot be found."""
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None or not scipy.submodule_search_locations:
+            raise ImportError("2D Newton solves need scipy's LAPACK, but scipy is not installed")
+        linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension {name} was not found in {linalg}")
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        sys.modules[name] = flapack
+    return flapack.dptsv, flapack.dpbsv, flapack.dgtsv, flapack.dgbsv
 
 
 def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.ndarray:
@@ -456,34 +479,42 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
     unless ``pivot``: then banded LU with partial pivoting solves it, and
     raises only on an exactly singular pivot.
 
-    LAPACK is called directly (see :func:`_lapack`): ``dptsv`` for a band of
-    two rows, ``dpbsv`` for a wider one, the routines and arguments
-    ``solveh_banded`` uses, so the results are bitwise equal to its own
-    without its checks and dispatch, which cost ten times the solve of a few
-    dozen unknowns.  A 1x1 system is divided out: the ``dptsv`` wrapper
-    rejects one.
+    LAPACK is called directly from scipy's compiled extension (see
+    :func:`_lapack`), with the routines and arguments scipy's own solvers
+    use, so the results are bitwise equal to theirs without their checks
+    and dispatch, which cost ten times the solve of a few dozen unknowns:
+    ``dptsv`` for a band of two rows and ``dpbsv`` for a wider one, as
+    ``solveh_banded``; pivoted, ``dgtsv`` for two rows and otherwise
+    ``dgbsv`` on its ``3 bw + 1``-row layout (the upper band, the mirrored
+    lower band and ``bw`` rows of fill), as ``solve_banded``.  A 1x1 system
+    is divided out: the ``dptsv`` wrapper rejects one.
     """
     if rhs.size == 1:
         if not (band[-1, 0] > 0.0 or pivot and band[-1, 0] != 0.0):
             raise np.linalg.LinAlgError("1x1 system not positive definite")
         return rhs / band[-1]
-    dptsv, dpbsv, solve_banded = _lapack()
-    if band.shape[0] == 2:
+    dptsv, dpbsv, dgtsv, dgbsv = _lapack()
+    bw = band.shape[0] - 1
+    if bw == 1:
         *_, x, info = dptsv(band[1], band[0, 1:], rhs)
     else:
         _, x, info = dpbsv(band, rhs)
+    if info > 0 and pivot:
+        if bw == 1:
+            *_, x, info = dgtsv(band[0, 1:], band[1], band[0, 1:], rhs)
+        else:
+            lu = np.zeros((3 * bw + 1, band.shape[1]))
+            lu[bw : 2 * bw + 1] = band
+            for d in range(1, bw + 1):
+                lu[2 * bw + d, :-d] = band[bw - d, d:]
+            _, _, x, info = dgbsv(bw, bw, lu, rhs, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK's banded solver")
-    if info == 0:
-        return x
-    if not pivot:
+    if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
-    bw = band.shape[0] - 1
-    full = np.zeros((2 * bw + 1, band.shape[1]))  # and the mirrored lower band
-    full[: bw + 1] = band
-    for d in range(1, bw + 1):
-        full[bw + d, :-d] = band[bw - d, d:]
-    return solve_banded((bw, bw), full, rhs, check_finite=False)
+    return x
 
 
 def _path_newton(

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -184,18 +185,24 @@ def test_fft_matches_direct_2d():
     np.testing.assert_allclose(nonlocal_slope(u, k), fft_nonlocal(u, k), atol=1e-10)
 
 
-def _loaded_by_solver_imports(module: str, then: str = "") -> bool:
-    """Whether importing the solver modules in a fresh interpreter, then
-    running the statements ``then``, loads ``module``."""
+def _run_fresh(then: str) -> str:
+    """The output of a fresh interpreter that imports the solver modules,
+    then runs the statements ``then``."""
     src = str(Path(barchan.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "\n".join(
-        ["import sys, barchan, barchan.stepper, barchan.verify", then, f"print({module!r} in sys.modules)"]
-    )
+    code = "\n".join(["import sys, barchan, barchan.stepper, barchan.verify", then])
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def _loaded_by_solver_imports(package: str, then: str = "") -> list[str]:
+    """The modules named ``package`` or ``package.*``, sorted, that
+    importing the solver modules in a fresh interpreter, then running the
+    statements ``then``, loads."""
+    listing = f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
+    return ast.literal_eval(_run_fresh(then + "\n" + listing).splitlines()[-1])
 
 
 def test_import_does_not_load_scipy_signal():
@@ -209,8 +216,9 @@ def test_import_does_not_load_scipy_sparse():
 
 
 def test_import_loads_no_scipy():
-    # every scipy submodule loads the package itself
-    assert not _loaded_by_solver_imports("scipy")
+    # no module of scipy at all: a compiled extension can load without its
+    # package, so each one is checked, not the package alone
+    assert _loaded_by_solver_imports("scipy") == []
 
 
 # A 1D run on the wind response ``{h}`` from a tent twice as steep as the
@@ -242,25 +250,91 @@ assert vi_report(traj, tests, tol=2.0 * (traj.steps[0].dt + dx)).passed
 
 def test_windless_1d_run_and_audit_load_no_scipy():
     run = _RUN_1D.format(h="HProfile.zero()", T=0.05, dt=0.01)
-    assert not _loaded_by_solver_imports("scipy", run + _AUDIT_1D)
+    assert _loaded_by_solver_imports("scipy", run + _AUDIT_1D) == []
 
 
 def test_erf_smoothed_run_loads_no_scipy():
     # the paper's wind response takes erf from the standard library
     run = _RUN_1D.format(h="HProfile.erf_smoothed(0.25)", T=0.002, dt='"auto"')
-    assert not _loaded_by_solver_imports("scipy", run + _AUDIT_1D)
+    assert _loaded_by_solver_imports("scipy", run + _AUDIT_1D) == []
 
 
-def test_inadmissible_2d_projection_loads_scipy_linalg():
-    project = """
+# An inadmissible 2D projection whose Newton solves take both routes of
+# ``_banded_solve``: Cholesky, and pivoted LU once Cholesky fails.
+_PROJECT_2D = """
 import numpy as np
+from barchan import projection
 from barchan.grid import HeightField, make_grid
-from barchan.projection import project
-res = project(HeightField(make_grid(2, (1.0, 1.0), (6, 6)), 3.0 * np.ones((6, 6))), 1.0)
+solve, routes = projection._banded_solve, set()
+def recording(band, rhs, pivot=False):
+    try:
+        solve(band, rhs)
+        routes.add("cholesky")
+    except np.linalg.LinAlgError:
+        routes.add("pivoted" if pivot else "not positive definite")
+    return solve(band, rhs, pivot)
+projection._banded_solve = recording
+res = projection.project(HeightField(make_grid(2, (1.0, 1.0), (6, 6)), 3.0 * np.ones((6, 6))), 1.0)
 assert res.converged and res.iterations > 0
+assert {"cholesky", "pivoted"} <= routes, routes
+projection._banded_solve = solve
 """
-    assert _loaded_by_solver_imports("scipy.linalg", project)
-    assert not _loaded_by_solver_imports("scipy.special", project)
+
+
+def test_inadmissible_2d_projection_loads_only_the_lapack_extension():
+    # the 2D Newton solves load scipy's compiled LAPACK and none of scipy's
+    # packages: importing scipy.linalg costs more than the rest of the solver
+    assert _loaded_by_solver_imports("scipy", _PROJECT_2D) == ["scipy.linalg._flapack"]
+
+
+def test_scipy_linalg_imported_after_a_2d_solve_shares_its_lapack():
+    # the extension a 2D solve loaded alone is the one scipy.linalg then
+    # uses, and solveh_banded still matches _banded_solve bit for bit
+    check = """
+flapack = sys.modules["scipy.linalg._flapack"]
+from scipy.linalg import lapack, solveh_banded
+assert lapack._flapack is flapack and lapack.dpbsv is flapack.dpbsv
+rng = np.random.default_rng(5)
+for rows in (2, 4):
+    for n in (2, 5, 30):
+        band = rng.uniform(-1.0, 1.0, (rows, n))
+        band[-1] = 2.0 * rows + rng.uniform(0.0, 1.0, n)
+        rhs = rng.normal(size=n)
+        assert projection._banded_solve(band, rhs).tobytes() == solveh_banded(band, rhs).tobytes()
+print("bitwise")
+"""
+    assert _run_fresh(_PROJECT_2D + check) == "bitwise"
+
+
+@pytest.mark.parametrize("found", ["no scipy", "no extension"])
+def test_missing_lapack_raises_import_error(found, tmp_path):
+    # when scipy, or its linalg/_flapack extension, cannot be found, the
+    # first 2D Newton solve raises an ImportError that names what is missing
+    spec = "None" if found == "no scipy" else "ModuleSpec('scipy', None, is_package=True)"
+    hide = f"""
+import importlib.util
+from importlib.machinery import ModuleSpec
+import numpy as np
+from barchan import projection
+find_spec = importlib.util.find_spec
+def hidden(name, *args):
+    if name != "scipy":
+        return find_spec(name, *args)
+    spec = {spec}
+    if spec is not None:
+        spec.submodule_search_locations = [{str(tmp_path)!r}]
+    return spec
+importlib.util.find_spec = hidden
+try:
+    projection._banded_solve(np.array([[0.0, -1.0], [2.0, 2.0]]), np.ones(2))
+except ImportError as exc:
+    print(exc)
+"""
+    message = _run_fresh(hide)
+    if found == "no scipy":
+        assert message == "2D Newton solves need scipy's LAPACK, but scipy is not installed"
+    else:
+        assert "scipy.linalg._flapack was not found" in message and str(tmp_path) in message
 
 
 def test_2d_is_rowwise():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solveh_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from barchan import projection
 from barchan.grid import (
@@ -1197,6 +1197,23 @@ def test_banded_solve_cholesky_and_pivoted_fallback():
         projection._banded_solve(indefinite, np.array([4.0, 1.0, 4.0]))
     got = projection._banded_solve(indefinite, np.array([4.0, 1.0, 4.0]), pivot=True)
     np.testing.assert_allclose(got, [1.0, 1.0, 1.0], rtol=1e-14)
+    # the pivoted route returns solve_banded's results bit for bit, on
+    # tridiagonal bands (its ?gtsv route) and wider ones (?gbsv); a negative
+    # diagonal entry makes every band indefinite, so Cholesky fails first
+    for rows in (2, 4, 9):
+        for n in (2, 5, 30):
+            band = rng.uniform(-1.0, 1.0, (rows, n))
+            band[-1, rng.integers(n)] = -1.0
+            rhs = rng.normal(size=n)
+            with pytest.raises(np.linalg.LinAlgError):
+                projection._banded_solve(band, rhs)
+            bw = rows - 1
+            full = np.zeros((2 * bw + 1, n))  # the upper band and its mirror below
+            full[:rows] = band
+            for d in range(1, bw + 1):
+                full[bw + d, :-d] = band[bw - d, d:]
+            got = projection._banded_solve(band, rhs, pivot=True)
+            assert got.tobytes() == solve_banded((bw, bw), full, rhs).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
