@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-H_KINDS = ("erf_smoothed", "smooth_ramp", "constant", "zero")
-GAMMA_KINDS = ("identity", "scaled_identity", "saturating", "zero")
+H_KINDS = ("erf_smoothed", "smooth_ramp", "constant")
+GAMMA_KINDS = ("identity", "scaled_identity", "saturating")
 
 
 @dataclass(frozen=True)
 class HProfile:
     """Nonnegative Lipschitz wind-response function of the nonlocal slope.
 
+    ``constant`` is ``value`` everywhere; ``zero()`` is ``constant(0.0)``.
     ``smooth_ramp`` is ``r+ / sqrt(1 + r^2)``: zero on the lee side and
     saturating toward 1 on steep windward slopes.  ``erf_smoothed`` is the
     shifted-erf step
@@ -59,16 +60,17 @@ class HProfile:
 
     @classmethod
     def zero(cls) -> "HProfile":
-        return cls("zero")
+        return cls.constant(0.0)
 
 
 @dataclass(frozen=True)
 class GammaProfile:
     """Nonnegative Lipschitz coupling of flux to height, with gamma(0) = 0.
 
-    Negative heights (possible transiently from discretization error)
-    evaluate as gamma(0) = 0, which keeps the extension Lipschitz and the
-    flux nonnegative.
+    ``identity`` is ``u``, ``scaled_identity`` ``a * u`` (``zero()`` sets
+    ``a = 0``) and ``saturating`` ``a * u / (1 + u / b)``.  Negative heights
+    (possible transiently from discretization error) evaluate as gamma(0) =
+    0, which keeps the extension Lipschitz and the flux nonnegative.
     """
 
     kind: str
@@ -97,7 +99,7 @@ class GammaProfile:
 
     @classmethod
     def zero(cls) -> "GammaProfile":
-        return cls("zero")
+        return cls.scaled_identity(0.0)
 
 
 def h_eval(profile: HProfile, r):
@@ -109,9 +111,7 @@ def h_eval(profile: HProfile, r):
     node at a time, at about 70-90 ns a node.
     """
     arr = np.asarray(r, dtype=float)
-    if profile.kind == "zero":
-        out = np.zeros_like(arr)
-    elif profile.kind == "constant":
+    if profile.kind == "constant":
         out = np.full_like(arr, profile.value)
     elif profile.kind == "smooth_ramp":
         out = np.maximum(arr, 0.0) / np.sqrt(1.0 + arr * arr)
@@ -129,9 +129,7 @@ def h_eval(profile: HProfile, r):
 def gamma_eval(profile: GammaProfile, u):
     """Evaluate gamma pointwise; negative heights map to gamma(0) = 0."""
     up = np.maximum(np.asarray(u, dtype=float), 0.0)
-    if profile.kind == "zero":
-        out = np.zeros_like(up)
-    elif profile.kind == "identity":
+    if profile.kind == "identity":
         out = up
     elif profile.kind == "scaled_identity":
         out = profile.a * up
@@ -148,13 +146,11 @@ def lipschitz_bound(profile: HProfile | GammaProfile) -> float:
     ``exp(-r^2/eps) / sqrt(pi * eps)``, maximal at r = 0.
     """
     if isinstance(profile, HProfile):
-        if profile.kind in ("zero", "constant"):
+        if profile.kind == "constant":
             return 0.0
         if profile.kind == "smooth_ramp":
             return 1.0
         return 1.0 / math.sqrt(math.pi * profile.eps)
-    if profile.kind == "zero":
-        return 0.0
     if profile.kind == "identity":
         return 1.0
     return profile.a
@@ -162,8 +158,6 @@ def lipschitz_bound(profile: HProfile | GammaProfile) -> float:
 
 def h_sup(profile: HProfile) -> float:
     """Supremum of H over the real line."""
-    if profile.kind == "zero":
-        return 0.0
     if profile.kind == "constant":
         return profile.value
     if profile.kind == "smooth_ramp":

@@ -57,7 +57,9 @@ m = |dual| / lam there and is exactly zero on inactive nodes.
 The 2D Newton solves call LAPACK from scipy's compiled extension
 ``scipy.linalg._flapack``, loaded alone on the first of them: the
 ``scipy.linalg`` package costs about 0.16 s to import, more than the rest
-of the solver, and a 1D projection loads no scipy at all.  LAPACK runs under
+of the solver, and a 1D projection loads no scipy at all.  Each solve is
+``dpbsv`` (banded Cholesky), or ``dgtsv`` or ``dgbsv`` (pivoted) when a
+damped polish meets an indefinite block.  LAPACK runs under
 the caller's BLAS thread count.  The root ``conftest.py`` and
 ``perfbench/run.py`` pin it to one thread; library callers are not
 pinned.  On these narrow bands that matters: for 314 unknowns the banded
@@ -156,8 +158,8 @@ class ProjectionResult:
     primal_dual_gap: float
     constraint_violation: float
     converged: bool
-    dual: np.ndarray | None = None
-    slopes: np.ndarray | None = None
+    dual: np.ndarray
+    slopes: np.ndarray
 
 
 def _implied_edges(grid: Grid, pairs: bool) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -337,7 +339,7 @@ def _admissible_result(geom: _ConeGeometry, vvals: np.ndarray, dv: np.ndarray) -
     copy, with zero multiplier and dual, after no iteration."""
     u = _unchecked(HeightField, geom.grid, vvals.copy())
     m = _unchecked(MultiplierField, geom.grid, np.zeros(geom.grid.shape))
-    return ProjectionResult(u, m, 0, 0.0, 0.0, True, dual=geom.zeros(), slopes=dv)
+    return ProjectionResult(u, m, 0, 0.0, 0.0, True, geom.zeros(), dv)
 
 
 def _check_inputs(geom: _ConeGeometry, lam: float, tol: float, warm_dual) -> None:
@@ -445,12 +447,10 @@ def project_pdhg(
 
 @cache
 def _lapack():
-    """LAPACK's ``(dptsv, dpbsv, dgtsv, dgbsv)``, loaded on the first 2D
-    Newton solve from scipy's compiled extension ``scipy.linalg._flapack``
-    alone: no 1D projection needs them, and importing the ``scipy.linalg``
-    package costs about 0.16 s, more than the rest of the solver does.  The
-    extension needs numpy only, so it is found with ``find_spec``, which runs
-    no scipy code, and loaded from its file; it is registered in
+    """LAPACK's ``(dpbsv, dgtsv, dgbsv)`` from scipy's compiled extension
+    ``scipy.linalg._flapack``, loaded alone (see the module docstring).  The
+    extension needs numpy only, so it is found with ``find_spec``, which
+    runs no scipy code, and loaded from its file; it is registered in
     ``sys.modules`` under its own name, so a later ``import scipy.linalg``
     shares it, and one already imported is used as it is.  Raises
     ``ImportError`` naming what is missing when scipy or the extension
@@ -468,7 +468,7 @@ def _lapack():
         flapack = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(flapack)
         sys.modules[name] = flapack
-    return flapack.dptsv, flapack.dpbsv, flapack.dgtsv, flapack.dgbsv
+    return flapack.dpbsv, flapack.dgtsv, flapack.dgbsv
 
 
 def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.ndarray:
@@ -480,25 +480,18 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
     raises only on an exactly singular pivot.
 
     LAPACK is called directly from scipy's compiled extension (see
-    :func:`_lapack`), with the routines and arguments scipy's own solvers
-    use, so the results are bitwise equal to theirs without their checks
-    and dispatch, which cost ten times the solve of a few dozen unknowns:
-    ``dptsv`` for a band of two rows and ``dpbsv`` for a wider one, as
-    ``solveh_banded``; pivoted, ``dgtsv`` for two rows and otherwise
+    :func:`_lapack`), without the checks and dispatch of scipy's solvers,
+    which cost ten times the solve of a few dozen unknowns.  ``dpbsv``
+    solves every band, one unknown included, so the results are bitwise
+    those of ``cho_solve_banded((cholesky_banded(band), False), rhs)``.
+    Pivoted, the routines and arguments are those of ``solve_banded``, so
+    its results are matched bitwise: ``dgtsv`` for two rows and otherwise
     ``dgbsv`` on its ``3 bw + 1``-row layout (the upper band, the mirrored
-    lower band and ``bw`` rows of fill), as ``solve_banded``.  A 1x1 system
-    is divided out: the ``dptsv`` wrapper rejects one.
+    lower band and ``bw`` rows of fill).
     """
-    if rhs.size == 1:
-        if not (band[-1, 0] > 0.0 or pivot and band[-1, 0] != 0.0):
-            raise np.linalg.LinAlgError("1x1 system not positive definite")
-        return rhs / band[-1]
-    dptsv, dpbsv, dgtsv, dgbsv = _lapack()
+    dpbsv, dgtsv, dgbsv = _lapack()
+    _, x, info = dpbsv(band, rhs)
     bw = band.shape[0] - 1
-    if bw == 1:
-        *_, x, info = dptsv(band[1], band[0, 1:], rhs)
-    else:
-        _, x, info = dpbsv(band, rhs)
     if info > 0 and pivot:
         if bw == 1:
             *_, x, info = dgtsv(band[0, 1:], band[1], band[0, 1:], rhs)
@@ -508,12 +501,11 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
             for d in range(1, bw + 1):
                 lu[2 * bw + d, :-d] = band[bw - d, d:]
             _, _, x, info = dgbsv(bw, bw, lu, rhs, overwrite_ab=True)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK's banded solver")
     if info > 0:
-        raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
+        what = "singular matrix" if pivot else f"leading minor {info} not positive definite"
+        raise np.linalg.LinAlgError(what)
     return x
 
 

@@ -3,9 +3,8 @@
 Each step transports sand explicitly with the conservative upwind wind
 flux, then applies the avalanche resolvent: one implicit Euler step of the
 slope-constrained flow, realized as the cone projection of the predicted
-state.  The flux is evaluated at the previous iterate, the same freezing
-the fixed-point construction of the continuous problem uses; an optional
-inner loop re-evaluates it at the latest iterate to check insensitivity.
+state.  The flux is evaluated once, at the previous state, the same
+freezing the fixed-point construction of the continuous problem uses.
 
 A run projects inadmissible start data with the same resolvent and a zero
 drive.  :func:`_resolve` holds every projection of a run to one convergence
@@ -127,7 +126,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Solver knobs kept apart from the physics.
+    """Solver knobs kept apart from the physics; a step evaluates the flux
+    once, so the splitting itself has none.
 
     The ``proj_*`` settings and ``constraint_mode`` govern every projection
     of a run, the start one included, under one policy: a projection that
@@ -137,8 +137,6 @@ class Numerics:
 
     cfl_number: float = 0.45
     dt_max: float = 0.1
-    picard_iters: int = 1
-    inner_tol: float = 1e-10
     proj_tol: float = DEFAULT_TOL
     proj_max_iter: int = DEFAULT_MAX_ITER
     strict: bool = True
@@ -150,12 +148,9 @@ class Numerics:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.cfl_number > 1.0:  # the explicit upwind step is stable up to Courant number 1
             raise ValueError(f"cfl_number must be at most 1, got {self.cfl_number}")
-        for name in ("picard_iters", "proj_max_iter"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not (self.inner_tol >= 0.0):
-            raise ValueError(f"inner_tol must be nonnegative, got {self.inner_tol}")
+        value = self.proj_max_iter
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"proj_max_iter must be an integer of at least 1, got {value!r}")
         if self.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(f"unknown constraint_mode {self.constraint_mode!r}")
 
@@ -375,8 +370,8 @@ def _advance(
     edge slopes and mass of ``u``, are computed unless the previous step
     returned them (its ``slopes`` and ``mass_post``).  The field and
     multiplier returned are new arrays the caller owns, and ``slopes``
-    their one slope pass; ``u`` is only read.  Each Picard sweep's
-    projection is held to the convergence policy of :func:`_resolve`."""
+    their one slope pass; ``u`` is only read.  The flux is frozen at ``u``,
+    and the one projection follows the policy of :func:`_resolve`."""
     grid = u.grid
     f = source_eval(params.source, grid, t)
     flux = transport_flux(u, params, kernel, slopes)
@@ -386,13 +381,7 @@ def _advance(
     source_integral = integrate(grid, f)
     outflow = transport_outflow(grid, flux)
 
-    for i in range(numerics.picard_iters):
-        if i:
-            drive = f - transport_div(grid, transport_flux(res.u, params, kernel, res.slopes))
-            prev, warm_dual = res.u.values, res.dual
-        res = _resolve(u, drive, dt, params, numerics, warm_dual, f"projection at t={t:.6g}")
-        if i and float(np.max(np.abs(res.u.values - prev))) <= numerics.inner_tol:
-            break
+    res = _resolve(u, drive, dt, params, numerics, warm_dual, f"projection at t={t:.6g}")
     u_new, slopes = res.u, res.slopes
 
     mass_post = integrate(grid, u_new.values)

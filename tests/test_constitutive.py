@@ -219,8 +219,14 @@ def test_profile_validation():
         HProfile.constant(-1.0)
     with pytest.raises(ValueError):
         GammaProfile.saturating(1.0, 0.0)
-    with pytest.raises(ValueError):
-        HProfile("steps")
+    # the zero profiles are members of other kinds, and "zero" is no kind
+    assert HProfile.zero() == HProfile.constant(0.0)
+    assert GammaProfile.zero() == GammaProfile.scaled_identity(0.0)
+    for bad in ("steps", "zero"):
+        with pytest.raises(ValueError, match=f"unknown H profile '{bad}'"):
+            HProfile(bad)
+    with pytest.raises(ValueError, match="unknown gamma profile 'zero'"):
+        GammaProfile("zero")
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="value"):
             HProfile.constant(bad)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import fftconvolve
 
 import barchan
 from barchan.grid import HeightField, dist_to_boundary, make_grid
@@ -17,7 +16,10 @@ from barchan.kernels import DiscreteKernel, build_kernel, nonlocal_slope
 
 def brute_force_nonlocal(u: np.ndarray, w: np.ndarray, dx: float) -> np.ndarray:
     """O(n^2) direct-sum oracle: sum_y K(x - y) du/dx(y) dx on the
-    zero-extended field, slopes indexed at their left node."""
+    zero-extended field, slopes indexed at their left node; a 2D field is
+    taken one row ``u[:, j]`` (one x line) at a time."""
+    if u.ndim == 2:
+        return np.stack([brute_force_nonlocal(row, w, dx) for row in u.T], axis=1)
     n = u.size
     half = (w.size - 1) // 2
     ext = np.concatenate([[0.0], u, [0.0]])
@@ -156,33 +158,26 @@ def test_admissible_bound():
     assert np.max(np.abs(out)) <= lam + 1e-10
 
 
-def fft_nonlocal(u: HeightField, k) -> np.ndarray:
-    """FFT reference: the x-slopes of the zero-extended field convolved
-    with the stencil along axis 0, at the offsets of the nodes."""
-    dx = u.grid.spacing[0]
-    pad = [(1, 1)] + [(0, 0)] * (u.values.ndim - 1)
-    slopes = np.diff(np.pad(u.values, pad), axis=0) / dx  # offsets -1 .. n-1
-    w = k.weights.reshape((-1,) + (1,) * (u.values.ndim - 1))
-    full = fftconvolve(slopes, w, mode="full", axes=0) * dx
-    return full[k.half_width + 1 : k.half_width + 1 + u.grid.counts[0]]
-
-
 def test_fft_matches_direct():
+    # a wide kernel on a long line, against the direct-sum oracle
     g = make_grid(1, 2.0, 127)
     dx = g.spacing[0]
     k = build_kernel("cosine_bump", 24 * dx, dx)
     rng = np.random.default_rng(9)
     u = HeightField(g, rng.normal(size=127))
-    np.testing.assert_allclose(nonlocal_slope(u, k), fft_nonlocal(u, k), atol=1e-10)
+    oracle = brute_force_nonlocal(u.values, k.weights, dx)
+    np.testing.assert_allclose(nonlocal_slope(u, k), oracle, atol=1e-10)
 
 
 def test_fft_matches_direct_2d():
+    # a kernel wider than the grid, row by row against the direct-sum oracle
     g = make_grid(2, (1.0, 1.0), (24, 17))
     dx = g.spacing[0]
     k = build_kernel("triangle", 20 * dx, dx)
     rng = np.random.default_rng(13)
     u = HeightField(g, rng.normal(size=(24, 17)))
-    np.testing.assert_allclose(nonlocal_slope(u, k), fft_nonlocal(u, k), atol=1e-10)
+    oracle = brute_force_nonlocal(u.values, k.weights, dx)
+    np.testing.assert_allclose(nonlocal_slope(u, k), oracle, atol=1e-10)
 
 
 def _run_fresh(then: str) -> str:
@@ -289,10 +284,11 @@ def test_inadmissible_2d_projection_loads_only_the_lapack_extension():
 
 def test_scipy_linalg_imported_after_a_2d_solve_shares_its_lapack():
     # the extension a 2D solve loaded alone is the one scipy.linalg then
-    # uses, and solveh_banded still matches _banded_solve bit for bit
+    # uses, and scipy's banded Cholesky factor and solve still match
+    # _banded_solve bit for bit
     check = """
 flapack = sys.modules["scipy.linalg._flapack"]
-from scipy.linalg import lapack, solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, lapack
 assert lapack._flapack is flapack and lapack.dpbsv is flapack.dpbsv
 rng = np.random.default_rng(5)
 for rows in (2, 4):
@@ -300,7 +296,8 @@ for rows in (2, 4):
         band = rng.uniform(-1.0, 1.0, (rows, n))
         band[-1] = 2.0 * rows + rng.uniform(0.0, 1.0, n)
         rhs = rng.normal(size=n)
-        assert projection._banded_solve(band, rhs).tobytes() == solveh_banded(band, rhs).tobytes()
+        want = cho_solve_banded((cholesky_banded(band), False), rhs)
+        assert projection._banded_solve(band, rhs).tobytes() == want.tobytes()
 print("bitwise")
 """
     assert _run_fresh(_PROJECT_2D + check) == "bitwise"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from barchan import projection
 from barchan.grid import (
@@ -1178,18 +1178,19 @@ def test_banded_solve_cholesky_and_pivoted_fallback():
     np.testing.assert_array_equal(got, [-1.0])
     with pytest.raises(np.linalg.LinAlgError):
         projection._banded_solve(np.array([[0.0]]), np.array([2.0]), pivot=True)
-    # LAPACK called directly returns solveh_banded's results bit for bit, on
-    # tridiagonal bands (its ?ptsv route) and wider ones (?pbsv); the
-    # diagonal outweighs each row's off-diagonal entries, so every band is
-    # positive definite
+    # LAPACK's banded Cholesky (?pbsv) solves every band, one unknown and one
+    # row included, bit for bit as scipy's banded Cholesky factor and solve
+    # (?pbtrf, ?pbtrs); the diagonal outweighs each row's off-diagonal
+    # entries, so every band is positive definite
     rng = np.random.default_rng(11)
-    for rows in (2, 4):
-        for n in (2, 5, 30):
+    for rows in (1, 2, 4):
+        for n in (1, 2, 5, 30):
             band = rng.uniform(-1.0, 1.0, (rows, n))
             band[-1] = 2.0 * rows + rng.uniform(0.0, 1.0, n)
             rhs = rng.normal(size=n)
             got = projection._banded_solve(band, rhs)
-            assert got.tobytes() == solveh_banded(band, rhs).tobytes()
+            want = cho_solve_banded((cholesky_banded(band), False), rhs)
+            assert got.tobytes() == want.tobytes()
     # [[1, 0, 3], [0, 1, 0], [3, 0, 1]] (eigenvalues 4, 1, -2) in a band of
     # three rows: Cholesky fails, pivoted LU solves it
     indefinite = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
