@@ -897,8 +897,9 @@ def project(
     max_iter)`` solves, or a block is not positive definite,
     :func:`project_pdhg` takes over from ``warm_dual`` with the rest of the
     ``max_iter`` budget, and ``iterations`` counts the Newton solves plus
-    the PDHG iterations, so it never exceeds ``max_iter``.  An admissible input returns itself with 0.
-    ``converged`` has the meaning it has in :func:`project_pdhg`.
+    the PDHG iterations, so it never exceeds ``max_iter``.  An admissible
+    input returns itself with 0.  ``converged`` has the meaning it has in
+    :func:`project_pdhg`.
     """
     geom = _geometry(v.grid, mode)
     _check_inputs(geom, lam, tol, warm_dual)

@@ -20,6 +20,13 @@ hosted entries) and the next step's flux (its x edges) reuse it, as the
 next step reuses its mass.  A step returns a new field and multiplier
 that nothing else refers to, so snapshots hold them as they are; only
 snapshot 0 copies the caller's initial field.
+
+What a run holds fixed is built once.  The kernel stencil
+(:func:`kernel_for`) and a time-independent source field
+(:func:`source_eval`) are cached per grid and shared by every run, step
+and audit on it, so their arrays are read-only; and a run evaluates the
+CFL speed bound once, for its automatic ``dt``, its stability check and
+every step's Courant number.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,7 +49,7 @@ from .constitutive import (
     h_sup,
     lipschitz_bound,
 )
-from .grid import CONSTRAINT_MODES, Grid, HeightField, admissible, integrate, max_slope
+from .grid import CONSTRAINT_MODES, Grid, HeightField, _unchecked, admissible, integrate, max_slope
 from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
     DEFAULT_MAX_ITER,
@@ -196,14 +203,49 @@ class Trajectory:
 
 
 def kernel_for(params: ModelParams, grid: Grid) -> DiscreteKernel:
-    return build_kernel(params.kernel.profile, params.kernel.radius, grid.spacing[0])
+    """The stencil of ``params.kernel`` on the x spacing of ``grid``.
+
+    One :class:`DiscreteKernel` is built per (profile, radius, spacing) and
+    shared by every caller, so its weights are read-only;
+    :func:`~barchan.kernels.build_kernel` builds a fresh one.
+    """
+    return _kernel(params.kernel.profile, params.kernel.radius, grid.spacing[0])
+
+
+@lru_cache(maxsize=16)
+def _kernel(profile: str, radius: float, dx: float) -> DiscreteKernel:
+    kernel = build_kernel(profile, radius, dx)
+    kernel.weights.setflags(write=False)
+    return kernel
 
 
 def source_eval(spec: SourceSpec, grid: Grid, t: float) -> np.ndarray:
-    """Source rate field at time t (sampled at the step's start time)."""
+    """Source rate field at time t (sampled at the step's start time).
+
+    The field is read-only.  A ``zero`` or ``patch`` source does not depend
+    on ``t``: its field is built once per (spec, grid) and shared.  A
+    ``tabulated`` one is a view of the row of its cached table in force at
+    ``t``.
+    """
+    if spec.kind != "tabulated":
+        return _static_source(spec, grid)
+    times, rows = _load_table(spec.path)
+    if rows.shape[1] != grid.node_count:
+        raise ValueError(
+            f"tabulated source {spec.path!r} has {rows.shape[1]} rate columns, "
+            f"the grid has {grid.node_count} nodes"
+        )
+    idx = int(np.searchsorted(times, t, side="right") - 1)
+    idx = min(max(idx, 0), rows.shape[0] - 1)
+    return rows[idx].reshape(grid.shape)
+
+
+@lru_cache(maxsize=16)
+def _static_source(spec: SourceSpec, grid: Grid) -> np.ndarray:
+    """The read-only field of a ``zero`` or ``patch`` source on ``grid``."""
     if spec.kind == "zero":
-        return np.zeros(grid.shape)
-    if spec.kind == "patch":
+        f = np.zeros(grid.shape)
+    else:
         if len(spec.center) > grid.dim:
             raise ValueError(
                 f"source center has {len(spec.center)} entries, the grid has {grid.dim} axes"
@@ -218,19 +260,13 @@ def source_eval(spec: SourceSpec, grid: Grid, t: float) -> np.ndarray:
                 m[int(np.argmin(np.abs(x - c)))] = True
             masks.append(m)
         box = reduce(np.logical_and, np.meshgrid(*masks, indexing="ij", sparse=True))
-        return np.where(box, spec.rate, 0.0)
-    times, rows = _load_table(spec.path)
-    if rows.shape[1] != grid.node_count:
-        raise ValueError(
-            f"tabulated source {spec.path!r} has {rows.shape[1]} rate columns, "
-            f"the grid has {grid.node_count} nodes"
-        )
-    idx = int(np.searchsorted(times, t, side="right") - 1)
-    idx = min(max(idx, 0), rows.shape[0] - 1)
-    return rows[idx].reshape(grid.shape)
+        f = np.where(box, spec.rate, 0.0)
+    f.setflags(write=False)
+    return f
 
 
-# path -> ((mtime_ns, size), times, rows); a rewritten file is read again.
+# path -> ((mtime_ns, size), times, rows), the arrays read-only; a rewritten
+# file is read again.
 _TABLE_CACHE: dict[str, tuple[tuple[int, int], np.ndarray, np.ndarray]] = {}
 
 
@@ -243,6 +279,7 @@ def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         if np.any(np.diff(data[:, 0]) <= 0.0):
             raise ValueError(f"tabulated source {path!r}: times must strictly increase")
+        data.setflags(write=False)
         cached = _TABLE_CACHE[path] = (stamp, data[:, 0], data[:, 1:])
     return cached[1], cached[2]
 
@@ -306,10 +343,14 @@ def cfl_dt(
     """
     if kernel is None:
         kernel = kernel_for(params, u.grid)
-    v_max = transport_speed_bound(params, u.grid, kernel)
+    return _stable_dt(transport_speed_bound(params, u.grid, kernel), u.grid, numerics)
+
+
+def _stable_dt(v_max: float, grid: Grid, numerics: Numerics) -> float:
+    """The step :func:`cfl_dt` returns for the speed bound ``v_max``."""
     if v_max <= 0.0:
         return numerics.dt_max
-    return min(numerics.dt_max, numerics.cfl_number * min(u.grid.spacing) / v_max)
+    return min(numerics.dt_max, numerics.cfl_number * min(grid.spacing) / v_max)
 
 
 def _crest_index(values: np.ndarray, grid: Grid) -> int:
@@ -318,16 +359,14 @@ def _crest_index(values: np.ndarray, grid: Grid) -> int:
     return int(np.argmax(values[(slice(None),) + tuple(n // 2 for n in grid.counts[1:])]))
 
 
-def _checked_speed(
-    u: HeightField, dt: float, params: ModelParams, numerics: Numerics, kernel: DiscreteKernel
-) -> float:
-    """The CFL speed bound, once ``dt`` is checked against the stable step.
+def _checked_speed(v_max: float, dt: float, grid: Grid, numerics: Numerics) -> float:
+    """The CFL speed bound ``v_max``, once ``dt`` is checked against the
+    stable step it gives.
 
     The bound covers every admissible height, so it holds for a whole run.
     """
-    v_max = transport_speed_bound(params, u.grid, kernel)
     if v_max > 0.0:
-        stable = cfl_dt(u, params, numerics, kernel)
+        stable = _stable_dt(v_max, grid, numerics)
         if dt > stable * (1.0 + 1e-9):
             raise CFLViolationError(f"dt={dt} exceeds the stable step {stable}")
     return v_max
@@ -412,7 +451,7 @@ def step(
 ) -> tuple[HeightField, MultiplierField]:
     """Advance one split step and return the new state and multiplier."""
     kernel = kernel_for(params, u.grid)
-    v_max = _checked_speed(u, dt, params, numerics, kernel)
+    v_max = _checked_speed(transport_speed_bound(params, u.grid, kernel), dt, u.grid, numerics)
     u_new, m, *_ = _advance(u, t, dt, params, numerics, kernel, v_max)
     return u_new, m
 
@@ -441,20 +480,18 @@ def run(
         raise ValueError("snapshot_every must be >= 1")
     grid = u0.grid
     kernel = kernel_for(params, grid)
-
-    dt = (
-        cfl_dt(u0, params, numerics, kernel)
-        if isinstance(params.dt, str)
-        else float(params.dt)
-    )
+    v_max = transport_speed_bound(params, grid, kernel)
+    dt = _stable_dt(v_max, grid, numerics) if isinstance(params.dt, str) else float(params.dt)
     n_steps = 0 if params.T == 0.0 else max(1, math.ceil(params.T / dt - 1e-12))
-    v_max = _checked_speed(u0, dt, params, numerics, kernel) if n_steps else 0.0
+    if n_steps:
+        _checked_speed(v_max, dt, grid, numerics)
 
+    m0 = _unchecked(MultiplierField, grid, np.zeros(grid.shape))
     traj = Trajectory(
         params=params,
         numerics=numerics,
         grid=grid,
-        snapshots=[Snapshot(0.0, HeightField(grid, u0.values.copy()), MultiplierField.zeros(grid))],
+        snapshots=[Snapshot(0.0, HeightField(grid, u0.values.copy()), m0)],
         steps=[],
         snapshot_every=snapshot_every,
     )

@@ -20,7 +20,8 @@ One residual call covers every snapshot interval of a run and a block of
 test functions at once: once per report the snapshots are stacked as one
 ``(S, *grid)`` array and the interval drives ``f - transport_div(F)``,
 paired by parts in place of the flux gradient (the wall term is the last
-entry of ``transport_div``), as one ``(S - 1, *grid)`` array; the energies
+entry of ``transport_div``), as one ``(S - 1, *grid)`` array, with the
+``S - 1`` interval lengths (:func:`_interval_drives`); the energies
 and pairings are broadcasts of the block's ``(X, 1, *grid)`` stack against
 them, each field summed in the order of :func:`~barchan.grid.integrate`,
 so the residuals equal those of one test function at a time bit for bit.
@@ -186,11 +187,12 @@ def make_test_functions(
     return TestFunctionSet(xis=xis, seed=seed)
 
 
-def _interval_drives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """The snapshots stacked as one ``(S, *grid)`` array, and the drive
+def _interval_drives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The snapshots stacked as one ``(S, *grid)`` array, the drive
     ``f - transport_div(F)`` of each snapshot interval at its older snapshot
     as one ``(S - 1, *grid)`` array, which pairs with ``T_k(u1 - xi)`` by
-    parts, the wall term in the last entry of ``transport_div``."""
+    parts, the wall term in the last entry of ``transport_div``, and the
+    ``(S - 1,)`` interval lengths."""
     if traj.snapshot_every != 1:
         raise ValueError("verification runs need snapshot_every = 1")
     if len(traj.snapshots) < 2:
@@ -201,7 +203,7 @@ def _interval_drives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
         source_eval(p.source, g, s.t) - transport_div(g, transport_flux(s.u, p, kernel))
         for s in traj.snapshots[:-1]
     ]
-    return np.stack([s.u.values for s in traj.snapshots]), np.stack(drives)
+    return np.stack([s.u.values for s in traj.snapshots]), np.stack(drives), np.diff(traj.times)
 
 
 def _row_integrals(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -245,7 +247,7 @@ def vi_residual(
     if any(x.grid != traj.grid for x in xis):
         raise ValueError("test function lives on a different grid")
     grid = traj.grid
-    u, drive = drives
+    u, drive, dts = drives
     xv = np.stack([x.values for x in xis])[:, None]  # (X, 1, *grid)
     # Each (X, S, *grid) array alive at once is a block's worth of memory,
     # so z = u - xi is truncated in place into w, and the pairing is formed
@@ -254,14 +256,15 @@ def vi_residual(
     phi = _row_integrals(grid, _clamp_antiderivative(z, k) - _clamp_antiderivative(-xv, k))
     w = truncate(z, k, out=z)[:, 1:]
     w *= drive
-    res = np.diff(phi) / np.diff(traj.times) - _row_integrals(grid, w)
+    res = np.diff(phi) / dts - _row_integrals(grid, w)
     return res[0] if single else res
 
 
 def vi_report(traj: Trajectory, test_functions: TestFunctionSet, tol: float) -> VIReport:
     """The worst :func:`vi_residual` of every (test function, k) pair, k
-    from ``test_functions.k_levels``, in that order; the snapshot stack and
-    the interval drives, paired by parts, are built once for all pairs.
+    from ``test_functions.k_levels``, in that order; the snapshot stack,
+    the interval drives, paired by parts, and the interval lengths are
+    built once for all pairs.
 
     The test functions go to :func:`vi_residual` in blocks, one call per
     block and k level.  A block holds as many as keep one ``(X, S, *grid)``

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -16,7 +17,7 @@ from barchan.grid import (
     max_slope,
     norm_l2,
 )
-from barchan.kernels import nonlocal_slope
+from barchan.kernels import build_kernel, nonlocal_slope
 from barchan.stepper import (
     CFLViolationError,
     KernelSpec,
@@ -161,6 +162,40 @@ def test_step_zero_stays_zero():
     dt = cfl_dt(HeightField.zeros(g), p)
     u2, m = step(HeightField.zeros(g), 0.0, dt, p)
     np.testing.assert_array_equal(u2.values, 0.0)
+
+
+def test_run_and_step_evaluate_the_speed_bound_once(monkeypatch):
+    g = make_grid(1, 1.0, 31)
+    p = wind_params(n=31, T=0.05)
+    u = hump(g, 0.5, 0.2, 0.3)
+    dt = cfl_dt(u, p) / 2.0
+    calls = []
+    bound = stepper.transport_speed_bound
+
+    def counting(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(stepper, "transport_speed_bound", counting)
+    for solve in (
+        lambda: run(p, u),
+        lambda: run(dataclasses.replace(p, dt=dt), u),
+        lambda: step(u, 0.0, dt, p),
+    ):
+        calls.clear()
+        solve()
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("h", [HProfile.smooth_ramp(), HProfile.zero()])
+def test_run_auto_dt_is_cfl_dt(h):
+    g = make_grid(1, 1.0, 31)
+    p = dataclasses.replace(wind_params(n=31, T=0.5), h=h)
+    nm = Numerics(dt_max=0.2)
+    u = hump(g, 0.5, 0.2, 0.3)
+    traj = run(p, u, numerics=nm)
+    assert len(traj.steps) >= 2
+    assert traj.steps[0].dt == cfl_dt(u, p, nm)
 
 
 def test_step_rejects_cfl_violation():
@@ -688,6 +723,66 @@ def test_source_tabulated(tmp_path):
     s = SourceSpec("tabulated", path=str(path))
     np.testing.assert_array_equal(source_eval(s, g, 0.1), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(source_eval(s, g, 0.7), [4.0, 5.0, 6.0])
+
+
+def test_source_tabulated_table_is_read_only(tmp_path):
+    # a write into one evaluation must not reach the cached table, and with
+    # it every later evaluation
+    g = make_grid(1, 1.0, 3)
+    path = tmp_path / "src.csv"
+    path.write_text("0.0,1.0,2.0,3.0\n0.5,4.0,5.0,6.0\n")
+    s = SourceSpec("tabulated", path=str(path))
+    f = source_eval(s, g, 0.1)
+    with pytest.raises(ValueError, match="read-only"):
+        f[:] = 99.0
+    np.testing.assert_array_equal(source_eval(s, g, 0.2), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "spec, grid, want",
+    [
+        (SourceSpec(), make_grid(1, 1.0, 31), lambda x: np.zeros(31)),
+        (SourceSpec(), make_grid(2, (1.0, 0.5), (15, 7)), lambda x, y: np.zeros((15, 7))),
+        (
+            SourceSpec("patch", center=(0.3,), width=0.1, rate=0.4),
+            make_grid(1, 1.0, 31),
+            lambda x: np.where(np.abs(x - 0.3) <= 0.05 + 1e-12, 0.4, 0.0),
+        ),
+        (
+            SourceSpec("patch", center=(0.35,), width=0.2, rate=0.5),
+            make_grid(2, (1.0, 0.5), (15, 7)),
+            lambda x, y: np.where(
+                (np.abs(x - 0.35) <= 0.1 + 1e-12) & (np.abs(y - 0.25) <= 0.1 + 1e-12), 0.5, 0.0
+            ),
+        ),
+    ],
+)
+def test_static_source_is_shared_and_read_only(spec, grid, want):
+    f = source_eval(spec, grid, 0.0)
+    expected = want(*grid.meshgrid())
+    assert expected.any() == (spec.kind == "patch")
+    assert f.tobytes() == expected.tobytes()
+    assert source_eval(spec, grid, 0.7) is f
+    with pytest.raises(ValueError, match="read-only"):
+        f[...] = 1.0
+    assert source_eval(spec, grid, 0.0).tobytes() == expected.tobytes()
+
+
+def test_kernel_for_shared_per_profile_radius_and_spacing():
+    g = make_grid(1, 1.0, 31)
+    p = wind_params(n=31)
+    k = kernel_for(p, g)
+    # equal (profile, radius, x spacing): the same object, whatever else differs
+    assert kernel_for(dataclasses.replace(p, T=2.0), g) is k
+    assert kernel_for(p, make_grid(2, (1.0, 0.5), (31, 7))) is k
+    # another radius or spacing: another kernel
+    assert kernel_for(dataclasses.replace(p, kernel=KernelSpec("triangle", 4 / 32)), g) is not k
+    assert kernel_for(p, make_grid(1, 1.0, 63)) is not k
+    fresh = build_kernel("triangle", 3 / 32, g.spacing[0])
+    assert k == fresh and k.weights.tobytes() == fresh.weights.tobytes()
+    assert fresh.weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        k.weights[0] = 1.0
 
 
 def test_source_tabulated_rewritten_file_is_reread(tmp_path):
