@@ -2,7 +2,10 @@
 
 Height fields sample the open interior of an axis-aligned box; every
 boundary node carries an implicit Dirichlet value of zero, so fields are
-stored as plain arrays over interior nodes only.
+stored as plain arrays over interior nodes only.  A :class:`Grid` is given
+the box's extents and node counts alone, which it checks, and derives its
+dimension and spacing from them; height fields and multipliers share one
+shape and finiteness check (:class:`_Field`).
 
 ``edge_slopes`` takes every nearest-neighbour difference of the
 zero-extended field, including the differences that cross the boundary;
@@ -28,7 +31,7 @@ The two coincide in 1D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -43,14 +46,35 @@ CONSTRAINT_MODES = ("isotropic", "componentwise")
 class Grid:
     """Uniform grid over the interior nodes of a box, zero Dirichlet boundary.
 
-    ``spacing[a] = extents[a] / (counts[a] + 1)``; nodes are strictly
-    interior and the boundary nodes are implicit.
+    Built from the box's side lengths ``extents`` (meters, positive and
+    finite) and its interior node counts ``counts`` (integers of at least
+    3), one entry per axis on one or two axes, which it checks; ``dim`` and
+    ``spacing[a] = extents[a] / (counts[a] + 1)`` follow from them.  Nodes
+    are strictly interior and the boundary nodes are implicit.  Raises
+    ``ValueError`` on any other input.
     """
 
-    dim: int
     extents: tuple[float, ...]
     counts: tuple[int, ...]
-    spacing: tuple[float, ...]
+    dim: int = field(init=False)
+    spacing: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        ext = tuple(float(e) for e in self.extents)
+        cnt = tuple(float(c) for c in self.counts)
+        if len(ext) not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {len(ext)} extents")
+        if len(cnt) != len(ext):
+            raise ValueError(f"extents/counts must have one entry per axis, got {ext}, {cnt}")
+        if not all(0.0 < e < math.inf for e in ext):
+            raise ValueError(f"extents must be positive, got {ext}")
+        if not all(c.is_integer() and c >= 3 for c in cnt):
+            raise ValueError(f"counts must be integers >= 3 on each axis, got {cnt}")
+        cnt = tuple(int(c) for c in cnt)
+        object.__setattr__(self, "extents", ext)
+        object.__setattr__(self, "counts", cnt)
+        object.__setattr__(self, "dim", len(ext))
+        object.__setattr__(self, "spacing", tuple(e / (c + 1) for e, c in zip(ext, cnt)))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,65 +106,50 @@ def make_grid(
     extents: float | Sequence[float],
     counts: int | Sequence[int],
 ) -> Grid:
-    """Build a validated grid.
+    """The :class:`Grid` of ``dim`` axes (1 or 2) with these ``extents`` and
+    ``counts``; a scalar, or a single entry, applies to every axis.
 
-    Parameters
-    ----------
-    dim : 1 or 2
-    extents : physical side length per axis (meters), positive
-    counts : interior node count per axis, at least 3
-
-    Raises
-    ------
-    ValueError
-        On unsupported dimension, non-positive extent, or a count that is
-        not an integer of at least 3.
+    Raises ``ValueError`` where :class:`Grid` does, on a ``dim`` other than
+    1 or 2, and when ``extents`` or ``counts`` has more than one entry but
+    not one per axis.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    ext = tuple(float(e) for e in np.atleast_1d(extents))
-    cnt = tuple(float(c) for c in np.atleast_1d(counts))
-    if len(ext) == 1:
-        ext = ext * dim
-    if len(cnt) == 1:
-        cnt = cnt * dim
+    ext, cnt = (np.atleast_1d(x).tolist() for x in (extents, counts))
+    ext, cnt = (tuple(x * dim if len(x) == 1 else x) for x in (ext, cnt))
     if len(ext) != dim or len(cnt) != dim:
-        raise ValueError(
-            f"extents/counts must have one entry per axis, got {ext}, {cnt}"
-        )
-    for e in ext:
-        if not (e > 0.0) or not np.isfinite(e):
-            raise ValueError(f"extents must be positive, got {ext}")
-    for c in cnt:
-        if not (c.is_integer() and c >= 3):
-            raise ValueError(f"counts must be integers >= 3 on each axis, got {cnt}")
-    cnt = tuple(int(c) for c in cnt)
-    spacing = tuple(e / (c + 1) for e, c in zip(ext, cnt))
-    return Grid(dim=dim, extents=ext, counts=cnt, spacing=spacing)
+        raise ValueError(f"extents/counts must have one entry per axis, got {ext}, {cnt}")
+    return Grid(ext, cnt)
 
 
 @dataclass
-class HeightField:
-    """Heights (meters) at the interior nodes of a grid.  The constructor
-    checks shape and finiteness, as ``run``, ``step``, ``project``,
-    ``project_pdhg`` and ``resolvent_step`` check their inputs where they
-    enter; the solver's own results are built unchecked (:func:`_unchecked`),
-    and each projection's duality gap gets one finiteness test instead."""
+class _Field:
+    """Values at the interior nodes of a grid.  The constructor checks shape
+    and finiteness, as ``run``, ``step``, ``project``, ``project_pdhg`` and
+    ``resolvent_step`` check their inputs where they enter; the solver's own
+    results are built unchecked (:func:`_unchecked`), and each projection's
+    duality gap gets one finiteness test instead.  ``_what`` names the kind
+    of field in the errors."""
 
     grid: Grid
     values: np.ndarray
+    _what = "field"
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
+                f"{self._what} shape {self.values.shape} does not match grid {self.grid.shape}"
             )
         if not np.isfinite(self.values).all():
-            raise ValueError("height field contains non-finite values")
+            raise ValueError(f"{self._what} contains non-finite values")
 
-    def copy(self) -> "HeightField":
-        return _unchecked(HeightField, self.grid, self.values.copy())
+
+class HeightField(_Field):
+    """Heights (meters) at the interior nodes of a grid, checked as every
+    :class:`_Field` is."""
+
+    _what = "height field"
 
     @classmethod
     def zeros(cls, grid: Grid) -> "HeightField":

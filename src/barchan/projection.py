@@ -48,7 +48,10 @@ degenerate active set: loops of active edges, or pairs that touch a
 boundary bound), it hands its iterate to a damped Newton polish.  Every
 route certifies the pair it returns once, with the same duality-gap
 certificate, and ``converged`` is that certificate's verdict on all of
-them, a PDHG run out of iterations included.
+them, a PDHG run out of iterations included.  Both solvers begin at one
+checked start, :func:`_start`: the input checks, the input's edge slopes,
+the admissible short-cut, the finiteness test, the start dual and the
+certifier.
 
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
@@ -84,6 +87,7 @@ from .grid import (
     TOL_CONSTRAINT,
     Grid,
     HeightField,
+    _Field,
     _unchecked,
     axis_edges,
     constraint_magnitude,
@@ -107,28 +111,18 @@ class NonConvergedError(RuntimeError):
     """Raised in strict mode when a projection exhausts its iterations."""
 
 
-@dataclass
-class MultiplierField:
+class MultiplierField(_Field):
     """Nonnegative dual density approximating the unknown diffusion
     coefficient; nonzero only where the slope constraint is active.  Checked
     as :class:`~barchan.grid.HeightField` is, and for its sign; a
     projection's own is a sum of dual magnitudes, built unchecked."""
 
-    grid: Grid
-    values: np.ndarray
+    _what = "multiplier"
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError("multiplier shape does not match grid")
-        if not np.isfinite(self.values).all():
-            raise ValueError("multiplier contains non-finite values")
+        super().__post_init__()
         if (self.values < 0.0).any():
             raise ValueError("multiplier must be nonnegative")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "MultiplierField":
-        return cls(grid, np.zeros(grid.shape))
 
 
 @dataclass
@@ -334,15 +328,18 @@ def _finalize(
     )
 
 
-def _admissible_result(geom: _ConeGeometry, vvals: np.ndarray, dv: np.ndarray) -> ProjectionResult:
-    """The projection of an admissible ``vvals`` with edge slopes ``dv``: a
-    copy, with zero multiplier and dual, after no iteration."""
-    u = _unchecked(HeightField, geom.grid, vvals.copy())
-    m = _unchecked(MultiplierField, geom.grid, np.zeros(geom.grid.shape))
-    return ProjectionResult(u, m, 0, 0.0, 0.0, True, geom.zeros(), dv)
+def _start(v: HeightField, lam: float, tol: float, mode: str, warm_dual):
+    """The checked start that both solvers share: ``(geom, dv, certify,
+    start)``, the cone geometry, the edge slopes of ``v``, its certifier
+    (:func:`_certifier`) and the start dual, ``warm_dual`` or zero.
 
-
-def _check_inputs(geom: _ConeGeometry, lam: float, tol: float, warm_dual) -> None:
+    Raises ``ValueError`` on a bad ``lam``, ``tol``, ``mode`` or
+    ``warm_dual`` shape, and on a non-finite value written into ``v`` after
+    its constructor checked it, before any iteration.  An admissible ``v``
+    needs none: ``certify`` is None and ``start`` its result, a copy with
+    zero multiplier and dual.
+    """
+    geom = _geometry(v.grid, mode)
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
     if not 0.0 <= tol < math.inf:
@@ -350,6 +347,17 @@ def _check_inputs(geom: _ConeGeometry, lam: float, tol: float, warm_dual) -> Non
     shape = getattr(warm_dual, "shape", None)  # an array's; None for a tuple or list
     if warm_dual is not None and shape != geom.shape:
         raise ValueError(f"warm_dual must be a dual lattice of shape {geom.shape}, got {shape}")
+    vvals = v.values
+    dv = edge_slopes(v.grid, vvals)
+    top = geom.max_norm(dv)
+    if top <= lam:
+        u = _unchecked(HeightField, v.grid, vvals.copy())
+        m = _unchecked(MultiplierField, v.grid, np.zeros(v.grid.shape))
+        return geom, dv, None, ProjectionResult(u, m, 0, 0.0, 0.0, True, geom.zeros(), dv)
+    if not math.isfinite(top):
+        raise ValueError("height field contains non-finite values")
+    q0 = geom.zeros() if warm_dual is None else np.array(warm_dual, dtype=float)
+    return geom, dv, _certifier(geom, vvals, lam, tol), q0
 
 
 def project_pdhg(
@@ -380,26 +388,18 @@ def project_pdhg(
     ``warm_dual`` seeds the dual vector (useful across resolvent steps);
     it never changes the limit, only the iteration count.
     """
-    geom = _geometry(v.grid, mode)
-    _check_inputs(geom, lam, tol, warm_dual)
-    vvals = v.values
-    dv = edge_slopes(v.grid, vvals)
-    top = geom.max_norm(dv)
-    if top <= lam:
-        return _admissible_result(geom, vvals, dv)
-    if not math.isfinite(top):  # written to after its constructor checked it
-        raise ValueError("height field contains non-finite values")
+    geom, dv, certify, q = _start(v, lam, tol, mode, warm_dual)
+    if certify is None:  # an admissible v: q is its result
+        return q
 
     L = geom.op_norm
     tau = 2.0 / L
     sigma = 0.98 / (tau * L * L)
     theta = 1.0
 
+    vvals = v.values
     x = vvals.copy()
     xbar = x.copy()
-    q = geom.zeros() if warm_dual is None else np.array(warm_dual, dtype=float)
-
-    certify = _certifier(geom, vvals, lam, tol)
     check_every = 16
     best_gap = math.inf
     stall = 0
@@ -901,18 +901,10 @@ def project(
     input returns itself with 0.  ``converged`` has the meaning it has in
     :func:`project_pdhg`.
     """
-    geom = _geometry(v.grid, mode)
-    _check_inputs(geom, lam, tol, warm_dual)
+    geom, dv, certify, q0 = _start(v, lam, tol, mode, warm_dual)
+    if certify is None:  # an admissible v: q0 is its result
+        return q0
     vvals = v.values
-    dv = edge_slopes(v.grid, vvals)
-    top = geom.max_norm(dv)
-    if top <= lam:
-        return _admissible_result(geom, vvals, dv)
-    if not math.isfinite(top):  # written to after its constructor checked it
-        raise ValueError("height field contains non-finite values")
-
-    certify = _certifier(geom, vvals, lam, tol)
-    q0 = geom.zeros() if warm_dual is None else np.array(warm_dual, dtype=float)
     if v.grid.dim == 1:
         cert, q, solves = _path_newton(geom, vvals, lam, q0, certify, dv)
         if cert is None or not cert.ok:

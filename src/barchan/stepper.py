@@ -85,7 +85,7 @@ class SourceSpec:
     has at most one entry per axis; a missing one is the axis's middle.
     ``tabulated`` reads a CSV whose first column is time and remaining
     columns are per-node rates in row-major node order, held piecewise
-    constant.
+    constant; every entry must be finite.
     """
 
     kind: str = "zero"
@@ -265,23 +265,22 @@ def _static_source(spec: SourceSpec, grid: Grid) -> np.ndarray:
     return f
 
 
-# path -> ((mtime_ns, size), times, rows), the arrays read-only; a rewritten
-# file is read again.
-_TABLE_CACHE: dict[str, tuple[tuple[int, int], np.ndarray, np.ndarray]] = {}
-
-
 def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Times and per-node rate rows of a tabulated source file."""
+    """Times and per-node rate rows of a tabulated source file, read-only;
+    a rewritten file (another modification time or size) is read again."""
     st = os.stat(path)
-    stamp = (st.st_mtime_ns, st.st_size)
-    cached = _TABLE_CACHE.get(path)
-    if cached is None or cached[0] != stamp:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        if np.any(np.diff(data[:, 0]) <= 0.0):
-            raise ValueError(f"tabulated source {path!r}: times must strictly increase")
-        data.setflags(write=False)
-        cached = _TABLE_CACHE[path] = (stamp, data[:, 0], data[:, 1:])
-    return cached[1], cached[2]
+    return _read_table(path, st.st_mtime_ns, st.st_size)
+
+
+@lru_cache(maxsize=16)
+def _read_table(path: str, mtime_ns: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not np.isfinite(data).all():
+        raise ValueError(f"tabulated source {path!r} has a non-finite entry")
+    if np.any(np.diff(data[:, 0]) <= 0.0):
+        raise ValueError(f"tabulated source {path!r}: times must strictly increase")
+    data.setflags(write=False)
+    return data[:, 0], data[:, 1:]
 
 
 def transport_flux(
@@ -462,7 +461,9 @@ def run(
     snapshot_every: int = 1,
     numerics: Numerics = Numerics(),
 ) -> Trajectory:
-    """Integrate from u0 to T, recording snapshots and diagnostics.
+    """Integrate from u0 to T, recording every step's diagnostics and a
+    snapshot at the start, every ``snapshot_every`` steps (an integer of at
+    least 1) and at T.
 
     A run with ``T == 0`` takes no step and returns ``u0`` as given.
     Otherwise a fixed ``dt`` above the stable step raises
@@ -476,8 +477,8 @@ def run(
     ``u0`` as given); a lenient run logs a warning for each such projection
     and carries on.
     """
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+    if not (isinstance(snapshot_every, numbers.Integral) and snapshot_every >= 1):
+        raise ValueError(f"snapshot_every must be an integer of at least 1, got {snapshot_every!r}")
     grid = u0.grid
     kernel = kernel_for(params, grid)
     v_max = transport_speed_bound(params, grid, kernel)

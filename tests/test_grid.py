@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barchan.grid import (
+    Grid,
     HeightField,
     admissible,
     axis_edges,
@@ -51,6 +52,38 @@ def test_make_grid_rejects_bad_extent():
 def test_make_grid_rejects_dim():
     with pytest.raises(ValueError, match="dim"):
         make_grid(3, (1.0, 1.0, 1.0), (5, 5, 5))
+
+
+def test_make_grid_rejects_an_entry_count_other_than_one_or_dim():
+    for extents, counts in [((1.0, 1.0), 9), ((1.0, 1.0), (9, 9)), (1.0, (9, 9))]:
+        with pytest.raises(ValueError, match="one entry per axis"):
+            make_grid(1, extents, counts)
+
+
+def test_grid_derives_dim_and_spacing():
+    g = Grid((1.0,), (9,))
+    assert g.dim == 1 and g.spacing == (0.1,)
+    assert g == make_grid(1, 1.0, 9)
+    assert Grid((1.0, 0.5), (9, 4)) == make_grid(2, (1.0, 0.5), (9, 4))
+    # derived values are not arguments, so they cannot disagree with the box
+    with pytest.raises(TypeError):
+        Grid(dim=1, extents=(1.0,), counts=(9,), spacing=(0.5,))
+
+
+@pytest.mark.parametrize(
+    "extents, counts, match",
+    [
+        ((1.0, 1.0), (9,), "one entry per axis"),
+        ((1.0,), (2,), "counts"),
+        ((1.0,), (4.5,), "counts"),
+        ((math.inf,), (9,), "extents"),
+        ((), (), "dim"),
+        ((1.0, 1.0, 1.0), (5, 5, 5), "dim"),
+    ],
+)
+def test_grid_checks_its_box(extents, counts, match):
+    with pytest.raises(ValueError, match=match):
+        Grid(extents, counts)
 
 
 def test_coords_are_interior():

@@ -67,6 +67,19 @@ def test_degenerate_smooth_profile_rejected():
         build_kernel("triangle", 0.1, 0.1)
 
 
+def test_unknown_profile_rejected():
+    with pytest.raises(ValueError, match="unknown kernel profile 'gauss'"):
+        build_kernel("gauss", 0.3, 0.1)
+
+
+def test_discrete_kernel_checks_its_weights():
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiscreteKernel("box", 0.3, 0.1, np.array([-1.0, 12.0, -1.0]))
+    # unit mass and symmetric, but two cells on each side of a 1.5-cell radius
+    with pytest.raises(ValueError, match="exceeds its radius"):
+        DiscreteKernel("box", 0.15, 0.1, np.full(5, 2.0))
+
+
 def test_support_inside_radius():
     k = build_kernel("cosine_bump", 0.31, 0.1)
     assert k.half_width * k.spacing < k.radius

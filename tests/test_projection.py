@@ -324,6 +324,10 @@ def test_multiplier_field_validation():
     g = make_grid(1, 1.0, 5)
     with pytest.raises(ValueError, match="nonnegative"):
         MultiplierField(g, np.array([0.0, -0.1, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"multiplier shape \(4,\) does not match grid \(5,\)"):
+        MultiplierField(g, np.zeros(4))
+    with pytest.raises(ValueError, match="multiplier contains non-finite"):
+        MultiplierField(g, np.array([0.0, np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_resolvent_step_rejects_non_finite_drive():

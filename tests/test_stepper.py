@@ -215,6 +215,16 @@ def test_run_rejects_cfl_violation():
         run(p, hump(g, 0.5, 0.2, 0.3))
 
 
+@pytest.mark.parametrize("every", [0, -1, 2.5, 2.0, "2"])
+def test_run_rejects_snapshot_every_by_name(every):
+    # a float or a string is not a step count, even when it is integral
+    g = make_grid(1, 1.0, 31)
+    p = ModelParams(lam=1.0, h=HProfile.zero(), T=0.1, dt=0.05,
+                    kernel=KernelSpec("triangle", 3 / 32))
+    with pytest.raises(ValueError, match="snapshot_every must be an integer of at least 1"):
+        run(p, hump(g, 0.4, 0.2, 0.25), snapshot_every=every)
+
+
 def _flag_projections(monkeypatch, unconverged=()):
     """Wrap ``stepper.resolvent_step`` to record each result, and flag the
     calls numbered in ``unconverged`` (from 1) as not converged."""
@@ -716,6 +726,14 @@ def test_source_patch_point_fallback():
     assert f[15] == 2.0
 
 
+def test_source_patch_narrower_than_a_cell_uses_the_nearest_node():
+    # nodes 0.1 .. 0.9; no node lies within 0.01 of 0.53, the nearest is 0.5
+    g = make_grid(1, 1.0, 9)
+    f = source_eval(SourceSpec("patch", center=(0.53,), width=0.02, rate=2.0), g, 0.0)
+    np.testing.assert_array_equal(np.flatnonzero(f), [4])
+    assert f[4] == 2.0
+
+
 def test_source_tabulated(tmp_path):
     g = make_grid(1, 1.0, 3)
     path = tmp_path / "src.csv"
@@ -804,6 +822,15 @@ def test_source_tabulated_column_count_checked(tmp_path):
     path = tmp_path / "src.csv"
     path.write_text("0.0,1.0,2.0\n0.5,4.0,5.0\n")
     with pytest.raises(ValueError, match="2 rate columns"):
+        source_eval(SourceSpec("tabulated", path=str(path)), g, 0.1)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_source_tabulated_rejects_a_non_finite_entry_by_file(tmp_path, entry):
+    g = make_grid(1, 1.0, 3)
+    path = tmp_path / "src.csv"
+    path.write_text(f"0.0,1.0,{entry},3.0\n0.5,4.0,5.0,6.0\n")
+    with pytest.raises(ValueError, match="src.csv.*non-finite"):
         source_eval(SourceSpec("tabulated", path=str(path)), g, 0.1)
 
 

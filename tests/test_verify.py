@@ -546,6 +546,14 @@ def test_contraction_rejects_mismatched_params():
         contraction_report(t1, t2)
 
 
+def test_contraction_rejects_different_grids():
+    t1 = frozen_traj(n=15)
+    t2 = run(t1.params, HeightField.zeros(make_grid(1, 1.0, 17)))
+    assert np.array_equal(t1.times, t2.times)
+    with pytest.raises(ValueError, match="different grids"):
+        contraction_report(t1, t2)
+
+
 def test_contraction_rejects_different_snapshot_times():
     # both runs have 4 snapshots, at [0, .034, .068, .1] and [0, .04, .08, .1]
     g = make_grid(1, 1.0, 15)
