@@ -123,7 +123,7 @@ def h_eval(profile: HProfile, r):
         out *= 0.5
         np.subtract(1.0, out, out=out)
     out = out.clip(0.0, h_sup(profile))  # np.clip's own method, without its wrapper
-    return float(out) if np.ndim(r) == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def gamma_eval(profile: GammaProfile, u):
@@ -135,7 +135,7 @@ def gamma_eval(profile: GammaProfile, u):
         out = profile.a * up
     else:
         out = profile.a * up / (1.0 + up / profile.b)
-    return float(out) if np.ndim(u) == 0 else out
+    return float(out) if up.ndim == 0 else out
 
 
 def lipschitz_bound(profile: HProfile | GammaProfile) -> float:

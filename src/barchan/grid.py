@@ -110,11 +110,11 @@ def make_grid(
     ``counts``; a scalar, or a single entry, applies to every axis.
 
     Raises ``ValueError`` where :class:`Grid` does, on a ``dim`` other than
-    1 or 2, and when ``extents`` or ``counts`` has more than one entry but
-    not one per axis.
+    the integer 1 or 2 (``2.0`` and ``True`` included), and when ``extents``
+    or ``counts`` has more than one entry but not one per axis.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if type(dim) is not int or dim not in (1, 2):
+        raise ValueError(f"dim must be the integer 1 or 2, got {dim!r}")
     ext, cnt = (np.atleast_1d(x).tolist() for x in (extents, counts))
     ext, cnt = (tuple(x * dim if len(x) == 1 else x) for x in (ext, cnt))
     if len(ext) != dim or len(cnt) != dim:
@@ -122,14 +122,16 @@ def make_grid(
     return Grid(ext, cnt)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Field:
     """Values at the interior nodes of a grid.  The constructor checks shape
-    and finiteness, as ``run``, ``step``, ``project``, ``project_pdhg`` and
-    ``resolvent_step`` check their inputs where they enter; the solver's own
-    results are built unchecked (:func:`_unchecked`), and each projection's
-    duality gap gets one finiteness test instead.  ``_what`` names the kind
-    of field in the errors."""
+    and finiteness, as ``run``, ``step``, ``project`` and ``project_pdhg``
+    check their inputs where they enter (``resolvent_step`` checks the shape
+    of the field it predicts, and the projection its finiteness); the
+    solver's own results are built unchecked (:func:`_unchecked`), and each
+    projection's duality gap gets one finiteness test instead.  ``_what``
+    names the kind of field in the errors.  Two fields are equal (``==``, a
+    bool) when they are of one class, on equal grids, with equal values."""
 
     grid: Grid
     values: np.ndarray
@@ -143,6 +145,11 @@ class _Field:
             )
         if not np.isfinite(self.values).all():
             raise ValueError(f"{self._what} contains non-finite values")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
 
 
 class HeightField(_Field):

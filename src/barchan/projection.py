@@ -270,7 +270,7 @@ class _Certificate(NamedTuple):
 
 def _gap_floor(vvals: np.ndarray) -> float:
     """Rounding floor below which the computed gap is meaningless."""
-    eps = np.finfo(float).eps
+    eps = sys.float_info.epsilon
     scale = 1.0 + float((vvals * vvals).sum())
     return 64.0 * eps * scale
 
@@ -331,13 +331,15 @@ def _finalize(
 def _start(v: HeightField, lam: float, tol: float, mode: str, warm_dual):
     """The checked start that both solvers share: ``(geom, dv, certify,
     start)``, the cone geometry, the edge slopes of ``v``, its certifier
-    (:func:`_certifier`) and the start dual, ``warm_dual`` or zero.
+    (:func:`_certifier`) and the start dual, ``warm_dual`` (which no route
+    writes into, so it is not copied) or zero.
 
     Raises ``ValueError`` on a bad ``lam``, ``tol``, ``mode`` or
-    ``warm_dual`` shape, and on a non-finite value written into ``v`` after
-    its constructor checked it, before any iteration.  An admissible ``v``
-    needs none: ``certify`` is None and ``start`` its result, a copy with
-    zero multiplier and dual.
+    ``warm_dual`` shape, and on a non-finite value in ``v`` (written after
+    its constructor checked it, or in the unchecked field
+    :func:`resolvent_step` predicts) before any slope of it is taken.  An
+    admissible ``v`` needs no iteration: ``certify`` is None and ``start``
+    its result, a copy with zero multiplier and dual.
     """
     geom = _geometry(v.grid, mode)
     if not 0.0 < lam < math.inf:
@@ -348,15 +350,20 @@ def _start(v: HeightField, lam: float, tol: float, mode: str, warm_dual):
     if warm_dual is not None and shape != geom.shape:
         raise ValueError(f"warm_dual must be a dual lattice of shape {geom.shape}, got {shape}")
     vvals = v.values
+    finite = np.isfinite(vvals)
+    # Before any slope is taken (inf - inf would warn); argmin finds a
+    # False entry, if there is one, at a fifth of the cost of .all().
+    if not finite.flat[finite.argmin()]:
+        raise ValueError("height field contains non-finite values")
     dv = edge_slopes(v.grid, vvals)
     top = geom.max_norm(dv)
     if top <= lam:
         u = _unchecked(HeightField, v.grid, vvals.copy())
         m = _unchecked(MultiplierField, v.grid, np.zeros(v.grid.shape))
         return geom, dv, None, ProjectionResult(u, m, 0, 0.0, 0.0, True, geom.zeros(), dv)
-    if not math.isfinite(top):
+    if not math.isfinite(top):  # finite values whose slopes overflow
         raise ValueError("height field contains non-finite values")
-    q0 = geom.zeros() if warm_dual is None else np.array(warm_dual, dtype=float)
+    q0 = geom.zeros() if warm_dual is None else np.asarray(warm_dual, dtype=float)
     return geom, dv, _certifier(geom, vvals, lam, tol), q0
 
 
@@ -573,7 +580,7 @@ def _path_step(vvals: np.ndarray, t: np.ndarray, active: np.ndarray, dx: float):
     p = np.add.accumulate(t[:-1])
     cut = ~active  # runs start at node 0 and after each inactive edge; n ends the last
     cut[0] = cut[-1] = True
-    bounds = np.flatnonzero(cut)
+    bounds = cut.nonzero()[0]
     size = bounds[1:] - bounds[:-1]
     r = vvals - p
     const = np.add.reduceat(r, bounds[:-1])
@@ -940,10 +947,23 @@ def resolvent_step(
     multiplier is the time-step-scaled dual ``m / dt``, the effective
     diffusion density of the step; the raw projection multiplier is
     ``m * dt``.
+
+    A ``g`` that does not give the grid's shape raises ``ValueError`` here.
+    A non-finite predicted value (from ``g``, or written into ``u_prev``
+    after its check) raises ``ValueError`` where the projection starts,
+    before any slope of it is taken (:func:`_start`), so it warns of no
+    invalid operation first.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    predicted = HeightField(u_prev.grid, u_prev.values + dt * np.asarray(g, dtype=float))
+    values = u_prev.values + dt * np.asarray(g, dtype=float)
+    if values.shape != u_prev.grid.shape:
+        HeightField(u_prev.grid, values)  # raises the checked field's shape error
+    predicted = _unchecked(HeightField, u_prev.grid, values)  # project checks its values
     res = project(predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
-    res.m.values /= dt  # a new array on every route, so scaling it in place is safe
+    # A new array on every route, so scaling it in place is safe.  Only the
+    # admissible short-cut, whose multiplier is zero, and a 2D start given no
+    # budget return without an iteration.
+    if res.iterations or max_iter < 1:
+        res.m.values /= dt
     return res

@@ -24,9 +24,10 @@ snapshot 0 copies the caller's initial field.
 What a run holds fixed is built once.  The kernel stencil
 (:func:`kernel_for`) and a time-independent source field
 (:func:`source_eval`) are cached per grid and shared by every run, step
-and audit on it, so their arrays are read-only; and a run evaluates the
-CFL speed bound once, for its automatic ``dt``, its stability check and
-every step's Courant number.
+and audit on it, so their arrays are read-only; a run evaluates the CFL
+speed bound once, for its automatic ``dt``, its stability check and
+every step's Courant number; and it integrates a time-independent source
+once, on its first step, for every step's ``source_integral``.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def transport_div(grid: Grid, flux: np.ndarray) -> np.ndarray:
 
 def transport_outflow(grid: Grid, flux: np.ndarray) -> float:
     """Mass flow rate out through the right wall (the telescoped sum)."""
-    return float(flux[-1].sum() * math.prod(grid.spacing[1:]))
+    return float(flux[-1:].sum()) * math.prod(grid.spacing[1:])  # a slice: no scalar sum in 1D
 
 
 def transport_speed_bound(params: ModelParams, grid: Grid, kernel: DiscreteKernel) -> float:
@@ -352,12 +353,6 @@ def _stable_dt(v_max: float, grid: Grid, numerics: Numerics) -> float:
     return min(numerics.dt_max, numerics.cfl_number * min(grid.spacing) / v_max)
 
 
-def _crest_index(values: np.ndarray, grid: Grid) -> int:
-    """Node of the highest point along the x line through the middle of
-    the other axes."""
-    return int(np.argmax(values[(slice(None),) + tuple(n // 2 for n in grid.counts[1:])]))
-
-
 def _checked_speed(v_max: float, dt: float, grid: Grid, numerics: Numerics) -> float:
     """The CFL speed bound ``v_max``, once ``dt`` is checked against the
     stable step it gives.
@@ -372,17 +367,19 @@ def _checked_speed(v_max: float, dt: float, grid: Grid, numerics: Numerics) -> f
 
 
 def _resolve(
-    u: HeightField, drive, dt: float, params: ModelParams, numerics: Numerics, warm_dual, what: str
+    u: HeightField, drive, dt: float, params: ModelParams, numerics: Numerics, warm_dual, t=None
 ):
     """The resolvent step of ``u`` under ``drive`` with the run's projection
     settings, held to the run's one convergence policy: a result that fails
     its certificate raises :class:`NonConvergedError` in a strict run and is
-    logged as a warning in a lenient one, both naming it ``what``."""
+    logged as a warning in a lenient one, both naming it "projection at t"
+    for the step from time ``t``, or "start projection" when ``t`` is None."""
     res = resolvent_step(
         u, drive, dt, params.lam, tol=numerics.proj_tol, max_iter=numerics.proj_max_iter,
         mode=numerics.constraint_mode, warm_dual=warm_dual,
     )
     if not res.converged:
+        what = "start projection" if t is None else f"projection at t={t:.6g}"
         gap, n = res.primal_dual_gap, res.iterations
         msg = f"{what} not converged (gap {gap:.3e} after {n} iterations)"
         if numerics.strict:
@@ -402,28 +399,32 @@ def _advance(
     warm_dual=None,
     slopes=None,
     mass=None,
+    source_integral=None,
 ):
     """One split step of at most the checked ``dt``; returns (field,
     multiplier, diagnostics, dual, slopes).  ``slopes`` and ``mass``, the
     edge slopes and mass of ``u``, are computed unless the previous step
-    returned them (its ``slopes`` and ``mass_post``).  The field and
-    multiplier returned are new arrays the caller owns, and ``slopes``
-    their one slope pass; ``u`` is only read.  The flux is frozen at ``u``,
-    and the one projection follows the policy of :func:`_resolve`."""
+    returned them (its ``slopes`` and ``mass_post``), and so is the
+    integral of the source field at ``t`` unless it is fixed and the caller
+    has it.  The field and multiplier returned are new arrays the caller
+    owns, and ``slopes`` their one slope pass; ``u`` is only read.  The
+    flux is frozen at ``u``, and the one projection follows the policy of
+    :func:`_resolve`."""
     grid = u.grid
     f = source_eval(params.source, grid, t)
     flux = transport_flux(u, params, kernel, slopes)
     drive = f - transport_div(grid, flux)
 
     mass_pre = integrate(grid, u.values) if mass is None else mass
-    source_integral = integrate(grid, f)
+    source_integral = integrate(grid, f) if source_integral is None else source_integral
     outflow = transport_outflow(grid, flux)
 
-    res = _resolve(u, drive, dt, params, numerics, warm_dual, f"projection at t={t:.6g}")
+    res = _resolve(u, drive, dt, params, numerics, warm_dual, t)
     u_new, slopes = res.u, res.slopes
 
     mass_post = integrate(grid, u_new.values)
     mass_star = mass_pre + dt * (source_integral - outflow)
+    lines = u_new.values.reshape(grid.counts[0], -1)  # x lines (one in 1D); crest on the middle
     diag = StepDiagnostics(
         t=t + dt,
         dt=dt,
@@ -436,7 +437,7 @@ def _advance(
         projection_gap=res.primal_dual_gap,
         cfl_number=v_max * dt / min(grid.spacing),
         max_slope=max_slope(u_new, numerics.constraint_mode, slopes),
-        crest_index=_crest_index(u_new.values, grid),
+        crest_index=int(lines[:, lines.shape[1] // 2].argmax()),
     )
     return u_new, res.m, diag, res.dual, slopes
 
@@ -499,21 +500,24 @@ def run(
 
     # Step 1 starts cold even after a start projection: warm-started from
     # the start's dual, dune2d's Newton took one solve more.
-    u, warm, slopes, mass = u0, None, None, None
+    u, warm, slopes, mass, source_integral = u0, None, None, None, None
     try:
         if n_steps and not admissible(u0, params.lam, numerics.constraint_mode):
             logger.warning("initial data is not admissible; projecting onto the cone")
-            res = _resolve(u0, 0.0, dt, params, numerics, None, "start projection")
+            res = _resolve(u0, 0.0, dt, params, numerics, None)
             u, slopes = res.u, res.slopes
             traj.snapshots[0].u = u
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * dt
             dt_k = dt if k < n_steps else params.T - (n_steps - 1) * dt
             u, m, diag, warm, slopes = _advance(
-                u, t_prev, dt_k, params, numerics, kernel, v_max, warm, slopes, mass
+                u, t_prev, dt_k, params, numerics, kernel, v_max, warm, slopes, mass,
+                source_integral,
             )
             traj.steps.append(diag)
             mass = diag.mass_post
+            # A zero or patch source is one field for the whole run, so is its integral.
+            source_integral = None if params.source.kind == "tabulated" else diag.source_integral
             if k % snapshot_every == 0 or k == n_steps:
                 traj.snapshots.append(Snapshot(t_prev + dt_k, u, m))
     except NonConvergedError as exc:

@@ -20,6 +20,7 @@ from barchan.grid import (
     node_slope_magnitude,
     paired,
 )
+from barchan.projection import MultiplierField
 
 
 def test_make_grid_1d_spacing():
@@ -52,6 +53,22 @@ def test_make_grid_rejects_bad_extent():
 def test_make_grid_rejects_dim():
     with pytest.raises(ValueError, match="dim"):
         make_grid(3, (1.0, 1.0, 1.0), (5, 5, 5))
+    # 2.0 used to fail later with a TypeError, True to build a 1D grid
+    for dim in (2.0, True, "2", 3):
+        with pytest.raises(ValueError, match="dim must be the integer 1 or 2"):
+            make_grid(dim, 1.0, 9)
+
+
+def test_fields_compare_by_value():
+    # == used to raise (the truth value of an array is ambiguous)
+    g = make_grid(1, 1.0, 5)
+    field = HeightField(g, np.ones(5))
+    assert (field == HeightField(g, np.ones(5))) is True
+    assert (field != HeightField(g, np.ones(5))) is False
+    assert (field == HeightField(g, np.arange(5.0))) is False
+    assert (field == HeightField(make_grid(1, 2.0, 5), np.ones(5))) is False
+    for other in (MultiplierField(g, np.ones(5)), 1.0, "field", None):
+        assert (field == other) is False
 
 
 def test_make_grid_rejects_an_entry_count_other_than_one_or_dim():

@@ -331,12 +331,36 @@ def test_multiplier_field_validation():
 
 
 def test_resolvent_step_rejects_non_finite_drive():
-    # the drive enters the package here, and is checked by name
-    g = make_grid(1, 1.0, 5)
-    drive = np.ones(5)
-    drive[2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        resolvent_step(HeightField.zeros(g), drive, 0.1, 1.0)
+    # the drive enters the package here and is caught by the projection's
+    # start, before any slope is taken: two adjacent infs would warn there
+    # (inf - inf) before the error, as would the same field handed to a
+    # solver directly
+    bad = [  # node (x, and y in 2D) -> value
+        {(2, 2): math.nan},
+        {(2, 2): math.inf},
+        {(2, 2): -math.inf},
+        {(2, 2): math.inf, (3, 2): math.inf},  # adjacent along x
+        {(2, 2): math.inf, (2, 3): math.inf},  # adjacent along y in 2D
+    ]
+    rng = np.random.default_rng(11)
+    for dim in (1, 2):
+        g = make_grid(dim, 1.0, 6)
+        outside = HeightField(g, 3.0 * rng.normal(size=g.shape))
+        assert not admissible(outside, 1.0)
+        for u_prev in (HeightField.zeros(g), outside):
+            for entries in bad:
+                drive = np.ones(g.shape)
+                for node, value in entries.items():
+                    drive[node[:dim]] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="height field contains non-finite"):
+                        resolvent_step(u_prev, drive, 0.1, 1.0)
+                    v = HeightField(g, u_prev.values.copy())
+                    v.values += 0.1 * drive  # written after the check
+                    for solver in (project, project_pdhg):
+                        with pytest.raises(ValueError, match="non-finite"):
+                            solver(v, 1.0)
 
 
 @pytest.mark.parametrize("dim, mode", [(1, "isotropic"), (2, "isotropic"), (2, "componentwise")])
@@ -1046,7 +1070,7 @@ def test_lattice_round_trips_warm_dual(dim, extents, counts, mode):
     rng = np.random.default_rng(5)
     # a projection result hands out its dual and slopes as lattices, the
     # slopes those of its field, and its dual goes back as a warm start
-    # unchanged: the warm start copies it
+    # unchanged: no route writes into it
     v = HeightField(g, 3.0 * rng.normal(size=g.shape))
     res = project_pdhg(v, 1.0, mode=mode)
     shape = (dim,) + tuple(m + 1 for m in counts)
@@ -1057,6 +1081,23 @@ def test_lattice_round_trips_warm_dual(dim, extents, counts, mode):
         warm = solver(v, 1.0, mode=mode, warm_dual=res.dual)
         assert warm.converged and warm.dual is not res.dual
         assert np.array_equal(res.dual, dual)
+
+
+@pytest.mark.parametrize("dim, extents, counts, mode", LATTICE_CASES)
+@pytest.mark.parametrize("solver", [project, project_pdhg])
+def test_solvers_leave_a_callers_warm_dual_unchanged(solver, dim, extents, counts, mode):
+    # no route writes into the warm start, so it is not copied: a read-only
+    # dual from a nearby field would raise on a write
+    g = make_grid(dim, extents, counts)
+    rng = np.random.default_rng(8)
+    nearby = HeightField(g, 3.0 * rng.normal(size=g.shape))
+    v = HeightField(g, nearby.values + 0.3 * rng.normal(size=g.shape))
+    warm = project_pdhg(nearby, 1.0, mode=mode).dual
+    warm.setflags(write=False)
+    kept = warm.copy()
+    res = solver(v, 1.0, mode=mode, warm_dual=warm)
+    assert res.converged and res.iterations > 0
+    assert np.array_equal(warm, kept)
 
 
 @pytest.mark.parametrize("dim, counts", [(1, (9,)), (2, (5, 7))])

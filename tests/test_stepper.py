@@ -743,6 +743,27 @@ def test_source_tabulated(tmp_path):
     np.testing.assert_array_equal(source_eval(s, g, 0.7), [4.0, 5.0, 6.0])
 
 
+@pytest.mark.parametrize("kind", ["zero", "patch", "tabulated"])
+def test_source_integral_is_that_of_each_steps_source(kind, tmp_path):
+    # a run integrates a fixed source field once; a tabulated source moves
+    # to another row within this run, and each step records its own row's
+    g = make_grid(1, 1.0, 19)
+    path = tmp_path / "src.csv"
+    rows = [(0.0, 1.0), (0.15, 3.0), (0.33, 0.5)]  # (time, rate per node) from that time
+    path.write_text("".join(f"{t}," + ",".join([str(r)] * 19) + "\n" for t, r in rows))
+    spec = {
+        "zero": SourceSpec(),
+        "patch": SourceSpec("patch", center=(0.4,), width=0.3, rate=0.7),
+        "tabulated": SourceSpec("tabulated", path=str(path)),
+    }[kind]
+    p = ModelParams(lam=1.0, h=HProfile.zero(), source=spec, T=0.5, dt=0.1)
+    traj = run(p, HeightField.zeros(g))
+    assert len(traj.steps) == 5
+    for k, d in enumerate(traj.steps):  # step k starts at k * dt
+        assert d.source_integral == integrate(g, source_eval(spec, g, k * 0.1))
+    assert len({d.source_integral for d in traj.steps}) == (3 if kind == "tabulated" else 1)
+
+
 def test_source_tabulated_table_is_read_only(tmp_path):
     # a write into one evaluation must not reach the cached table, and with
     # it every later evaluation
