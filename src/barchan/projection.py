@@ -48,10 +48,11 @@ degenerate active set: loops of active edges, or pairs that touch a
 boundary bound), it hands its iterate to a damped Newton polish.  Every
 route certifies the pair it returns once, with the same duality-gap
 certificate, and ``converged`` is that certificate's verdict on all of
-them, a PDHG run out of iterations included.  Both solvers begin at one
-checked start, :func:`_start`: the input checks, the input's edge slopes,
-the admissible short-cut, the finiteness test, the start dual and the
-certifier.
+them, a PDHG run out of iterations included.  Both solvers begin by
+building one checked problem, :class:`_Problem`: the input checks, the
+input's edge slopes, the finiteness test, the admissible short-cut and the
+start dual.  Every route takes it with a dual, and ends in its
+``certify`` and ``result``.
 
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
@@ -77,7 +78,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
@@ -88,6 +89,7 @@ from .grid import (
     Grid,
     HeightField,
     _Field,
+    _check_int,
     _unchecked,
     axis_edges,
     constraint_magnitude,
@@ -275,96 +277,103 @@ def _gap_floor(vvals: np.ndarray) -> float:
     return 64.0 * eps * scale
 
 
-def _certifier(geom: _ConeGeometry, vvals: np.ndarray, lam: float, tol: float):
-    """``certify(x, q, dx=None, aq=None)``: the :class:`_Certificate` of the
-    pair, ``q`` a lattice.  ``dx`` and ``aq`` are ``D x`` and ``D^T q``;
-    a loop that has them already passes them in, and each one left out is
-    computed here, with the same result."""
-    floor = _gap_floor(vvals)
-    max_viol = lam * TOL_CONSTRAINT + TOL_CONSTRAINT
+class _Problem:
+    """One projection of ``v`` onto the ``lam``-cone, checked once where a
+    solver starts, holding what every route shares: the grid, its cone
+    geometry ``geom``, the values ``v``, ``lam``, ``tol`` and the edge
+    slopes ``dv`` of ``v``, and the gap's rounding ``floor`` once a
+    certificate needs it.  Unless ``admissible``, it also holds the start
+    dual ``q0`` (``warm_dual``, which no route writes into, so it is not
+    copied, or zero); an admissible ``v`` needs no iteration, and
+    :meth:`kept` is its result.
 
-    def certify(x, q, dx=None, aq=None) -> _Certificate:
+    Raises ``ValueError`` on a bad ``lam``, ``tol``, ``mode`` or
+    ``warm_dual`` shape, and on a non-finite value in ``v`` (written after
+    its constructor checked it, or in the unchecked field
+    :func:`resolvent_step` predicts) before any slope of it is taken.
+    """
+
+    def __init__(self, v: HeightField, lam: float, tol: float, mode: str, warm_dual):
+        self.geom = geom = _geometry(v.grid, mode)
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {lam}")
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+        shape = getattr(warm_dual, "shape", None)  # an array's; None for a tuple or list
+        if warm_dual is not None and shape != geom.shape:
+            raise ValueError(f"warm_dual must be a dual lattice of shape {geom.shape}, got {shape}")
+        self.grid, self.v, self.lam, self.tol = v.grid, v.values, lam, tol
+        finite = np.isfinite(self.v)
+        # Before any slope is taken (inf - inf would warn); argmin finds a
+        # False entry, if there is one, at a fifth of the cost of .all().
+        if not finite.flat[finite.argmin()]:
+            raise ValueError("height field contains non-finite values")
+        self.dv = edge_slopes(self.grid, self.v)
+        top = geom.max_norm(self.dv)
+        if not math.isfinite(top):  # finite values whose slopes overflow
+            raise ValueError("height field contains non-finite values")
+        self.admissible = top <= lam
+        if not self.admissible:
+            self.q0 = geom.zeros() if warm_dual is None else np.asarray(warm_dual, dtype=float)
+
+    @cached_property
+    def floor(self) -> float:
+        """The gap's rounding floor (:func:`_gap_floor`), taken once, when
+        a certificate first needs it."""
+        return _gap_floor(self.v)
+
+    def kept(self) -> ProjectionResult:
+        """The result of an admissible ``v``: a copy, with zero multiplier and dual."""
+        u = _unchecked(HeightField, self.grid, self.v.copy())
+        m = _unchecked(MultiplierField, self.grid, np.zeros(self.grid.shape))
+        return ProjectionResult(u, m, 0, 0.0, 0.0, True, self.geom.zeros(), self.dv)
+
+    def certify(self, x, q, dx=None, aq=None) -> _Certificate:
+        """The :class:`_Certificate` of the pair ``(x, q)``, ``q`` a lattice.
+        ``dx`` and ``aq`` are ``D x`` and ``D^T q``; a loop that has them
+        already passes them in, and each one left out is computed here, with
+        the same result.  The ``floor`` is read only for an error above
+        ``tol``, the one case it decides."""
+        geom, lam, vvals = self.geom, self.lam, self.v
         if dx is None:
-            dx = edge_slopes(geom.grid, x)
+            dx = edge_slopes(self.grid, x)
         if aq is None:
-            aq = edge_slopes_adjoint(geom.grid, q)
+            aq = edge_slopes_adjoint(self.grid, q)
         viol = max(0.0, geom.max_norm(dx) - lam)
         xf = x * (lam / (lam + viol)) if viol > 0.0 else x
         primal = 0.5 * float(((xf - vvals) ** 2).sum())
         dual = -lam * geom.dual_l1(q) - 0.5 * float((aq * aq).sum()) + float(np.vdot(aq, vvals))
         gap = primal - dual
         err = math.sqrt(2.0 * max(gap, 0.0))
-        ok = (err <= tol or gap <= floor) and viol <= max_viol
+        max_viol = lam * TOL_CONSTRAINT + TOL_CONSTRAINT
+        ok = (err <= self.tol or gap <= self.floor) and viol <= max_viol
         return _Certificate(dx, viol, xf, gap, err, ok)
 
-    return certify
-
-
-def _finalize(
-    geom: _ConeGeometry, cert: _Certificate, q, lam: float, iterations: int
-) -> ProjectionResult:
-    """The result for dual ``q`` and its certificate: the feasible field
-    ``cert.xf`` (a new array on every route, so it is not copied), flagged
-    ``converged`` when the certificate passed.  When ``cert.viol`` is 0,
-    ``xf`` is the certified ``x``, with slopes ``cert.dx`` and violation
-    exactly 0; otherwise both are evaluated here for the rescaled field.
-    The fields are built unchecked: a NaN in ``cert.xf`` or ``q`` makes the
-    gap NaN (not ``viol``: ``max(0.0, nan)`` is 0), so such a gap raises."""
-    if not math.isfinite(cert.gap):
-        raise ValueError(f"projection iterate is not finite (duality gap {cert.gap})")
-    viol, slopes = 0.0, cert.dx
-    if cert.viol > 0.0:
-        slopes = edge_slopes(geom.grid, cert.xf)
-        viol = max(0.0, geom.max_norm(slopes) - lam)
-    return ProjectionResult(
-        u=_unchecked(HeightField, geom.grid, cert.xf),
-        m=_unchecked(MultiplierField, geom.grid, geom.multiplier(q, lam)),
-        iterations=iterations,
-        primal_dual_gap=cert.err,
-        constraint_violation=viol,
-        converged=cert.ok,
-        dual=q,
-        slopes=slopes,
-    )
-
-
-def _start(v: HeightField, lam: float, tol: float, mode: str, warm_dual):
-    """The checked start that both solvers share: ``(geom, dv, certify,
-    start)``, the cone geometry, the edge slopes of ``v``, its certifier
-    (:func:`_certifier`) and the start dual, ``warm_dual`` (which no route
-    writes into, so it is not copied) or zero.
-
-    Raises ``ValueError`` on a bad ``lam``, ``tol``, ``mode`` or
-    ``warm_dual`` shape, and on a non-finite value in ``v`` (written after
-    its constructor checked it, or in the unchecked field
-    :func:`resolvent_step` predicts) before any slope of it is taken.  An
-    admissible ``v`` needs no iteration: ``certify`` is None and ``start``
-    its result, a copy with zero multiplier and dual.
-    """
-    geom = _geometry(v.grid, mode)
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    shape = getattr(warm_dual, "shape", None)  # an array's; None for a tuple or list
-    if warm_dual is not None and shape != geom.shape:
-        raise ValueError(f"warm_dual must be a dual lattice of shape {geom.shape}, got {shape}")
-    vvals = v.values
-    finite = np.isfinite(vvals)
-    # Before any slope is taken (inf - inf would warn); argmin finds a
-    # False entry, if there is one, at a fifth of the cost of .all().
-    if not finite.flat[finite.argmin()]:
-        raise ValueError("height field contains non-finite values")
-    dv = edge_slopes(v.grid, vvals)
-    top = geom.max_norm(dv)
-    if top <= lam:
-        u = _unchecked(HeightField, v.grid, vvals.copy())
-        m = _unchecked(MultiplierField, v.grid, np.zeros(v.grid.shape))
-        return geom, dv, None, ProjectionResult(u, m, 0, 0.0, 0.0, True, geom.zeros(), dv)
-    if not math.isfinite(top):  # finite values whose slopes overflow
-        raise ValueError("height field contains non-finite values")
-    q0 = geom.zeros() if warm_dual is None else np.asarray(warm_dual, dtype=float)
-    return geom, dv, _certifier(geom, vvals, lam, tol), q0
+    def result(self, cert: _Certificate, q, iterations: int) -> ProjectionResult:
+        """The result for dual ``q`` and its certificate: the feasible field
+        ``cert.xf`` (a new array on every route, so it is not copied),
+        flagged ``converged`` when the certificate passed.  When ``cert.viol``
+        is 0, ``xf`` is the certified ``x``, with slopes ``cert.dx`` and
+        violation exactly 0; otherwise both are evaluated here for the
+        rescaled field.  The fields are built unchecked: a NaN in ``cert.xf``
+        or ``q`` makes the gap NaN (not ``viol``: ``max(0.0, nan)`` is 0), so
+        such a gap raises."""
+        if not math.isfinite(cert.gap):
+            raise ValueError(f"projection iterate is not finite (duality gap {cert.gap})")
+        viol, slopes = 0.0, cert.dx
+        if cert.viol > 0.0:
+            slopes = edge_slopes(self.grid, cert.xf)
+            viol = max(0.0, self.geom.max_norm(slopes) - self.lam)
+        return ProjectionResult(
+            u=_unchecked(HeightField, self.grid, cert.xf),
+            m=_unchecked(MultiplierField, self.grid, self.geom.multiplier(q, self.lam)),
+            iterations=iterations,
+            primal_dual_gap=cert.err,
+            constraint_violation=viol,
+            converged=cert.ok,
+            dual=q,
+            slopes=slopes,
+        )
 
 
 def project_pdhg(
@@ -393,18 +402,22 @@ def project_pdhg(
     decides what to do with a pair that fails it.
 
     ``warm_dual`` seeds the dual vector (useful across resolvent steps);
-    it never changes the limit, only the iteration count.
+    it never changes the limit, only the iteration count.  ``max_iter``
+    must be an integer of at least 0, since :func:`project` hands over the
+    rest of its budget, which may be none: with 0 the start pair is
+    certified as it is.  Any other ``max_iter`` raises ``ValueError``.
     """
-    geom, dv, certify, q = _start(v, lam, tol, mode, warm_dual)
-    if certify is None:  # an admissible v: q is its result
-        return q
+    _check_int("max_iter", max_iter, 0)
+    p = _Problem(v, lam, tol, mode, warm_dual)
+    if p.admissible:
+        return p.kept()
 
+    geom, grid, vvals, q = p.geom, p.grid, p.v, p.q0
     L = geom.op_norm
     tau = 2.0 / L
     sigma = 0.98 / (tau * L * L)
     theta = 1.0
 
-    vvals = v.values
     x = vvals.copy()
     xbar = x.copy()
     check_every = 16
@@ -415,13 +428,13 @@ def project_pdhg(
     it = solves = 0
     while it + solves < max_iter:
         it += 1
-        q = geom.shrink(q + sigma * edge_slopes(geom.grid, xbar), sigma * lam)
-        x_new = (x - tau * edge_slopes_adjoint(geom.grid, q) + tau * vvals) / (1.0 + tau)
+        q = geom.shrink(q + sigma * edge_slopes(grid, xbar), sigma * lam)
+        x_new = (x - tau * edge_slopes_adjoint(grid, q) + tau * vvals) / (1.0 + tau)
         xbar = x_new + theta * (x_new - x)
         x = x_new
 
         if it % check_every == 0:
-            cert = certify(x, q)
+            cert = p.certify(x, q)
             if cert.ok:
                 break
             # Restart the extrapolation when the gap stops shrinking
@@ -433,12 +446,10 @@ def project_pdhg(
                     xbar = x.copy()
                     stall = 0
                     # In 2D a lasting stall is a degenerate active set.
-                    if v.grid.dim > 1 and it >= polish_at:
+                    if grid.dim > 1 and it >= polish_at:
                         polish_at = 2 * it
                         steps = min(NEWTON_MAX_STEPS, max_iter - it - solves)
-                        polished, qn, k = _grid_newton(
-                            geom, vvals, lam, q, steps, certify, dv, damped=True
-                        )
+                        polished, qn, k = _grid_newton(p, q, steps, damped=True)
                         solves += k
                         if polished is not None:
                             cert, q = polished, qn
@@ -447,9 +458,9 @@ def project_pdhg(
                 stall = 0
             best_gap = min(best_gap, cert.gap)
     else:
-        cert = certify(x, q)
+        cert = p.certify(x, q)
 
-    return _finalize(geom, cert, q, lam, it + solves)
+    return p.result(cert, q, it + solves)
 
 
 @cache
@@ -516,11 +527,9 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
     return x
 
 
-def _path_newton(
-    geom: _ConeGeometry, vvals: np.ndarray, lam: float, q: np.ndarray, certify, dv: np.ndarray
-):
+def _path_newton(p: _Problem, q: np.ndarray):
     """Primal-dual active-set (semismooth Newton) iteration on the 1D dual
-    ``q``, a lattice of shape ``(1, n + 1)``.
+    ``q`` of problem ``p``, a lattice of shape ``(1, n + 1)``.
 
     Each step takes the active edges and their signs from
     ``z = q + c D u``, with ``u = v - D^T q`` and ``c = dx^2 / 2``, then
@@ -530,31 +539,31 @@ def _path_newton(
     factors a matrix.  A pattern that repeats is an exact KKT point, and the
     pair ``(u, q)`` is certified with the ``u`` and ``D^T q = v - u`` of the
     step that found it, and the edge slopes of ``u`` its pattern test took.
-    ``dv`` is the lattice of the edge slopes of ``v``: those of ``u`` on a
-    cold start, where ``q`` is zero and so ``u`` is ``v``.
+    On a cold start ``q`` is zero, so ``u`` is ``v`` and its edge slopes are
+    ``p.dv``.
 
     Returns ``(cert, q, solves)`` with the certificate of the final pair,
     which the caller checks; ``cert`` and ``q`` are None when no pattern
     repeated within ``NEWTON_MAX_STEPS`` solves, or when every edge became
     active (constants span the kernel of ``D D^T``, so it is singular).
     """
-    dx = geom.grid.spacing[0]
+    dx = p.grid.spacing[0]
     c = 0.5 * dx * dx
     pattern, solves = None, 0
-    aq = edge_slopes_adjoint(geom.grid, q)
-    u = vvals - aq
-    du = edge_slopes(geom.grid, u) if q.any() else dv
+    aq = edge_slopes_adjoint(p.grid, q)
+    u = p.v - aq
+    du = edge_slopes(p.grid, u) if q.any() else p.dv
     while True:
         z = q[0] + c * du[0]
-        active = np.abs(z) > c * lam
+        active = np.abs(z) > c * p.lam
         signs = np.sign(z) * active  # the signed pattern: 0 off the active edges
         if pattern is not None and (signs == pattern).all():
-            return certify(u, q, du, aq), q, solves
+            return p.certify(u, q, du, aq), q, solves
         if solves == NEWTON_MAX_STEPS or active.all():
             return None, None, solves
         pattern = signs
-        u, aq, q = _path_step(vvals, (lam * dx) * signs, active, dx)
-        du = edge_slopes(geom.grid, u)
+        u, aq, q = _path_step(p.v, (p.lam * dx) * signs, active, dx)
+        du = edge_slopes(p.grid, u)
         solves += 1
 
 
@@ -598,8 +607,8 @@ def _path_step(vvals: np.ndarray, t: np.ndarray, active: np.ndarray, dx: float):
     return vvals - r, r, np.where(active, q, 0.0)[None]
 
 
-def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
-    """Exact 1D projection by dynamic programming along the path.
+def _path_dp(p: _Problem):
+    """Exact 1D projection of problem ``p`` by dynamic programming along the path.
 
     With ``h = lam dx`` and the zero boundary values at both ends, the
     value function ``F_i(x) = (x - v_i)^2 / 2 + min_{|y - x| <= h} F_{i-1}(y)``
@@ -615,8 +624,8 @@ def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
     gauge minimises ``|q|_1``, so it is a dual optimum.  Returns ``(u, q)``,
     ``q`` a lattice of shape ``(1, n + 1)``.
     """
-    dx = geom.grid.spacing[0]
-    h = lam * dx
+    vvals, dx = p.v, p.grid.spacing[0]
+    h = p.lam * dx
     n = vvals.size
     knots = np.array([-h, h])
     left = knots[:-1] - vvals[0]
@@ -644,8 +653,8 @@ def _path_dp(geom: _ConeGeometry, vvals: np.ndarray, lam: float):
     for i in range(n - 1, -1, -1):
         nxt = min(max(xstar[i], nxt - h), nxt + h)
         u[i] = nxt
-    p = np.concatenate(([0.0], -dx * np.cumsum(vvals - u)))
-    return u, (p - np.median(p))[None]
+    sums = np.concatenate(([0.0], -dx * np.cumsum(vvals - u)))
+    return u, (sums - np.median(sums))[None]
 
 
 class _Stencil(NamedTuple):
@@ -775,17 +784,8 @@ def _first_break(geom: _ConeGeometry, z0, z1, t: float) -> float:
     return first
 
 
-def _grid_newton(
-    geom: _ConeGeometry,
-    vvals: np.ndarray,
-    lam: float,
-    q,
-    max_steps: int,
-    certify,
-    dv: np.ndarray,
-    damped: bool = False,
-):
-    """Semismooth Newton iteration on the dual fixed point
+def _grid_newton(p: _Problem, q, max_steps: int, damped: bool = False):
+    """Semismooth Newton iteration of problem ``p`` on the dual fixed point
     ``q = shrink(q + c D u, c lam)`` with ``u = v - D^T q`` and
     ``c = 2 / |D|^2`` (``h^2 / 4`` on a square grid), ``q`` a lattice.
 
@@ -800,7 +800,7 @@ def _grid_newton(
     ``q_A + dq_A``, because ``M_A^{-1} - I`` annihilates ``shrink(z)_A``.  On
     scalar constraints it is the rule of :func:`_path_newton`.  On pairs
     the Jacobian moves with ``z``, so a repeated active pattern is not yet a
-    KKT point: the iteration stops only when ``certify(u, q).ok`` holds.
+    KKT point: the iteration stops only when ``p.certify(u, q).ok`` holds.
 
     ``damped`` is for a start near the solution of a degenerate problem
     (PDHG's stalled iterate).  Each solve then adds ``POLISH_DAMPING |D|^2``
@@ -819,9 +819,9 @@ def _grid_newton(
     pair is certified once, and in damped mode that certificate also gives
     the gap of the line search.  Each iterate takes one pass of each grid
     operator: ``D^T q``, then ``u`` and its edge slopes, which the
-    certificate and the next ``z`` share.  ``dv`` is the lattice of the
-    edge slopes of ``v``.  The right-hand side is one gather, and ``q_A``
-    one scatter, through the flat indices that :func:`_newton_band` returns.
+    certificate and the next ``z`` share.  The right-hand side is one
+    gather from ``p.dv``, the edge slopes of ``v``, and ``q_A`` one scatter,
+    through the flat indices that :func:`_newton_band` returns.
 
     Returns ``(cert, q, solves)`` with the certificate of the final pair
     ``(u, q)``; ``cert`` and ``q`` are None when nothing was certified
@@ -829,30 +829,30 @@ def _grid_newton(
     (loops of active edges carry divergence-free duals), or when halving a
     damped step found no lower gap.
     """
-    c = 2.0 / geom.op_norm**2
-    t = c * lam
-    delta = POLISH_DAMPING * geom.op_norm**2 if damped else 0.0
+    c = 2.0 / p.geom.op_norm**2
+    t = c * p.lam
+    delta = POLISH_DAMPING * p.geom.op_norm**2 if damped else 0.0
 
     def evaluate(q):  # the edge slopes of u = v - D^T q, and the pair's certificate
-        aq = edge_slopes_adjoint(geom.grid, q)
-        u = vvals - aq
-        du = edge_slopes(geom.grid, u)
-        return du, certify(u, q, du, aq)
+        aq = edge_slopes_adjoint(p.grid, q)
+        u = p.v - aq
+        du = edge_slopes(p.grid, u)
+        return du, p.certify(u, q, du, aq)
 
     solves = 0
     if damped:
         du, cert = evaluate(q)
         gap = cert.gap
     else:
-        du = edge_slopes(geom.grid, vvals - edge_slopes_adjoint(geom.grid, q))
+        du = edge_slopes(p.grid, p.v - edge_slopes_adjoint(p.grid, q))
     while solves < max_steps:
         z = q + c * du
-        mag = geom.group_norm(z)
+        mag = p.geom.group_norm(z)
         active = mag > t
         q_new = np.zeros_like(q)
         if active.any():
-            band, flat, zh = _newton_band(geom, z, mag, active, lam, t, delta)
-            rhs = dv.take(flat) - lam * zh
+            band, flat, zh = _newton_band(p.geom, z, mag, active, p.lam, t, delta)
+            rhs = p.dv.take(flat) - p.lam * zh
             if damped:
                 rhs += delta * q.take(flat)
             try:
@@ -864,7 +864,7 @@ def _grid_newton(
         du_new, cert = evaluate(q_new)
         if damped:
             if not cert.gap < gap:
-                s = _first_break(geom, z, q_new + c * du_new, t)
+                s = _first_break(p.geom, z, q_new + c * du_new, t)
                 halve = s >= 1.0
                 s = 0.5 if halve else s
                 while True:
@@ -906,28 +906,28 @@ def project(
     ``max_iter`` budget, and ``iterations`` counts the Newton solves plus
     the PDHG iterations, so it never exceeds ``max_iter``.  An admissible
     input returns itself with 0.  ``converged`` has the meaning it has in
-    :func:`project_pdhg`.
+    :func:`project_pdhg`.  ``max_iter`` must be an integer of at least 1,
+    in 1D too; any other raises ``ValueError``.
     """
-    geom, dv, certify, q0 = _start(v, lam, tol, mode, warm_dual)
-    if certify is None:  # an admissible v: q0 is its result
-        return q0
-    vvals = v.values
-    if v.grid.dim == 1:
-        cert, q, solves = _path_newton(geom, vvals, lam, q0, certify, dv)
+    _check_int("max_iter", max_iter, 1)
+    p = _Problem(v, lam, tol, mode, warm_dual)
+    if p.admissible:
+        return p.kept()
+    if p.grid.dim == 1:
+        cert, q, solves = _path_newton(p, p.q0)
         if cert is None or not cert.ok:
-            x, q = _path_dp(geom, vvals, lam)
+            x, q = _path_dp(p)
             solves += 1
-            cert = certify(x, q)
-        return _finalize(geom, cert, q, lam, solves)
-    steps = min(NEWTON_MAX_STEPS, max_iter)
-    cert, q, solves = _grid_newton(geom, vvals, lam, q0, steps, certify, dv)
+            cert = p.certify(x, q)
+        return p.result(cert, q, solves)
+    cert, q, solves = _grid_newton(p, p.q0, min(NEWTON_MAX_STEPS, max_iter))
     if cert is None:
         res = project_pdhg(
             v, lam, tol=tol, max_iter=max_iter - solves, mode=mode, warm_dual=warm_dual
         )
         res.iterations += solves
         return res
-    return _finalize(geom, cert, q, lam, solves)
+    return p.result(cert, q, solves)
 
 
 def resolvent_step(
@@ -951,8 +951,9 @@ def resolvent_step(
     A ``g`` that does not give the grid's shape raises ``ValueError`` here.
     A non-finite predicted value (from ``g``, or written into ``u_prev``
     after its check) raises ``ValueError`` where the projection starts,
-    before any slope of it is taken (:func:`_start`), so it warns of no
-    invalid operation first.
+    before any slope of it is taken (:class:`_Problem`), so it warns of no
+    invalid operation first.  ``max_iter`` is checked as :func:`project`
+    checks it.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -962,8 +963,8 @@ def resolvent_step(
     predicted = _unchecked(HeightField, u_prev.grid, values)  # project checks its values
     res = project(predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
     # A new array on every route, so scaling it in place is safe.  Only the
-    # admissible short-cut, whose multiplier is zero, and a 2D start given no
-    # budget return without an iteration.
-    if res.iterations or max_iter < 1:
+    # admissible short-cut, whose multiplier is zero, returns without an
+    # iteration.
+    if res.iterations:
         res.m.values /= dt
     return res

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -50,7 +49,9 @@ from .constitutive import (
     h_sup,
     lipschitz_bound,
 )
-from .grid import CONSTRAINT_MODES, Grid, HeightField, _unchecked, admissible, integrate, max_slope
+from .grid import (
+    CONSTRAINT_MODES, Grid, HeightField, _check_int, _unchecked, admissible, integrate, max_slope
+)
 from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
     DEFAULT_MAX_ITER,
@@ -156,9 +157,7 @@ class Numerics:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.cfl_number > 1.0:  # the explicit upwind step is stable up to Courant number 1
             raise ValueError(f"cfl_number must be at most 1, got {self.cfl_number}")
-        value = self.proj_max_iter
-        if not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ValueError(f"proj_max_iter must be an integer of at least 1, got {value!r}")
+        _check_int("proj_max_iter", self.proj_max_iter, 1)
         if self.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(f"unknown constraint_mode {self.constraint_mode!r}")
 
@@ -478,8 +477,7 @@ def run(
     ``u0`` as given); a lenient run logs a warning for each such projection
     and carries on.
     """
-    if not (isinstance(snapshot_every, numbers.Integral) and snapshot_every >= 1):
-        raise ValueError(f"snapshot_every must be an integer of at least 1, got {snapshot_every!r}")
+    _check_int("snapshot_every", snapshot_every, 1)
     grid = u0.grid
     kernel = kernel_for(params, grid)
     v_max = transport_speed_bound(params, grid, kernel)

@@ -23,11 +23,10 @@ from barchan.projection import (
     NEWTON_MAX_STEPS,
     MultiplierField,
     _ConeGeometry,
-    _certifier,
-    _finalize,
     _gap_floor,
     _path_dp,
     _path_newton,
+    _Problem,
     project,
     project_pdhg,
     resolvent_step,
@@ -270,6 +269,24 @@ def test_bad_lambda_rejected():
             resolvent_step(v, np.zeros((8, 8)), 0.1, lam)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_max_iter_must_be_an_integer_budget(dim):
+    # project and resolvent_step take at least one solve, in 1D too, where
+    # the budget is otherwise unused; project_pdhg may be handed none, as
+    # project's fallback passes on what Newton left.  A bool is not a count.
+    g = make_grid(dim, 1.0, 6)
+    v = HeightField(g, 3.0 * np.ones(g.shape))
+    for bad in (-5, 0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            project(v, 1.0, max_iter=bad)
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            resolvent_step(v, np.zeros(g.shape), 0.1, 1.0, max_iter=bad)
+    for bad in (-5, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 0"):
+            project_pdhg(v, 1.0, max_iter=bad)
+    assert project_pdhg(v, 1.0, max_iter=0).iterations == 0
+
+
 def test_resolvent_zero_drive_is_stationary():
     g = make_grid(1, 1.0, 15)
     lam = 1.0
@@ -366,16 +383,15 @@ def test_resolvent_step_rejects_non_finite_drive():
 @pytest.mark.parametrize("dim, mode", [(1, "isotropic"), (2, "isotropic"), (2, "componentwise")])
 def test_finalize_rejects_non_finite_iterate(dim, mode):
     # results are built unchecked; a NaN iterate makes the duality gap NaN,
-    # which _finalize rejects by name (the violation reads 0 on it)
+    # which _Problem.result rejects by name (the violation reads 0 on it)
     g = make_grid(dim, 1.0, 6)
-    geom = _ConeGeometry(g, mode)
-    certify = _certifier(geom, np.ones(g.shape), 1.0, DEFAULT_TOL)
-    nan_field, nan_dual = np.full(g.shape, np.nan), np.full(geom.shape, np.nan)
-    for x, q in [(nan_field, geom.zeros()), (np.zeros(g.shape), nan_dual)]:
-        cert = certify(x, q)
+    p = _Problem(HeightField(g, np.ones(g.shape)), 1.0, DEFAULT_TOL, mode, None)
+    nan_field, nan_dual = np.full(g.shape, np.nan), np.full(p.geom.shape, np.nan)
+    for x, q in [(nan_field, p.geom.zeros()), (np.zeros(g.shape), nan_dual)]:
+        cert = p.certify(x, q)
         assert math.isnan(cert.gap) and not cert.ok
         with pytest.raises(ValueError, match="not finite"):
-            _finalize(geom, cert, q, 1.0, 1)
+            p.result(cert, q, 1)
 
 
 @pytest.mark.parametrize("dim, mode", [(1, "isotropic"), (2, "isotropic"), (2, "componentwise")])
@@ -387,7 +403,9 @@ def test_non_finite_input_fails_before_any_iteration(solver, dim, mode, bad, mon
     def no_iteration(*args, **kwargs):
         raise AssertionError("a projection iterated on a non-finite input")
 
-    for name in ("_certifier", "_path_newton", "_path_dp", "_grid_newton"):
+    for name in ("certify", "result"):
+        monkeypatch.setattr(projection._Problem, name, no_iteration)
+    for name in ("_path_newton", "_path_dp", "_grid_newton"):
         monkeypatch.setattr(projection, name, no_iteration)
     g = make_grid(dim, 1.0, 12)
     v = HeightField(g, np.ones(g.shape))
@@ -490,12 +508,10 @@ def test_path_warm_start_does_not_change_result(case, seed):
 @given(path_cases)
 def test_path_newton_matches_dp(case):
     v, lam = _path_case(*case)
-    geom = _ConeGeometry(v.grid, "isotropic")
-    u_dp, q_dp = _path_dp(geom, v.values, lam)
-    certify = _certifier(geom, v.values, lam, DEFAULT_TOL)
-    dv = edge_slopes(v.grid, v.values)
+    p = _Problem(v, lam, DEFAULT_TOL, "isotropic", None)
+    u_dp, q_dp = _path_dp(p)
     for start in (np.zeros((1, v.grid.counts[0] + 1)), q_dp):
-        cert, _, _ = _path_newton(geom, v.values, lam, start, certify, dv)
+        cert, _, _ = _path_newton(p, start)
         if cert is not None:
             assert np.max(np.abs(cert.xf - u_dp)) <= 1e-10
 
@@ -675,10 +691,8 @@ def test_path_all_active_qp():
     # From v - u = D^T q, q = p - median(p) with p = (0, .01, -.02, -.01).
     g = make_grid(1, 0.4, 3)
     v = HeightField(g, np.array([0.0, 0.5, 0.0]))
-    geom = _ConeGeometry(g, "isotropic")
-    certify = _certifier(geom, v.values, 1.0, DEFAULT_TOL)
-    dv = edge_slopes(g, v.values)
-    cert, _, _ = _path_newton(geom, v.values, 1.0, np.zeros((1, 4)), certify, dv)
+    p = _Problem(v, 1.0, DEFAULT_TOL, "isotropic", None)
+    cert, _, _ = _path_newton(p, np.zeros((1, 4)))
     assert cert is None
     res = project(v, 1.0, tol=1e-10)
     assert res.converged
@@ -694,15 +708,12 @@ def test_path_single_active_edge():
     g = make_grid(1, 0.6, 5)
     v = HeightField(g, np.array([0.0, 0.04, -0.08, -0.02, 0.0]))
     expected = [0.0, 0.03, -0.07, -0.02, 0.0]
-    geom = _ConeGeometry(g, "isotropic")
-    certify = _certifier(geom, v.values, 1.0, DEFAULT_TOL)
-    cert, q_newton, solves = _path_newton(
-        geom, v.values, 1.0, np.zeros((1, 6)), certify, edge_slopes(g, v.values)
-    )
+    p = _Problem(v, 1.0, DEFAULT_TOL, "isotropic", None)
+    cert, q_newton, solves = _path_newton(p, np.zeros((1, 6)))
     assert solves == 1
     np.testing.assert_allclose(cert.xf, expected, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(q_newton, [[0, 0, -0.001, 0, 0, 0]], rtol=0.0, atol=1e-12)
-    u_dp, _ = _path_dp(geom, v.values, 1.0)
+    u_dp, _ = _path_dp(p)
     np.testing.assert_allclose(u_dp, expected, rtol=0.0, atol=1e-12)
     res = project(v, 1.0)
     assert res.converged and res.iterations == 1
@@ -864,11 +875,8 @@ def test_newton_singular_block_falls_back_to_pdhg(mode, pdhg_budgets):
     # exactly singular; the factorization error must not escape
     g = make_grid(2, (1.0, 1.0), (8, 8))
     v = HeightField(g, np.random.default_rng(4).normal(size=(8, 8)))
-    geom = _ConeGeometry(g, mode)
-    u, q, solves = projection._grid_newton(
-        geom, v.values, 1.0, geom.zeros(), NEWTON_MAX_STEPS, lambda u, q: False,
-        edge_slopes(g, v.values),
-    )
+    p = _Problem(v, 1.0, DEFAULT_TOL, mode, None)
+    u, q, solves = projection._grid_newton(p, p.q0, NEWTON_MAX_STEPS)
     assert u is None and q is None and solves == 0
     res = project(v, 1.0, mode=mode)
     assert pdhg_budgets == [projection.DEFAULT_MAX_ITER]
@@ -1268,24 +1276,19 @@ def test_newton_loop_certificate_matches_a_fresh_one(mode, monkeypatch):
     # has computed already; at every solve the certificate built from them
     # must equal the one certify computes on its own, bit for bit.
     checked = []
-    make = projection._certifier
+    certify = projection._Problem.certify
 
-    def checking(*args):
-        certify = make(*args)
+    def shared(p, x, q, dx=None, aq=None):
+        cert = certify(p, x, q, dx, aq)
+        fresh = certify(p, x, q)
+        assert dx is not None and aq is not None
+        assert cert.xf.tobytes() == fresh.xf.tobytes()
+        got = (cert.viol, cert.gap, cert.err, cert.ok)
+        assert got == (fresh.viol, fresh.gap, fresh.err, fresh.ok)
+        checked.append(cert.ok)
+        return cert
 
-        def shared(x, q, dx=None, aq=None):
-            cert = certify(x, q, dx, aq)
-            fresh = certify(x, q)
-            assert dx is not None and aq is not None
-            assert cert.xf.tobytes() == fresh.xf.tobytes()
-            got = (cert.viol, cert.gap, cert.err, cert.ok)
-            assert got == (fresh.viol, fresh.gap, fresh.err, fresh.ok)
-            checked.append(cert.ok)
-            return cert
-
-        return shared
-
-    monkeypatch.setattr(projection, "_certifier", checking)
+    monkeypatch.setattr(projection._Problem, "certify", shared)
     v = _hump_2d(24, 0.23)  # 2 to 5 solves cold, and warm from there
     cold = project(v, 1.0, mode=mode)
     assert cold.converged and checked == [False] * (cold.iterations - 1) + [True]

@@ -215,9 +215,9 @@ def test_run_rejects_cfl_violation():
         run(p, hump(g, 0.5, 0.2, 0.3))
 
 
-@pytest.mark.parametrize("every", [0, -1, 2.5, 2.0, "2"])
+@pytest.mark.parametrize("every", [0, -1, 2.5, 2.0, "2", True])
 def test_run_rejects_snapshot_every_by_name(every):
-    # a float or a string is not a step count, even when it is integral
+    # a float, a string or a bool is not a step count, even when it is integral
     g = make_grid(1, 1.0, 31)
     p = ModelParams(lam=1.0, h=HProfile.zero(), T=0.1, dt=0.05,
                     kernel=KernelSpec("triangle", 3 / 32))
@@ -921,6 +921,7 @@ def test_source_center_entries_checked():
         ("proj_tol", math.inf),
         ("proj_max_iter", 0),
         ("proj_max_iter", 100.5),
+        ("proj_max_iter", True),
         ("constraint_mode", "diagonal"),
     ],
 )
