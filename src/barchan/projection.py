@@ -290,7 +290,8 @@ class _Problem:
     Raises ``ValueError`` on a bad ``lam``, ``tol``, ``mode`` or
     ``warm_dual`` shape, and on a non-finite value in ``v`` (written after
     its constructor checked it, or in the unchecked field
-    :func:`resolvent_step` predicts) before any slope of it is taken.
+    :func:`resolvent_step` predicts) before any slope of it is taken, and
+    on finite values whose slopes overflow.
     """
 
     def __init__(self, v: HeightField, lam: float, tol: float, mode: str, warm_dual):
@@ -310,8 +311,8 @@ class _Problem:
             raise ValueError("height field contains non-finite values")
         self.dv = edge_slopes(self.grid, self.v)
         top = geom.max_norm(self.dv)
-        if not math.isfinite(top):  # finite values whose slopes overflow
-            raise ValueError("height field contains non-finite values")
+        if not math.isfinite(top):
+            raise ValueError("height field has finite values whose slopes overflow")
         self.admissible = top <= lam
         if not self.admissible:
             self.q0 = geom.zeros() if warm_dual is None else np.asarray(warm_dual, dtype=float)

@@ -7,9 +7,9 @@ state.  The flux is evaluated once, at the previous state, the same
 freezing the fixed-point construction of the continuous problem uses.
 
 A run projects inadmissible start data with the same resolvent and a zero
-drive.  :func:`_resolve` holds every projection of a run to one convergence
-policy: a failed certificate stops a strict run, and a lenient run logs a
-warning and carries on.
+drive.  ``_Run.resolve`` holds every projection of a run to one
+convergence policy: a failed certificate stops a strict run, and a
+lenient run logs a warning and carries on.
 
 The wind blows in +x, so the flux velocity is nonnegative and upwinding
 from the left is the monotone choice.
@@ -24,10 +24,14 @@ snapshot 0 copies the caller's initial field.
 What a run holds fixed is built once.  The kernel stencil
 (:func:`kernel_for`) and a time-independent source field
 (:func:`source_eval`) are cached per grid and shared by every run, step
-and audit on it, so their arrays are read-only; a run evaluates the CFL
-speed bound once, for its automatic ``dt``, its stability check and
-every step's Courant number; and it integrates a time-independent source
-once, on its first step, for every step's ``source_integral``.
+and audit on it, so their arrays are read-only.  Each :func:`run`,
+:func:`step` and :func:`cfl_dt` builds one ``_Run``: it evaluates the CFL
+speed bound once, for the automatic ``dt``, the CFL check of a fixed one
+and every step's Courant number, and keeps a time-independent source's
+integral from the first step for every later step's
+``source_integral``.  The steps themselves pass only the moving state:
+the field, its time, the step, the warm dual, the edge slopes and the
+mass.
 """
 
 from __future__ import annotations
@@ -137,6 +141,12 @@ class ModelParams:
 class Numerics:
     """Solver knobs kept apart from the physics; a step evaluates the flux
     once, so the splitting itself has none.
+
+    ``cfl_number`` is the Courant number of the CFL step
+    ``cfl_number * dx / v_max`` (:func:`cfl_dt`), which bounds every
+    explicit step of a windy run, fixed or automatic.  ``dt_max`` caps only
+    the automatic step (``dt="auto"``), and is that step when the wind is
+    off; a fixed ``dt`` above it is taken as given.
 
     The ``proj_*`` settings and ``constraint_mode`` govern every projection
     of a run, the start one included, under one policy: a projection that
@@ -329,116 +339,106 @@ def transport_speed_bound(params: ModelParams, grid: Grid, kernel: DiscreteKerne
     return direct + indirect
 
 
-def cfl_dt(
-    u: HeightField,
-    params: ModelParams,
-    numerics: Numerics = Numerics(),
-    kernel: DiscreteKernel | None = None,
-) -> float:
-    """Stable explicit step ``cfl * dx / v_max``, capped at ``dt_max``.
+def cfl_dt(u: HeightField, params: ModelParams, numerics: Numerics = Numerics()) -> float:
+    """The automatic explicit step: the CFL step ``cfl_number * dx / v_max``
+    (``dx`` the smallest spacing, ``v_max`` the
+    :func:`transport_speed_bound`), capped at ``dt_max``.
 
     When the wind is off (v_max = 0) the avalanche step is implicit and
-    unconditionally stable, so the cap is returned.
+    unconditionally stable, so the cap is returned.  A fixed ``dt`` is
+    held to the CFL step alone, not to this cap.
     """
-    if kernel is None:
-        kernel = kernel_for(params, u.grid)
-    return _stable_dt(transport_speed_bound(params, u.grid, kernel), u.grid, numerics)
+    return _Run(params, numerics, u.grid).stable
 
 
-def _stable_dt(v_max: float, grid: Grid, numerics: Numerics) -> float:
-    """The step :func:`cfl_dt` returns for the speed bound ``v_max``."""
-    if v_max <= 0.0:
-        return numerics.dt_max
-    return min(numerics.dt_max, numerics.cfl_number * min(grid.spacing) / v_max)
-
-
-def _checked_speed(v_max: float, dt: float, grid: Grid, numerics: Numerics) -> float:
-    """The CFL speed bound ``v_max``, once ``dt`` is checked against the
-    stable step it gives.
+class _Run:
+    """What one :func:`run`, :func:`step` or :func:`cfl_dt` holds fixed on
+    ``grid``: the ``kernel``, the CFL speed bound ``v_max`` (one
+    :func:`transport_speed_bound`), the CFL step ``cfl = cfl_number * dx /
+    v_max`` (``dx`` the smallest spacing; infinite without wind) and the
+    automatic step ``stable``, ``cfl`` capped at ``dt_max``; and, once the
+    first step has taken it, the integral of a fixed source.
 
     The bound covers every admissible height, so it holds for a whole run.
     """
-    if v_max > 0.0:
-        stable = _stable_dt(v_max, grid, numerics)
-        if dt > stable * (1.0 + 1e-9):
-            raise CFLViolationError(f"dt={dt} exceeds the stable step {stable}")
-    return v_max
 
+    def __init__(self, params: ModelParams, numerics: Numerics, grid: Grid):
+        self.params, self.numerics, self.grid = params, numerics, grid
+        self.kernel = kernel_for(params, grid)
+        self.v_max = v_max = transport_speed_bound(params, grid, self.kernel)
+        self.dx = min(grid.spacing)
+        self.cfl = numerics.cfl_number * self.dx / v_max if v_max > 0.0 else math.inf
+        self.stable = min(numerics.dt_max, self.cfl)
+        self.source_integral = None
 
-def _resolve(
-    u: HeightField, drive, dt: float, params: ModelParams, numerics: Numerics, warm_dual, t=None
-):
-    """The resolvent step of ``u`` under ``drive`` with the run's projection
-    settings, held to the run's one convergence policy: a result that fails
-    its certificate raises :class:`NonConvergedError` in a strict run and is
-    logged as a warning in a lenient one, both naming it "projection at t"
-    for the step from time ``t``, or "start projection" when ``t`` is None."""
-    res = resolvent_step(
-        u, drive, dt, params.lam, tol=numerics.proj_tol, max_iter=numerics.proj_max_iter,
-        mode=numerics.constraint_mode, warm_dual=warm_dual,
-    )
-    if not res.converged:
-        what = "start projection" if t is None else f"projection at t={t:.6g}"
-        gap, n = res.primal_dual_gap, res.iterations
-        msg = f"{what} not converged (gap {gap:.3e} after {n} iterations)"
-        if numerics.strict:
-            raise NonConvergedError(msg)
-        logger.warning("%s", msg)
-    return res
+    def check(self, dt: float) -> None:
+        """Raise :class:`CFLViolationError` if ``dt`` exceeds the CFL step."""
+        if dt > self.cfl * (1.0 + 1e-9):
+            raise CFLViolationError(f"dt={dt} exceeds the CFL step {self.cfl}")
 
+    def resolve(self, u: HeightField, drive, dt: float, warm_dual, t=None):
+        """The resolvent step of ``u`` under ``drive`` with the run's
+        projection settings, held to the run's one convergence policy: a
+        result that fails its certificate raises :class:`NonConvergedError`
+        in a strict run and is logged as a warning in a lenient one, both
+        naming it "projection at t" for the step from time ``t``, or "start
+        projection" when ``t`` is None."""
+        numerics = self.numerics
+        res = resolvent_step(
+            u, drive, dt, self.params.lam, tol=numerics.proj_tol,
+            max_iter=numerics.proj_max_iter, mode=numerics.constraint_mode, warm_dual=warm_dual,
+        )
+        if not res.converged:
+            what = "start projection" if t is None else f"projection at t={t:.6g}"
+            gap, n = res.primal_dual_gap, res.iterations
+            msg = f"{what} not converged (gap {gap:.3e} after {n} iterations)"
+            if numerics.strict:
+                raise NonConvergedError(msg)
+            logger.warning("%s", msg)
+        return res
 
-def _advance(
-    u: HeightField,
-    t: float,
-    dt: float,
-    params: ModelParams,
-    numerics: Numerics,
-    kernel: DiscreteKernel,
-    v_max: float,
-    warm_dual=None,
-    slopes=None,
-    mass=None,
-    source_integral=None,
-):
-    """One split step of at most the checked ``dt``; returns (field,
-    multiplier, diagnostics, dual, slopes).  ``slopes`` and ``mass``, the
-    edge slopes and mass of ``u``, are computed unless the previous step
-    returned them (its ``slopes`` and ``mass_post``), and so is the
-    integral of the source field at ``t`` unless it is fixed and the caller
-    has it.  The field and multiplier returned are new arrays the caller
-    owns, and ``slopes`` their one slope pass; ``u`` is only read.  The
-    flux is frozen at ``u``, and the one projection follows the policy of
-    :func:`_resolve`."""
-    grid = u.grid
-    f = source_eval(params.source, grid, t)
-    flux = transport_flux(u, params, kernel, slopes)
-    drive = f - transport_div(grid, flux)
+    def _advance(self, u: HeightField, t: float, dt: float, warm_dual=None, slopes=None, mass=None):
+        """One split step of at most the checked ``dt``; returns (field,
+        multiplier, diagnostics, dual, slopes).  ``slopes`` and ``mass``, the
+        edge slopes and mass of ``u``, are computed unless the previous step
+        returned them (its ``slopes`` and ``mass_post``).  The field and
+        multiplier returned are new arrays the caller owns, and ``slopes``
+        their one slope pass; ``u`` is only read.  The flux is frozen at
+        ``u``, and the one projection follows the policy of :meth:`resolve`."""
+        params, grid = self.params, self.grid
+        f = source_eval(params.source, grid, t)
+        flux = transport_flux(u, params, self.kernel, slopes)
+        drive = f - transport_div(grid, flux)
 
-    mass_pre = integrate(grid, u.values) if mass is None else mass
-    source_integral = integrate(grid, f) if source_integral is None else source_integral
-    outflow = transport_outflow(grid, flux)
+        mass_pre = integrate(grid, u.values) if mass is None else mass
+        source_integral = self.source_integral
+        if source_integral is None:
+            source_integral = integrate(grid, f)
+            if params.source.kind != "tabulated":  # one field for the whole run
+                self.source_integral = source_integral
+        outflow = transport_outflow(grid, flux)
 
-    res = _resolve(u, drive, dt, params, numerics, warm_dual, t)
-    u_new, slopes = res.u, res.slopes
+        res = self.resolve(u, drive, dt, warm_dual, t)
+        u_new, slopes = res.u, res.slopes
 
-    mass_post = integrate(grid, u_new.values)
-    mass_star = mass_pre + dt * (source_integral - outflow)
-    lines = u_new.values.reshape(grid.counts[0], -1)  # x lines (one in 1D); crest on the middle
-    diag = StepDiagnostics(
-        t=t + dt,
-        dt=dt,
-        mass_pre=mass_pre,
-        mass_post=mass_post,
-        source_integral=source_integral,
-        transport_outflow=outflow,
-        avalanche_mass_change=mass_post - mass_star,
-        projection_iterations=res.iterations,
-        projection_gap=res.primal_dual_gap,
-        cfl_number=v_max * dt / min(grid.spacing),
-        max_slope=max_slope(u_new, numerics.constraint_mode, slopes),
-        crest_index=int(lines[:, lines.shape[1] // 2].argmax()),
-    )
-    return u_new, res.m, diag, res.dual, slopes
+        mass_post = integrate(grid, u_new.values)
+        mass_star = mass_pre + dt * (source_integral - outflow)
+        lines = u_new.values.reshape(grid.counts[0], -1)  # x lines (one in 1D); crest on the middle
+        diag = StepDiagnostics(
+            t=t + dt,
+            dt=dt,
+            mass_pre=mass_pre,
+            mass_post=mass_post,
+            source_integral=source_integral,
+            transport_outflow=outflow,
+            avalanche_mass_change=mass_post - mass_star,
+            projection_iterations=res.iterations,
+            projection_gap=res.primal_dual_gap,
+            cfl_number=self.v_max * dt / self.dx,
+            max_slope=max_slope(u_new, self.numerics.constraint_mode, slopes),
+            crest_index=int(lines[:, lines.shape[1] // 2].argmax()),
+        )
+        return u_new, res.m, diag, res.dual, slopes
 
 
 def step(
@@ -448,10 +448,11 @@ def step(
     params: ModelParams,
     numerics: Numerics = Numerics(),
 ) -> tuple[HeightField, MultiplierField]:
-    """Advance one split step and return the new state and multiplier."""
-    kernel = kernel_for(params, u.grid)
-    v_max = _checked_speed(transport_speed_bound(params, u.grid, kernel), dt, u.grid, numerics)
-    u_new, m, *_ = _advance(u, t, dt, params, numerics, kernel, v_max)
+    """Advance one split step and return the new state and multiplier.
+    A ``dt`` above the CFL step raises :class:`CFLViolationError`."""
+    r = _Run(params, numerics, u.grid)
+    r.check(dt)
+    u_new, m, *_ = r._advance(u, t, dt)
     return u_new, m
 
 
@@ -465,9 +466,11 @@ def run(
     snapshot at the start, every ``snapshot_every`` steps (an integer of at
     least 1) and at T.
 
-    A run with ``T == 0`` takes no step and returns ``u0`` as given.
-    Otherwise a fixed ``dt`` above the stable step raises
-    :class:`CFLViolationError`, and initial data outside the admissible
+    A run with ``T == 0`` takes no step, checks no CFL and returns ``u0``
+    as given.  Otherwise the step is ``params.dt``, or :func:`cfl_dt` for
+    ``"auto"``.  A fixed ``dt`` above the CFL step ``cfl_number * dx /
+    v_max`` raises :class:`CFLViolationError`; ``dt_max`` does not bound
+    it, and without wind nothing does.  Initial data outside the admissible
     cone is projected onto it with a logged warning: the resolvent step of
     ``u0`` with a zero drive, so snapshot 0 holds the projection.  Every
     projection of the run, that one included, follows the one policy of
@@ -479,12 +482,11 @@ def run(
     """
     _check_int("snapshot_every", snapshot_every, 1)
     grid = u0.grid
-    kernel = kernel_for(params, grid)
-    v_max = transport_speed_bound(params, grid, kernel)
-    dt = _stable_dt(v_max, grid, numerics) if isinstance(params.dt, str) else float(params.dt)
+    r = _Run(params, numerics, grid)
+    dt = r.stable if isinstance(params.dt, str) else float(params.dt)
     n_steps = 0 if params.T == 0.0 else max(1, math.ceil(params.T / dt - 1e-12))
     if n_steps:
-        _checked_speed(v_max, dt, grid, numerics)
+        r.check(dt)
 
     m0 = _unchecked(MultiplierField, grid, np.zeros(grid.shape))
     traj = Trajectory(
@@ -498,24 +500,19 @@ def run(
 
     # Step 1 starts cold even after a start projection: warm-started from
     # the start's dual, dune2d's Newton took one solve more.
-    u, warm, slopes, mass, source_integral = u0, None, None, None, None
+    u, warm, slopes, mass = u0, None, None, None
     try:
         if n_steps and not admissible(u0, params.lam, numerics.constraint_mode):
             logger.warning("initial data is not admissible; projecting onto the cone")
-            res = _resolve(u0, 0.0, dt, params, numerics, None)
+            res = r.resolve(u0, 0.0, dt, None)
             u, slopes = res.u, res.slopes
             traj.snapshots[0].u = u
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * dt
             dt_k = dt if k < n_steps else params.T - (n_steps - 1) * dt
-            u, m, diag, warm, slopes = _advance(
-                u, t_prev, dt_k, params, numerics, kernel, v_max, warm, slopes, mass,
-                source_integral,
-            )
+            u, m, diag, warm, slopes = r._advance(u, t_prev, dt_k, warm, slopes, mass)
             traj.steps.append(diag)
             mass = diag.mass_post
-            # A zero or patch source is one field for the whole run, so is its integral.
-            source_integral = None if params.source.kind == "tabulated" else diag.source_integral
             if k % snapshot_every == 0 or k == n_steps:
                 traj.snapshots.append(Snapshot(t_prev + dt_k, u, m))
     except NonConvergedError as exc:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -378,6 +379,29 @@ def test_resolvent_step_rejects_non_finite_drive():
                     for solver in (project, project_pdhg):
                         with pytest.raises(ValueError, match="non-finite"):
                             solver(v, 1.0)
+
+
+def test_overflowing_slopes_are_named_apart_from_non_finite_values():
+    # every value is finite, but the edge slopes of the field overflow to
+    # inf; the start names that, not a non-finite height
+    g = make_grid(1, 1.0, 3)
+    v = HeightField(g, [1e308, -1e308, 1e308])
+    for solve in (project, project_pdhg, lambda v, lam: resolvent_step(v, 0.0, 1.0, lam)):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite values whose slopes overflow"):
+                solve(v, 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_resolvent_step_rejects_a_drive_of_the_wrong_shape(dim):
+    # a drive that broadcasts against the field to another shape raises the
+    # checked field's shape error; one that does not broadcast, numpy's own
+    g = make_grid(dim, 1.0, 5)
+    shape = (1, *g.shape)
+    with pytest.raises(ValueError, match=re.escape(f"height field shape {shape} does not match")):
+        resolvent_step(HeightField.zeros(g), np.ones(shape), 0.1, 1.0)
+    with pytest.raises(ValueError):
+        resolvent_step(HeightField.zeros(g), np.ones(4), 0.1, 1.0)
 
 
 @pytest.mark.parametrize("dim, mode", [(1, "isotropic"), (2, "isotropic"), (2, "componentwise")])

@@ -181,6 +181,7 @@ def test_run_and_step_evaluate_the_speed_bound_once(monkeypatch):
         lambda: run(p, u),
         lambda: run(dataclasses.replace(p, dt=dt), u),
         lambda: step(u, 0.0, dt, p),
+        lambda: cfl_dt(u, p),
     ):
         calls.clear()
         solve()
@@ -213,6 +214,32 @@ def test_run_rejects_cfl_violation():
     )
     with pytest.raises(CFLViolationError):
         run(p, hump(g, 0.5, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("solver", ["run", "step"])
+def test_fixed_dt_is_held_to_the_cfl_step_not_dt_max(solver):
+    # dt_max caps only the automatic step: a fixed dt above it but within
+    # the CFL step (0.00063 here) is taken, and one above the CFL step is not
+    g = make_grid(1, 1.0, 31)
+    p = ModelParams(lam=1.0, h=HProfile.smooth_ramp(), kernel=KernelSpec("triangle", 3 / 32),
+                    T=0.002)
+    nm = Numerics(dt_max=0.0002)
+    u = hump(g, 0.5, 0.1, 0.3)
+    assert cfl_dt(u, p, nm) == 0.0002
+    assert cfl_dt(u, p, Numerics(dt_max=1.0)) == pytest.approx(0.00063, rel=1e-3)
+
+    def solve(dt):
+        if solver == "step":
+            return step(u, 0.0, dt, p, nm)
+        return run(dataclasses.replace(p, dt=dt), u, numerics=nm)
+
+    out = solve(0.0004)
+    if solver == "run":
+        assert out.failure is None
+        assert [d.dt for d in out.steps] == pytest.approx([0.0004] * 5)
+        assert out.steps[0].cfl_number == pytest.approx(0.286, abs=5e-4)
+    with pytest.raises(CFLViolationError, match="exceeds the CFL step"):
+        solve(0.0007)
 
 
 @pytest.mark.parametrize("every", [0, -1, 2.5, 2.0, "2", True])
