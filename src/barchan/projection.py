@@ -72,6 +72,7 @@ Cholesky and solve took 704 us unpinned against 207 us pinned (2 cores).
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import itertools
 import math
@@ -103,11 +104,12 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
 # Linear solves a Newton route may take before its fallback (the exact
 # path dynamic program in 1D, PDHG otherwise) takes over: twice the most
-# measured on a 64x64 dune, whose first time step starts cold and takes 8.
+# measured on a 64x64 dune, 8, on its first time step started cold.
 NEWTON_MAX_STEPS = 16
 # Relative Tikhonov weight of a damped Newton solve (see _grid_newton): far
 # below every nonzero eigenvalue of a block, enough to factor a singular one.
 POLISH_DAMPING = 1e-12
+_AS_IS = contextlib.nullcontext()  # numpy's error state left as it is
 
 class NonConvergedError(RuntimeError):
     """Raised in strict mode when a projection exhausts its iterations."""
@@ -240,9 +242,10 @@ class _ConeGeometry:
         g = self.group_norm(q)
         return np.where(g > t, q * (1.0 - t / np.maximum(g, t)), 0.0)
 
-    def multiplier(self, q, lam: float) -> np.ndarray:
-        """Per-node multiplier from the dual each interior node hosts."""
-        return hosted(constraint_magnitude(q, self.paired)).sum(0) / lam
+    def multiplier(self, mag, lam: float) -> np.ndarray:
+        """Per-node multiplier from the constraint magnitudes ``mag`` of a
+        dual (:func:`constraint_magnitude`): those each interior node hosts."""
+        return hosted(mag).sum(0) / lam
 
 
 @lru_cache(maxsize=16)
@@ -256,15 +259,18 @@ class _Certificate(NamedTuple):
     ``dx`` holds the edge slopes of ``x`` (a lattice), ``viol`` its slope
     violation; ``xf`` is ``x`` scaled by ``lam / (lam + viol)``, which
     restores exact feasibility because edge slopes are linear in the field;
-    ``gap`` is the duality gap of ``(xf, q)`` and ``err = sqrt(2 gap)`` the
-    L2 error of ``xf`` it certifies.  ``ok`` holds when ``err`` is at most
-    ``tol`` (or the gap is at its rounding floor) and ``viol`` is within
-    ``TOL_CONSTRAINT``.
+    ``qmag`` holds the constraint magnitudes of ``q``
+    (:func:`constraint_magnitude`), which the dual objective sums and the
+    multiplier reads; ``gap`` is the duality gap of ``(xf, q)`` and ``err =
+    sqrt(2 gap)`` the L2 error of ``xf`` it certifies.  ``ok`` holds when
+    ``err`` is at most ``tol`` (or the gap is at its rounding floor) and
+    ``viol`` is within ``TOL_CONSTRAINT``.
     """
 
     dx: np.ndarray
     viol: float
     xf: np.ndarray
+    qmag: np.ndarray
     gap: float
     err: float
     ok: bool
@@ -304,13 +310,19 @@ class _Problem:
         if warm_dual is not None and shape != geom.shape:
             raise ValueError(f"warm_dual must be a dual lattice of shape {geom.shape}, got {shape}")
         self.grid, self.v, self.lam, self.tol = v.grid, v.values, lam, tol
-        finite = np.isfinite(self.v)
-        # Before any slope is taken (inf - inf would warn); argmin finds a
-        # False entry, if there is one, at a fifth of the cost of .all().
-        if not finite.flat[finite.argmin()]:
+        # One reduction, before any slope is taken (inf - inf would warn),
+        # finds a non-finite value and bounds every constraint magnitude by
+        # big * op_norm.  Where that bound lets a slope or its square
+        # overflow, the slopes are taken with the overflow warning off: an
+        # overflow raises below, so it warns of nothing.  Entering
+        # np.errstate on every projection cost dune1d 4.6% of its wall time
+        # (ten paired benchmark runs on 2 cores).
+        big = float(np.abs(self.v).max())  # NaN or inf when a value is not finite
+        if not big < math.inf:
             raise ValueError("height field contains non-finite values")
-        self.dv = edge_slopes(self.grid, self.v)
-        top = geom.max_norm(self.dv)
+        with np.errstate(over="ignore") if big * geom.op_norm > 1e150 else _AS_IS:
+            self.dv = edge_slopes(self.grid, self.v)
+            top = geom.max_norm(self.dv)
         if not math.isfinite(top):
             raise ValueError("height field has finite values whose slopes overflow")
         self.admissible = top <= lam
@@ -343,17 +355,19 @@ class _Problem:
         viol = max(0.0, geom.max_norm(dx) - lam)
         xf = x * (lam / (lam + viol)) if viol > 0.0 else x
         primal = 0.5 * float(((xf - vvals) ** 2).sum())
-        dual = -lam * geom.dual_l1(q) - 0.5 * float((aq * aq).sum()) + float(np.vdot(aq, vvals))
+        qmag = constraint_magnitude(q, geom.paired)
+        dual = -lam * float(qmag.sum()) - 0.5 * float((aq * aq).sum()) + float(np.vdot(aq, vvals))
         gap = primal - dual
         err = math.sqrt(2.0 * max(gap, 0.0))
         max_viol = lam * TOL_CONSTRAINT + TOL_CONSTRAINT
         ok = (err <= self.tol or gap <= self.floor) and viol <= max_viol
-        return _Certificate(dx, viol, xf, gap, err, ok)
+        return _Certificate(dx, viol, xf, qmag, gap, err, ok)
 
     def result(self, cert: _Certificate, q, iterations: int) -> ProjectionResult:
         """The result for dual ``q`` and its certificate: the feasible field
         ``cert.xf`` (a new array on every route, so it is not copied),
-        flagged ``converged`` when the certificate passed.  When ``cert.viol``
+        flagged ``converged`` when the certificate passed, with the multiplier
+        of ``cert.qmag``.  When ``cert.viol``
         is 0, ``xf`` is the certified ``x``, with slopes ``cert.dx`` and
         violation exactly 0; otherwise both are evaluated here for the
         rescaled field.  The fields are built unchecked: a NaN in ``cert.xf``
@@ -367,7 +381,7 @@ class _Problem:
             viol = max(0.0, self.geom.max_norm(slopes) - self.lam)
         return ProjectionResult(
             u=_unchecked(HeightField, self.grid, cert.xf),
-            m=_unchecked(MultiplierField, self.grid, self.geom.multiplier(q, self.lam)),
+            m=_unchecked(MultiplierField, self.grid, self.geom.multiplier(cert.qmag, self.lam)),
             iterations=iterations,
             primal_dual_gap=cert.err,
             constraint_violation=viol,
@@ -659,12 +673,15 @@ def _path_dp(p: _Problem):
 
 
 class _Stencil(NamedTuple):
-    """``D D^T`` of one grid over the positions of its dual lattice."""
+    """``D D^T`` of one grid over the positions of its dual lattice, and
+    the lattice entry at each position."""
 
     offsets: np.ndarray  # (k,): the offsets of the entries above the diagonal
     products: np.ndarray  # (k,): their values
     partners: np.ndarray  # (size, k): p + offsets[k], or size where none is coupled to p
     diag: np.ndarray  # (size,)
+    lattice: np.ndarray  # (size,): the flat lattice index of the entry at position p
+    axis: np.ndarray  # (size,): its axis
 
 
 @lru_cache(maxsize=16)
@@ -683,10 +700,13 @@ def _stencil(grid: Grid) -> _Stencil:
     2W - 1, 2W`` with ``W = ny + 1`` in 2D.  With the axis along x first,
     they would be ``1, 2, 2W - 1, 2W, 2W + 1``: a band one row wider.  The
     structural zeros lie on no interior node, so their rows are empty.
+    ``lattice`` and ``axis`` invert the numbering: the flat index ``a *
+    prod(cells) + ravel(c)`` and the axis ``a`` of the entry at each position.
     """
     dim = grid.dim
     cells = tuple(m + 1 for m in grid.counts)
     position = np.arange(dim * math.prod(cells)).reshape(cells + (dim,))[..., ::-1]
+    lattice = np.argsort(np.moveaxis(position, -1, 0), axis=None)
     inner = (slice(1, None),) * dim
     # per interior node, the positions of the 2 * dim entries it lies on
     ends, coef = [], []
@@ -712,6 +732,8 @@ def _stencil(grid: Grid) -> _Stencil:
         products=np.array([p for _, p, _ in pairs]),
         partners=partners,
         diag=diag,
+        lattice=lattice,
+        axis=lattice // math.prod(cells),
     )
 
 
@@ -724,10 +746,11 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
 
     The entries are numbered in the order of their positions in
     :func:`_stencil`, cell by cell, so the band spans at most two grid lines
-    of active entries.  Beyond one lattice-sized lookup from position to
-    number, the work is on arrays of active size: each entry looks up its
-    stencil partners' numbers, and one assignment puts the products of the
-    active ones in the band.
+    of active entries.  Beyond two lattice-sized passes, one gathering
+    ``active`` in position order and one lookup from position to number,
+    the work is on arrays of active size: each entry looks up its stencil
+    partners' numbers, and one assignment puts the products of the active
+    ones in the band.
 
     ``M`` is the Jacobian of ``shrink(., t)`` at ``z``, with ``t = c lam``:
     ``M_A^{-1} - I`` is ``a / (1 - a) (I - zh zh^T)`` on an active pair,
@@ -735,14 +758,9 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     entries share a cell and so have consecutive numbers: its curvature is
     one update of the diagonal and one of the first superdiagonal.
     """
-    dim = geom.grid.dim
     st = _stencil(geom.grid)
-    cells = st.diag.size // dim
-    axis, cell = np.divmod(np.flatnonzero(active), cells)
-    pos = np.sort(dim * cell + (dim - 1 - axis))
-    cell, axis = np.divmod(pos, dim)
-    axis = dim - 1 - axis
-    flat = axis * cells + cell
+    pos = np.flatnonzero(active.take(st.lattice))  # the active positions, in order
+    flat, axis = st.lattice.take(pos), st.axis.take(pos)
     seq = np.arange(pos.size)
     number = np.full(st.diag.size + 1, -1)  # by position; -1 off the active entries
     number[pos] = seq
@@ -762,7 +780,8 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     band[bw] += np.where(pair, w * (1.0 - zh * zh), 0.0)
     second = pair[1:] & (axis[1:] == 0)  # the entry along x of a pair, after the one along y
     band[bw - 1, 1:] -= np.where(second, w[1:] * (zh[:-1] * zh[1:]), 0.0)
-    band[bw] += delta
+    if delta:
+        band[bw] += delta
     return band, flat, zh
 
 
@@ -820,7 +839,9 @@ def _grid_newton(p: _Problem, q, max_steps: int, damped: bool = False):
     pair is certified once, and in damped mode that certificate also gives
     the gap of the line search.  Each iterate takes one pass of each grid
     operator: ``D^T q``, then ``u`` and its edge slopes, which the
-    certificate and the next ``z`` share.  The right-hand side is one
+    certificate and the next ``z`` share; a cold start (``q`` zero, so
+    ``u`` is ``v``) takes none and starts from ``p.dv``, as
+    :func:`_path_newton` does.  The right-hand side is one
     gather from ``p.dv``, the edge slopes of ``v``, and ``q_A`` one scatter,
     through the flat indices that :func:`_newton_band` returns.
 
@@ -844,8 +865,10 @@ def _grid_newton(p: _Problem, q, max_steps: int, damped: bool = False):
     if damped:
         du, cert = evaluate(q)
         gap = cert.gap
-    else:
+    elif q.any():
         du = edge_slopes(p.grid, p.v - edge_slopes_adjoint(p.grid, q))
+    else:  # a cold start: u is v
+        du = p.dv
     while solves < max_steps:
         z = q + c * du
         mag = p.geom.group_norm(z)
@@ -931,6 +954,22 @@ def project(
     return p.result(cert, q, solves)
 
 
+def _best_multiple(grid: Grid, v: np.ndarray, q: np.ndarray, lam: float, mode: str) -> float:
+    """The multiple ``s >= 0`` of the dual lattice ``q`` that maximises the
+    dual objective of projecting ``v`` (values on ``grid``) along ``q``,
+
+        s* = max(0, (<D^T q, v> - lam |q|_1) / |D^T q|^2):
+
+    the objective ``<D^T s q, v> - lam |s q|_1 - |D^T s q|^2 / 2`` is a
+    concave quadratic in ``s``.  It is 0 when the numerator is not positive,
+    ``D^T q = 0`` included.  The stepper starts its first time step from
+    the start projection's dual at this multiple (see :func:`~barchan.stepper.run`).
+    """
+    aq = edge_slopes_adjoint(grid, q)
+    num = float(np.vdot(aq, v)) - lam * _geometry(grid, mode).dual_l1(q)
+    return num / float(np.vdot(aq, aq)) if num > 0.0 else 0.0
+
+
 def resolvent_step(
     u_prev: HeightField,
     g: np.ndarray,
@@ -949,7 +988,9 @@ def resolvent_step(
     diffusion density of the step; the raw projection multiplier is
     ``m * dt``.
 
-    A ``g`` that does not give the grid's shape raises ``ValueError`` here.
+    ``g`` is a field of the grid's shape or a scalar (the start projection's
+    ``0.0``); any other shape raises the checked field's ``ValueError`` here,
+    also one that numpy would broadcast to the grid's shape.
     A non-finite predicted value (from ``g``, or written into ``u_prev``
     after its check) raises ``ValueError`` where the projection starts,
     before any slope of it is taken (:class:`_Problem`), so it warns of no
@@ -958,10 +999,10 @@ def resolvent_step(
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    values = u_prev.values + dt * np.asarray(g, dtype=float)
-    if values.shape != u_prev.grid.shape:
-        HeightField(u_prev.grid, values)  # raises the checked field's shape error
-    predicted = _unchecked(HeightField, u_prev.grid, values)  # project checks its values
+    g = np.asarray(g, dtype=float)
+    if g.ndim and g.shape != u_prev.grid.shape:
+        HeightField(u_prev.grid, g)  # raises the checked field's shape error
+    predicted = _unchecked(HeightField, u_prev.grid, u_prev.values + dt * g)  # project checks it
     res = project(predicted, lam, tol=tol, max_iter=max_iter, mode=mode, warm_dual=warm_dual)
     # A new array on every route, so scaling it in place is safe.  Only the
     # admissible short-cut, whose multiplier is zero, returns without an

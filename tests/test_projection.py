@@ -14,8 +14,10 @@ from barchan.grid import (
     HeightField,
     admissible,
     axis_edges,
+    constraint_magnitude,
     dist_to_boundary,
     edge_slopes,
+    edge_slopes_adjoint,
     make_grid,
     node_slope_magnitude,
 )
@@ -383,25 +385,33 @@ def test_resolvent_step_rejects_non_finite_drive():
 
 def test_overflowing_slopes_are_named_apart_from_non_finite_values():
     # every value is finite, but the edge slopes of the field overflow to
-    # inf; the start names that, not a non-finite height
-    g = make_grid(1, 1.0, 3)
-    v = HeightField(g, [1e308, -1e308, 1e308])
-    for solve in (project, project_pdhg, lambda v, lam: resolvent_step(v, 0.0, 1.0, lam)):
-        with np.errstate(over="ignore"):
+    # inf; the start names that, not a non-finite height, and it warns of
+    # no overflow first
+    solvers = (project, project_pdhg, lambda v, lam: resolvent_step(v, 0.0, 1.0, lam))
+    for dim, solve in itertools.product((1, 2), solvers):
+        g = make_grid(dim, 1.0, 3)
+        v = HeightField(g, np.resize([1e308, -1e308], g.shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite values whose slopes overflow"):
                 solve(v, 1.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_resolvent_step_rejects_a_drive_of_the_wrong_shape(dim):
-    # a drive that broadcasts against the field to another shape raises the
-    # checked field's shape error; one that does not broadcast, numpy's own
+    # a drive that broadcasts against the field, to its shape (constant
+    # along an axis) or to another, raises the checked field's shape error,
+    # and so does one that does not broadcast; a scalar drive, the start
+    # projection's, still runs
     g = make_grid(dim, 1.0, 5)
-    shape = (1, *g.shape)
-    with pytest.raises(ValueError, match=re.escape(f"height field shape {shape} does not match")):
-        resolvent_step(HeightField.zeros(g), np.ones(shape), 0.1, 1.0)
-    with pytest.raises(ValueError):
-        resolvent_step(HeightField.zeros(g), np.ones(4), 0.1, 1.0)
+    u = HeightField(g, np.ones(g.shape))
+    broadcast = [(1,)] if dim == 1 else [(5, 1), (5,), (1, 5), (1, 1)]
+    for shape in [(1, *g.shape), (4,)] + broadcast:
+        with pytest.raises(ValueError, match=re.escape(f"height field shape {shape} does not")):
+            resolvent_step(u, np.ones(shape), 0.1, 1.0)
+    for drive in (0.0, np.float64(0.0), np.zeros(())):
+        res = resolvent_step(u, drive, 0.1, 1.0)
+        assert res.converged and res.u == project(u, 1.0).u
 
 
 @pytest.mark.parametrize("dim, mode", [(1, "isotropic"), (2, "isotropic"), (2, "componentwise")])
@@ -1066,6 +1076,9 @@ def test_stencil_is_dense_d_dt(dim, counts, offsets):
     size = d.shape[0]
     axis, cell = np.divmod(np.arange(size), size // dim)  # rows of d: the lattice, axis first
     pos = dim * cell + (dim - 1 - axis)
+    # lattice and axis invert the numbering: the entry at each position
+    np.testing.assert_array_equal(st.lattice[pos], np.arange(size))
+    np.testing.assert_array_equal(st.axis[pos], axis)
     lattice = np.zeros((size, size))
     lattice[np.ix_(pos, pos)] = dense
     np.testing.assert_allclose(np.diag(lattice), st.diag, rtol=1e-14, atol=0.0)
@@ -1075,6 +1088,39 @@ def test_stencil_is_dense_d_dt(dim, counts, offsets):
         assert np.all(st.partners[rows, k] == rows + st.offsets[k])
         built[rows, rows + st.offsets[k]] += product
     np.testing.assert_allclose(built, np.triu(lattice, 1), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "dim, counts, mode",
+    [(1, (12,), "isotropic"), (2, (9, 7), "isotropic"), (2, (9, 7), "componentwise")],
+)
+def test_best_multiple_maximises_the_dual_objective_along_the_dual(dim, counts, mode):
+    # the dual objective <D^T s q, v> - lam |s q|_1 - |D^T s q|^2 / 2 along
+    # s >= 0, sampled densely around the multiple, peaks at it; the dual of
+    # the projection of v itself sits at multiple 1
+    g = make_grid(dim, 1.0, counts)
+    geom = _ConeGeometry(g, mode)
+    lam = 0.5
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=g.shape)
+    q = project(HeightField(g, v), lam, mode=mode).dual
+    assert q.any()
+    assert projection._best_multiple(g, v, q, lam, mode) == pytest.approx(1.0, abs=1e-6)
+
+    def objective(s):
+        aq = s * edge_slopes_adjoint(g, q)
+        return float(np.vdot(aq, w)) - lam * geom.dual_l1(s * q) - 0.5 * float(np.vdot(aq, aq))
+
+    for w in (v, 0.8 * v + 0.3 * rng.normal(size=g.shape)):
+        best = projection._best_multiple(g, w, q, lam, mode)
+        assert best > 0.0
+        grid_s = np.linspace(0.0, 3.0 * best, 3001)
+        values = [objective(s) for s in grid_s]
+        assert objective(best) >= max(values) - 1e-12 * abs(max(values))
+        assert abs(grid_s[int(np.argmax(values))] - best) <= grid_s[1]
+    # a dual pointing away from v: the numerator is negative, so 0
+    assert projection._best_multiple(g, v, -q, lam, mode) == 0.0
+    assert projection._best_multiple(g, v, geom.zeros(), lam, mode) == 0.0
 
 
 # The dual lattice on 1D and on a 5x7 grid whose spacings differ, so that
@@ -1185,7 +1231,8 @@ def test_lattice_norms_match_per_constraint_definitions(dim, extents, counts, mo
         # the multiplier reads the constraint each node hosts
         hosted = [_hosted(m, a) for a, m in enumerate(mag)]
         want_m = (hosted[0] if isotropic_2d else sum(hosted)) / lam
-        np.testing.assert_allclose(geom.multiplier(q, lam), want_m, rtol=1e-15, atol=0.0)
+        got_m = geom.multiplier(constraint_magnitude(q, geom.paired), lam)
+        np.testing.assert_allclose(got_m, want_m, rtol=1e-15, atol=0.0)
         # group_norm and shrink zero the implied corners
         for a, ix in geom.implied:
             mag[a][ix] = 0.0

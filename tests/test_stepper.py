@@ -554,6 +554,14 @@ def test_run_2d_projections_settle_in_newton(monkeypatch):
         raise AssertionError("a 2D projection fell back to PDHG")
 
     monkeypatch.setattr(projection, "project_pdhg", no_fallback)
+    # the warm dual each projection starts from, the start one's first
+    warm = []
+
+    def recording(*args, **kwargs):
+        warm.append(kwargs["warm_dual"])
+        return projection.resolvent_step(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "resolvent_step", recording)
     g = make_grid(2, (1.0, 1.0), (24, 24))
     X, Y = g.meshgrid()
     r = np.sqrt((X - 0.4) ** 2 + (Y - 0.5) ** 2)
@@ -570,6 +578,10 @@ def test_run_2d_projections_settle_in_newton(monkeypatch):
     assert traj.failure is None and len(traj.steps) == 6
     for d in traj.steps:
         assert 1 <= d.projection_iterations <= projection.NEWTON_MAX_STEPS
+    # step 1 starts from the start projection's dual, scaled, and takes at
+    # most 3 solves (4 when it started cold)
+    assert len(warm) == 7 and warm[0] is None and warm[1].any()
+    assert traj.steps[0].projection_iterations <= 3
     for snap in traj.snapshots:
         assert admissible(snap.u, p.lam)
 

@@ -4,7 +4,11 @@
 
 Runs ``workloads.solve`` from ``ROOT/perfbench``, on the package in
 ``ROOT/src``, for seeds 0 to N - 1 of every workload, and prints one line
-per workload: its name and the digest of its outputs over those seeds.
+per workload: its name, the digest of its outputs over those seeds and the
+total projection iterations of its runs over those seeds (the start
+projections included: every ``iterations`` that ``stepper.resolvent_step``
+returns), so a change in solve counts shows even where the digest alone
+would only say that the outputs differ.
 The digest walks the outputs whole: on every workload the trajectory's
 snapshot times, fields and multipliers and every ``StepDiagnostics``
 field (with the run's inputs and failure), and on ``audit1d`` also the
@@ -60,14 +64,26 @@ def main(argv=None) -> None:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import barchan
     import workloads
+    from barchan import stepper
 
     if not Path(barchan.__file__).resolve().is_relative_to(root / "src"):
         raise SystemExit(f"barchan was imported from {barchan.__file__}, not from {root / 'src'}")
+    iterations = 0
+    resolvent_step = stepper.resolvent_step
+
+    def counted(*a, **kw):
+        nonlocal iterations
+        res = resolvent_step(*a, **kw)
+        iterations += res.iterations
+        return res
+
+    stepper.resolvent_step = counted
     for name in workloads.WORKLOADS:
         h = hashlib.sha256()
+        iterations = 0
         for seed in range(args.seeds):
             feed(h, workloads.solve(workloads.generate(name, seed)))
-        print(f"{name} {h.hexdigest()}", flush=True)
+        print(f"{name} {h.hexdigest()} {iterations}", flush=True)
 
 
 if __name__ == "__main__":
