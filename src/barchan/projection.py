@@ -40,7 +40,7 @@ Two solvers compute it:
     constraints; numbering the active entries cell by cell keeps the band
     within two grid lines.  When it cannot certify within
     ``NEWTON_MAX_STEPS`` solves, or an active block is not positive
-    definite, PDHG takes over.
+    definite, the PDHG route :func:`_pdhg` takes over on the same problem.
 
 PDHG stays the 2D fallback, the oracle the tests hold ``project`` to, and
 the verifier's projection.  On a 2D grid, when its gap stalls (a
@@ -48,11 +48,13 @@ degenerate active set: loops of active edges, or pairs that touch a
 boundary bound), it hands its iterate to a damped Newton polish.  Every
 route certifies the pair it returns once, with the same duality-gap
 certificate, and ``converged`` is that certificate's verdict on all of
-them, a PDHG run out of iterations included.  Both solvers begin by
-building one checked problem, :class:`_Problem`: the input checks, the
+them, a PDHG run out of iterations included.  Each call of either solver
+builds one checked problem, :class:`_Problem`: the input checks, the
 input's edge slopes, the finiteness test, the admissible short-cut and the
-start dual.  Every route takes it with a dual, and ends in its
-``certify`` and ``result``.
+start dual.  Every route (:func:`_path_newton`, :func:`_path_dp`,
+:func:`_grid_newton`, :func:`_pdhg`) takes it with a dual and certifies
+with its ``certify``; the solver builds the result once, with its
+``result``.
 
 The multiplier field m is recovered from the dual vector: at a node whose
 slope constraint is active the dual magnitude equals m * lam, so
@@ -294,10 +296,15 @@ class _Problem:
     :meth:`kept` is its result.
 
     Raises ``ValueError`` on a bad ``lam``, ``tol``, ``mode`` or
-    ``warm_dual`` shape, and on a non-finite value in ``v`` (written after
-    its constructor checked it, or in the unchecked field
-    :func:`resolvent_step` predicts) before any slope of it is taken, and
-    on finite values whose slopes overflow.
+    ``warm_dual`` shape, on a non-finite value in ``v`` (written after its
+    constructor checked it, or in the unchecked field
+    :func:`resolvent_step` predicts) before any slope of it is taken, on
+    finite values whose slopes overflow, and, unless ``v`` is admissible,
+    on a non-finite entry of ``warm_dual``, which would otherwise run the
+    whole budget.  The short-cut reads no dual, so it pays for no pass
+    over one: checked on every projection, that pass cost ``dune1d`` 3.2%
+    of its wall time, and 1.5% checked only where a route starts (six
+    alternating benchmark runs each, 2 cores).
     """
 
     def __init__(self, v: HeightField, lam: float, tol: float, mode: str, warm_dual):
@@ -328,6 +335,15 @@ class _Problem:
         self.admissible = top <= lam
         if not self.admissible:
             self.q0 = geom.zeros() if warm_dual is None else np.asarray(warm_dual, dtype=float)
+            if not np.isfinite(self.q0).all():
+                raise ValueError("warm_dual contains non-finite values")
+
+    def slopes_at(self, q) -> np.ndarray:
+        """The edge slopes of ``u = v - D^T q``, where a Newton loop starts
+        from the dual ``q``: ``dv`` for a zero dual, which takes no pass."""
+        if not q.any():
+            return self.dv
+        return edge_slopes(self.grid, self.v - edge_slopes_adjoint(self.grid, q))
 
     @cached_property
     def floor(self) -> float:
@@ -399,42 +415,53 @@ def project_pdhg(
     mode: str = "isotropic",
     warm_dual=None,
 ) -> ProjectionResult:
-    """Primal-dual projection of ``v`` onto the lam-cone.
-
-    Plain Chambolle-Pock steps with an adaptive restart of the
-    overrelaxation whenever the duality gap stalls; the restart recovers
-    the linear tail convergence this strongly convex problem admits.  On a
-    degenerate 2D problem it does not: the dual crawls along the loops of
-    its active set.  So in 2D a restart also starts a damped
-    :func:`_grid_newton` from the current dual, at most once per doubling
-    of the iteration count; if it certifies, its result is returned, and
-    its solves count towards ``max_iter`` and ``iterations``.
+    """Primal-dual projection of ``v`` onto the lam-cone, started from
+    ``warm_dual`` (zero if None): the :class:`_Problem` checks, the
+    admissible short-cut, then :func:`_pdhg`.
 
     Terminates when the certified error is at or below ``tol`` (or at the
     rounding floor of the gap) and the slope violation is within
     ``TOL_CONSTRAINT``.  On ``max_iter`` exhaustion the last iterate is
     returned, flagged ``converged`` by that same certificate; caller policy
-    decides what to do with a pair that fails it.
+    decides what to do with a pair that fails it.  ``iterations`` counts
+    the PDHG iterations plus the solves of any Newton polish, and never
+    exceeds ``max_iter``.
 
     ``warm_dual`` seeds the dual vector (useful across resolvent steps);
     it never changes the limit, only the iteration count.  ``max_iter``
-    must be an integer of at least 0, since :func:`project` hands over the
-    rest of its budget, which may be none: with 0 the start pair is
-    certified as it is.  Any other ``max_iter`` raises ``ValueError``.
+    must be an integer of at least 1, as for :func:`project`; any other
+    raises ``ValueError``.
     """
-    _check_int("max_iter", max_iter, 0)
+    _check_int("max_iter", max_iter, 1)
     p = _Problem(v, lam, tol, mode, warm_dual)
     if p.admissible:
         return p.kept()
+    return p.result(*_pdhg(p, p.q0, max_iter))
 
-    geom, grid, vvals, q = p.geom, p.grid, p.v, p.q0
+
+def _pdhg(p: _Problem, q: np.ndarray, max_iter: int):
+    """Chambolle-Pock iteration on problem ``p`` from the dual ``q``, the
+    route of :func:`project_pdhg` and of :func:`project`'s 2D fallback.
+
+    Plain primal-dual steps with an adaptive restart of the overrelaxation
+    whenever the duality gap stalls; the restart recovers the linear tail
+    convergence this strongly convex problem admits.  On a degenerate 2D
+    problem it does not: the dual crawls along the loops of its active set.
+    So in 2D a restart also starts a damped :func:`_grid_newton` from the
+    current dual, at most once per doubling of the iteration count; if it
+    certifies, its pair is returned, and its solves count towards
+    ``max_iter`` and the iterations.
+
+    Returns ``(cert, q, iterations)`` with the certificate of the final
+    pair, certified or not.  ``max_iter`` may be 0 (what :func:`project`'s
+    Newton steps left): the start pair ``(v, q)`` is then certified as it is.
+    """
+    geom, grid, vvals = p.geom, p.grid, p.v
     L = geom.op_norm
     tau = 2.0 / L
     sigma = 0.98 / (tau * L * L)
-    theta = 1.0
 
-    x = vvals.copy()
-    xbar = x.copy()
+    x = xbar = vvals.copy()  # neither is written into
     check_every = 16
     best_gap = math.inf
     stall = 0
@@ -443,9 +470,9 @@ def project_pdhg(
     it = solves = 0
     while it + solves < max_iter:
         it += 1
-        q = geom.shrink(q + sigma * edge_slopes(grid, xbar), sigma * lam)
+        q = geom.shrink(q + sigma * edge_slopes(grid, xbar), sigma * p.lam)
         x_new = (x - tau * edge_slopes_adjoint(grid, q) + tau * vvals) / (1.0 + tau)
-        xbar = x_new + theta * (x_new - x)
+        xbar = x_new + (x_new - x)  # the overrelaxation, theta = 1
         x = x_new
 
         if it % check_every == 0:
@@ -458,7 +485,7 @@ def project_pdhg(
             if cert.gap > 0.7 * best_gap:
                 stall += 1
                 if stall >= 4:
-                    xbar = x.copy()
+                    xbar = x
                     stall = 0
                     # In 2D a lasting stall is a degenerate active set.
                     if grid.dim > 1 and it >= polish_at:
@@ -475,7 +502,7 @@ def project_pdhg(
     else:
         cert = p.certify(x, q)
 
-    return p.result(cert, q, it + solves)
+    return cert, q, it + solves
 
 
 @cache
@@ -565,9 +592,7 @@ def _path_newton(p: _Problem, q: np.ndarray):
     dx = p.grid.spacing[0]
     c = 0.5 * dx * dx
     pattern, solves = None, 0
-    aq = edge_slopes_adjoint(p.grid, q)
-    u = p.v - aq
-    du = edge_slopes(p.grid, u) if q.any() else p.dv
+    du = p.slopes_at(q)
     while True:
         z = q[0] + c * du[0]
         active = np.abs(z) > c * p.lam
@@ -865,10 +890,8 @@ def _grid_newton(p: _Problem, q, max_steps: int, damped: bool = False):
     if damped:
         du, cert = evaluate(q)
         gap = cert.gap
-    elif q.any():
-        du = edge_slopes(p.grid, p.v - edge_slopes_adjoint(p.grid, q))
-    else:  # a cold start: u is v
-        du = p.dv
+    else:
+        du = p.slopes_at(q)
     while solves < max_steps:
         z = q + c * du
         mag = p.geom.group_norm(z)
@@ -925,13 +948,15 @@ def project(
     path dynamic program replaces it, and ``iterations`` counts the solves
     plus one.  Otherwise the steps are banded Cholesky solves, numbered
     cell by cell; when they cannot certify within ``min(NEWTON_MAX_STEPS,
-    max_iter)`` solves, or a block is not positive definite,
-    :func:`project_pdhg` takes over from ``warm_dual`` with the rest of the
-    ``max_iter`` budget, and ``iterations`` counts the Newton solves plus
-    the PDHG iterations, so it never exceeds ``max_iter``.  An admissible
-    input returns itself with 0.  ``converged`` has the meaning it has in
-    :func:`project_pdhg`.  ``max_iter`` must be an integer of at least 1,
-    in 1D too; any other raises ``ValueError``.
+    max_iter)`` solves, or a block is not positive definite, the PDHG route
+    of :func:`project_pdhg` (:func:`_pdhg`) takes over on the same checked
+    problem, from ``warm_dual`` with the rest of the ``max_iter`` budget
+    (which may be none), and ``iterations`` counts the Newton solves plus
+    the PDHG iterations, so it never exceeds ``max_iter``.  Every route
+    ends in one result.  An admissible input returns itself with 0.
+    ``converged`` has the meaning it has in :func:`project_pdhg`.
+    ``max_iter`` must be an integer of at least 1, in 1D too; any other
+    raises ``ValueError``.
     """
     _check_int("max_iter", max_iter, 1)
     p = _Problem(v, lam, tol, mode, warm_dual)
@@ -943,14 +968,11 @@ def project(
             x, q = _path_dp(p)
             solves += 1
             cert = p.certify(x, q)
-        return p.result(cert, q, solves)
-    cert, q, solves = _grid_newton(p, p.q0, min(NEWTON_MAX_STEPS, max_iter))
-    if cert is None:
-        res = project_pdhg(
-            v, lam, tol=tol, max_iter=max_iter - solves, mode=mode, warm_dual=warm_dual
-        )
-        res.iterations += solves
-        return res
+    else:
+        cert, q, solves = _grid_newton(p, p.q0, min(NEWTON_MAX_STEPS, max_iter))
+        if cert is None:
+            cert, q, iterations = _pdhg(p, p.q0, max_iter - solves)
+            solves += iterations
     return p.result(cert, q, solves)
 
 

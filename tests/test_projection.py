@@ -274,20 +274,22 @@ def test_bad_lambda_rejected():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_max_iter_must_be_an_integer_budget(dim):
-    # project and resolvent_step take at least one solve, in 1D too, where
-    # the budget is otherwise unused; project_pdhg may be handed none, as
-    # project's fallback passes on what Newton left.  A bool is not a count.
+    # every public solver takes at least one iteration, in 1D too, where
+    # project's budget is otherwise unused.  Only the PDHG route may be
+    # handed none, the rest of project's budget after its Newton solves; it
+    # then certifies the start pair as it is.  A bool is not a count.
     g = make_grid(dim, 1.0, 6)
     v = HeightField(g, 3.0 * np.ones(g.shape))
     for bad in (-5, 0, 2.5, True, "3"):
-        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
-            project(v, 1.0, max_iter=bad)
+        for solver in (project, project_pdhg):
+            with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+                solver(v, 1.0, max_iter=bad)
         with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
             resolvent_step(v, np.zeros(g.shape), 0.1, 1.0, max_iter=bad)
-    for bad in (-5, 2.5, True, "3"):
-        with pytest.raises(ValueError, match="max_iter must be an integer of at least 0"):
-            project_pdhg(v, 1.0, max_iter=bad)
-    assert project_pdhg(v, 1.0, max_iter=0).iterations == 0
+    p = _Problem(v, 1.0, DEFAULT_TOL, "isotropic", None)
+    cert, q, iterations = projection._pdhg(p, p.q0, 0)
+    assert iterations == 0 and q is p.q0 and not cert.ok
+    assert np.array_equal(cert.dx, p.dv)  # the slopes of v itself
 
 
 def test_resolvent_zero_drive_is_stationary():
@@ -439,13 +441,40 @@ def test_non_finite_input_fails_before_any_iteration(solver, dim, mode, bad, mon
 
     for name in ("certify", "result"):
         monkeypatch.setattr(projection._Problem, name, no_iteration)
-    for name in ("_path_newton", "_path_dp", "_grid_newton"):
+    for name in ("_path_newton", "_path_dp", "_grid_newton", "_pdhg"):
         monkeypatch.setattr(projection, name, no_iteration)
     g = make_grid(dim, 1.0, 12)
     v = HeightField(g, np.ones(g.shape))
     v.values.flat[7] = bad
     with pytest.raises(ValueError, match="non-finite"):
         solver(v, 1.0, mode=mode)
+
+
+@pytest.mark.parametrize("dim, mode", [(1, "isotropic"), (2, "isotropic"), (2, "componentwise")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("solver", [project, project_pdhg, resolvent_step])
+def test_non_finite_warm_dual_fails_before_any_iteration(solver, dim, mode, bad, monkeypatch):
+    # A non-finite warm dual used to cost 1D Newton its whole step cap
+    # before the path DP, and a NaN one sent 2D Newton to PDHG; in 2D an
+    # inf one ran the whole budget, warning at every iteration, before the
+    # iterate was found not finite.  It is rejected by name before any
+    # iteration, with no warning.
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("a projection iterated on a non-finite warm dual")
+
+    for name in ("certify", "result"):
+        monkeypatch.setattr(projection._Problem, name, no_iteration)
+    for name in ("_path_newton", "_path_dp", "_grid_newton", "_pdhg"):
+        monkeypatch.setattr(projection, name, no_iteration)
+    g = make_grid(dim, 1.0, 12)
+    warm = projection._geometry(g, mode).zeros()
+    axis_edges(warm, dim - 1).flat[5] = bad
+    v = HeightField(g, 3.0 * np.random.default_rng(1).normal(size=g.shape))
+    args = (v, np.zeros(g.shape), 0.1) if solver is resolvent_step else (v,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="warm_dual contains non-finite values"):
+            solver(*args, 1.0, mode=mode, warm_dual=warm)
 
 
 def test_warm_start_does_not_change_limit():
@@ -871,14 +900,16 @@ def test_newton_2d_warm_start_same_limit(case, mode, seed):
 
 @pytest.fixture
 def pdhg_budgets(monkeypatch):
-    """The ``max_iter`` of every call project hands over to PDHG."""
+    """The ``max_iter`` of every run of the PDHG route: project's fallback,
+    and project_pdhg's own."""
     budgets = []
+    route = projection._pdhg
 
-    def counting(*args, **kwargs):
-        budgets.append(kwargs["max_iter"])
-        return project_pdhg(*args, **kwargs)
+    def counting(p, q, max_iter):
+        budgets.append(max_iter)
+        return route(p, q, max_iter)
 
-    monkeypatch.setattr(projection, "project_pdhg", counting)
+    monkeypatch.setattr(projection, "_pdhg", counting)
     return budgets
 
 
@@ -916,6 +947,41 @@ def test_newton_singular_block_falls_back_to_pdhg(mode, pdhg_budgets):
     assert pdhg_budgets == [projection.DEFAULT_MAX_ITER]
     assert res.converged
     np.testing.assert_array_equal(res.u.values, project_pdhg(v, 1.0, mode=mode).u.values)
+
+
+@pytest.mark.parametrize(
+    "dim, mode, values, lam, iterations",
+    [
+        # 1D: Newton certifies a hump; a cycle of patterns ends in the DP
+        (1, "isotropic", 1.5 * np.sin(np.linspace(0.0, np.pi, 9)), 1.0, 2),
+        (1, "isotropic", [0.0829109, 0.57786201, -1.02689574, -0.54501314, 0.1094387], 0.5, 17),
+        # 2D: the white noise of the singular block falls back to PDHG
+        (2, "isotropic", np.random.default_rng(4).normal(size=(8, 8)), 1.0, 496),
+        (2, "componentwise", np.random.default_rng(4).normal(size=(8, 8)), 1.0, 529),
+    ],
+)
+def test_project_checks_once_and_builds_one_result_on_every_route(
+    dim, mode, values, lam, iterations, monkeypatch
+):
+    # every route, the PDHG fallback included, runs on the one checked
+    # problem that project built, and the result it returns is the one
+    # that problem's result built, with the iterations of every route
+    problems, results = [], []
+
+    class Counted(_Problem):
+        def __init__(self, *args):
+            problems.append(self)
+            super().__init__(*args)
+
+        def result(self, *args):
+            results.append(super().result(*args))
+            return results[-1]
+
+    monkeypatch.setattr(projection, "_Problem", Counted)
+    v = HeightField(make_grid(dim, 1.0, np.shape(values)), np.asarray(values, dtype=float))
+    res = project(v, lam, mode=mode)
+    assert len(problems) == len(results) == 1 and results[0] is res
+    assert res.converged and res.iterations == iterations
 
 
 def test_newton_step_cap_falls_back_to_pdhg(monkeypatch, pdhg_budgets):

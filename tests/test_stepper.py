@@ -549,11 +549,15 @@ def test_run_2d_projections_settle_in_newton(monkeypatch):
     # The 64x64 benchmark dune shrunk to 24x24: a windy hump that starts
     # outside the cone.  Every projection, the start one included, must
     # settle in Newton; a PDHG fallback keeps the answers but runs many
-    # times slower, so it is made to fail here.
+    # times slower, so it is made to fail here, as it does on white noise,
+    # whose first Newton block is singular.
     def no_fallback(*args, **kwargs):
         raise AssertionError("a 2D projection fell back to PDHG")
 
-    monkeypatch.setattr(projection, "project_pdhg", no_fallback)
+    monkeypatch.setattr(projection, "_pdhg", no_fallback)
+    noise = np.random.default_rng(4).normal(size=(8, 8))
+    with pytest.raises(AssertionError, match="fell back to PDHG"):
+        projection.project(HeightField(make_grid(2, 1.0, (8, 8)), noise), 1.0)
     # the warm dual each projection starts from, the start one's first
     warm = []
 
