@@ -20,6 +20,18 @@ every axis, in one cell (``hosted``); the first difference of an axis,
 which crosses the left/bottom boundary, shares a cell of the padding with
 structural zeros.  ``axis_edges`` gives one axis's edges.
 
+Both operators treat each axis's part of the lattice as one flat row, in
+one formula for every dimension, from the grid's :class:`_Layout`.  The
+field is copied into a zero buffer of shape ``(counts[0] + 2,
+*(counts[1:] + 1))``, at indices 1 to ``counts[a]`` on every axis.  The
+buffer is the lattice's cells with one more line of zeros, so a cell's
+flat index is that of its padded node, and a step past the end of a line
+(along the last axis) wraps into the zero that starts the next one: the
+padding beyond the boundary.  So each axis's differences are one
+contiguous subtraction of the flat buffer from itself shifted by that
+axis's lattice stride, and the adjoint's are one subtraction of the flat
+lattice from itself shifted back.
+
 Slope constraints come in two flavours, selected by ``mode``:
 
 * ``"isotropic"``: Euclidean norm of each node's forward differences,
@@ -33,13 +45,46 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 TOL_CONSTRAINT = 1e-8
 
 CONSTRAINT_MODES = ("isotropic", "componentwise")
+
+
+class _Layout(NamedTuple):
+    """Where the lattice operators find a grid's entries (see the module
+    docstring), with ``cells = counts + 1``: the lattice ``shape`` ``(dim,
+    *cells)``; the ``size`` of one axis's lattice, ``prod(cells)``; the
+    shape ``pad`` of the padded buffer and the place ``nodes`` of the
+    interior nodes in it; each axis's lattice ``strides``,
+    ``prod(cells[a + 1:])``; and the shape ``lines`` of the cells of lines
+    1 to ``counts[0]``, the part of a lattice that holds the nodes, with the
+    nodes' place ``in_lines`` in it."""
+
+    shape: tuple[int, ...]
+    size: int
+    pad: tuple[int, ...]
+    nodes: tuple[slice, ...]
+    strides: tuple[int, ...]
+    lines: tuple[int, ...]
+    in_lines: tuple[slice, ...]
+
+    @classmethod
+    def of(cls, counts: tuple[int, ...]) -> "_Layout":
+        cells = tuple(m + 1 for m in counts)
+        nodes = tuple(slice(1, m + 1) for m in counts)
+        return cls(
+            shape=(len(cells),) + cells,
+            size=math.prod(cells),
+            pad=(cells[0] + 1,) + cells[1:],
+            nodes=nodes,
+            strides=tuple(math.prod(cells[a + 1 :]) for a in range(len(cells))),
+            lines=(counts[0],) + cells[1:],
+            in_lines=(slice(None),) + nodes[1:],
+        )
 
 
 @dataclass(frozen=True)
@@ -52,6 +97,11 @@ class Grid:
     ``spacing[a] = extents[a] / (counts[a] + 1)`` follow from them.  Nodes
     are strictly interior and the boundary nodes are implicit.  Raises
     ``ValueError`` on any other input.
+
+    Its hash and the layout of its lattice (:class:`_Layout`) are built
+    once, by the constructor: the solver's caches look grids up on every
+    projection and time step, and the lattice operators read the layout on
+    every pass.  Equality compares the fields, as a dataclass's does.
     """
 
     extents: tuple[float, ...]
@@ -75,6 +125,11 @@ class Grid:
         object.__setattr__(self, "counts", cnt)
         object.__setattr__(self, "dim", len(ext))
         object.__setattr__(self, "spacing", tuple(e / (c + 1) for e, c in zip(ext, cnt)))
+        object.__setattr__(self, "_layout", _Layout.of(cnt))
+        object.__setattr__(self, "_hash", hash((ext, cnt)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -192,16 +247,9 @@ def dist_to_boundary(grid: Grid) -> np.ndarray:
     return reduce(np.minimum, np.meshgrid(*per_axis, indexing="ij", sparse=True))
 
 
-def _along(axis: int, index) -> tuple:
-    """Index applying ``index`` along ``axis`` and taking every other axis whole."""
-    return (slice(None),) * axis + (index,)
-
-
-# Index tuples, built once (grids have one or two axes): per axis, all
-# entries but the last and all but the first along it; per dimension, where
-# each axis's edges sit in the lattice, and the cells of the interior nodes.
-_HEAD = tuple(_along(a, slice(None, -1)) for a in range(2))
-_TAIL = tuple(_along(a, slice(1, None)) for a in range(2))
+# Index tuples, built once (grids have one or two axes): per dimension,
+# where each axis's edges sit in the lattice, and the cells of the interior
+# nodes.
 _EDGES = {
     dim: tuple(
         (a,) + tuple(slice(None) if b == a else slice(1, None) for b in range(dim))
@@ -217,31 +265,57 @@ def edge_slopes(grid: Grid, values: np.ndarray) -> np.ndarray:
 
     ``L[a][c]`` is the forward difference along axis ``a`` at node ``c`` of
     the field padded with zeros, so ``L`` has shape ``(dim, *(counts +
-    1))``.  Axis ``a`` has ``counts[a] +
-    1`` differences along it (:func:`axis_edges`), including the two that
-    cross the boundary, so bounding every one by ``lam`` is membership in
-    the admissible cone.  The other entries of the lattice are structural
-    zeros: differences along ``a`` at padding nodes off axis ``a``.
+    1))``.  Axis ``a`` has ``counts[a] + 1`` differences along it
+    (:func:`axis_edges`), including the two that cross the boundary, so
+    bounding every one by ``lam`` is membership in the admissible cone.  The
+    other entries of the lattice are structural zeros: differences along
+    ``a`` at padding nodes off axis ``a``, between two zeros of the padding.
+
+    The field is copied once into the zero-padded buffer of the module
+    docstring; entry ``f`` of axis ``a``'s flat lattice is then ``buf[f +
+    stride_a] - buf[f]``, one contiguous subtraction per axis, divided by
+    ``h_a`` in place.
     """
-    out = np.zeros((grid.dim,) + tuple(m + 1 for m in grid.counts))
-    for a, h in enumerate(grid.spacing):
-        # Filled in place: far cheaper than padding and np.diff on small grids.
-        e = axis_edges(out, a)
-        e[_HEAD[a]] = values
-        e[_TAIL[a]] -= values
-        e /= h
+    lay = grid._layout
+    buf = np.zeros(lay.pad)
+    buf[lay.nodes] = values
+    buf = buf.ravel()
+    out = np.empty(lay.shape)
+    flat, size = out.ravel(), lay.size
+    for a, s in enumerate(lay.strides):
+        d = flat[a * size : (a + 1) * size]
+        np.subtract(buf[s : s + size], buf[:size], out=d)
+        d /= grid.spacing[a]
     return out
 
 
 def edge_slopes_adjoint(grid: Grid, L: np.ndarray) -> np.ndarray:
-    """Exact adjoint of :func:`edge_slopes` in the Euclidean inner product;
-    it reads only the real edges of ``L``, never its structural zeros."""
-    out = None
-    for a, h in enumerate(grid.spacing):
-        qa = axis_edges(L, a)
-        d = (qa[_HEAD[a]] - qa[_TAIL[a]]) / h
-        out = d if out is None else out + d
-    return out
+    """Exact adjoint of :func:`edge_slopes` in the Euclidean inner product,
+    as a new C-contiguous array of the grid's shape.
+
+    The node of cell ``c`` gets ``(L[a][c - e_a] - L[a][c]) / h_a`` summed
+    over the axes in order.  Per axis, the differences are one contiguous
+    subtraction of its flat lattice from itself shifted back by
+    ``stride_a``, over the cells of lines 1 to ``counts[0]`` (``lines``),
+    divided in place; the axes are summed on those lines, and the nodes'
+    strided view of the sum is copied out.  The subtraction also passes
+    cells that are not nodes, where it may read structural zeros, but the
+    result does not depend on them (a non-finite one included, which at
+    most warns).
+    """
+    lay = grid._layout
+    L = L.ravel()
+    size, s0 = lay.size, lay.strides[0]
+    total = None
+    for a, s in enumerate(lay.strides):
+        start = a * size + s0  # cell s0 is the first of line 1
+        d = np.subtract(L[start - s : (a + 1) * size - s], L[start : (a + 1) * size])
+        d /= grid.spacing[a]
+        if total is None:
+            total = d
+        else:
+            total += d
+    return total.reshape(lay.lines)[lay.in_lines].copy()
 
 
 def axis_edges(L: np.ndarray, a: int) -> np.ndarray:
@@ -276,7 +350,9 @@ def constraint_magnitude(L: np.ndarray, pairs: bool) -> np.ndarray:
     structural zero, so its norm is its own ``|L|``."""
     if pairs:  # dim is 2
         sq = L * L
-        return np.sqrt(sq[0] + sq[1])[None]
+        norm = sq[0]  # summed and rooted in place, saving two allocations
+        norm += sq[1]
+        return np.sqrt(norm, out=norm)[None]
     return np.abs(L)
 
 
@@ -297,12 +373,14 @@ def admissible(
     lam: float,
     mode: str = "isotropic",
     tol: float = TOL_CONSTRAINT,
+    slopes=None,
 ) -> bool:
     """Membership test for the lam-Lipschitz cone with zero boundary values:
     every slope constraint, the edges crossing the boundary included, is at
-    most ``lam + tol``."""
-    magnitude = constraint_magnitude(edge_slopes(field.grid, field.values), paired(field.grid, mode))
-    return bool(magnitude.max() <= lam + tol)
+    most ``lam + tol``; ``slopes`` are the field's :func:`edge_slopes` if
+    the caller has them."""
+    L = edge_slopes(field.grid, field.values) if slopes is None else slopes
+    return bool(constraint_magnitude(L, paired(field.grid, mode)).max() <= lam + tol)
 
 
 def integrate(grid: Grid, a: np.ndarray) -> float:

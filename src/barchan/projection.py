@@ -198,7 +198,7 @@ class _ConeGeometry:
     are read-only, so :func:`_geometry` shares one per pair.
 
     When ``paired`` the two entries of an interior cell form a Euclidean
-    pair; every other edge is its own constraint.  ``keep`` is 0.0 on the
+    pair; every other edge is its own constraint.  ``keep`` is False on the
     structural zeros and on the ``implied`` constraints (see
     :func:`_implied_edges`), which carry no dual; ``in_pair`` marks the
     entries of the pairs.
@@ -210,11 +210,11 @@ class _ConeGeometry:
         self.op_norm = 2.0 * math.sqrt(sum(1.0 / s**2 for s in grid.spacing))
         self.implied = _implied_edges(grid, self.paired)
         self.shape = (grid.dim,) + tuple(m + 1 for m in grid.counts)
-        self.keep = self.zeros()
+        self.keep = np.zeros(self.shape, dtype=bool)
         for a in range(grid.dim):
-            axis_edges(self.keep, a)[...] = 1.0
+            axis_edges(self.keep, a)[...] = True
         for a, ix in self.implied:
-            axis_edges(self.keep, a)[ix] = 0.0
+            axis_edges(self.keep, a)[ix] = False
         self.in_pair = np.zeros(self.shape, dtype=bool)
         hosted(self.in_pair)[...] = self.paired
         self.keep.setflags(write=False)
@@ -707,6 +707,7 @@ class _Stencil(NamedTuple):
     diag: np.ndarray  # (size,)
     lattice: np.ndarray  # (size,): the flat lattice index of the entry at position p
     axis: np.ndarray  # (size,): its axis
+    position: np.ndarray  # (size,): the inverse of lattice, the position of each flat index
 
 
 @lru_cache(maxsize=16)
@@ -726,12 +727,14 @@ def _stencil(grid: Grid) -> _Stencil:
     they would be ``1, 2, 2W - 1, 2W, 2W + 1``: a band one row wider.  The
     structural zeros lie on no interior node, so their rows are empty.
     ``lattice`` and ``axis`` invert the numbering: the flat index ``a *
-    prod(cells) + ravel(c)`` and the axis ``a`` of the entry at each position.
+    prod(cells) + ravel(c)`` and the axis ``a`` of the entry at each
+    position; ``position`` is the numbering itself, by flat index.
     """
     dim = grid.dim
     cells = tuple(m + 1 for m in grid.counts)
     position = np.arange(dim * math.prod(cells)).reshape(cells + (dim,))[..., ::-1]
-    lattice = np.argsort(np.moveaxis(position, -1, 0), axis=None)
+    by_flat = np.moveaxis(position, -1, 0).ravel()
+    lattice = np.argsort(by_flat)
     inner = (slice(1, None),) * dim
     # per interior node, the positions of the 2 * dim entries it lies on
     ends, coef = [], []
@@ -759,6 +762,7 @@ def _stencil(grid: Grid) -> _Stencil:
         diag=diag,
         lattice=lattice,
         axis=lattice // math.prod(cells),
+        position=by_flat,
     )
 
 
@@ -766,16 +770,17 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     """The upper band of ``(M_A^{-1} - I) / c + D_A D_A^T + delta I`` over
     the active entries, for :func:`_banded_solve`; with it ``flat``, the
     flat lattice indices of the active entries in band order, and ``zh =
-    z / |z_g|`` on them.  ``mag`` is ``geom.group_norm(z)``, ``active`` the
-    lattice ``mag > t``.
+    z / |z_g|`` on them.  ``mag`` is ``constraint_magnitude(z,
+    geom.paired)``, one entry per cell when paired and per lattice entry
+    otherwise, and ``active`` the lattice ``(mag > t) & geom.keep``.
 
     The entries are numbered in the order of their positions in
     :func:`_stencil`, cell by cell, so the band spans at most two grid lines
-    of active entries.  Beyond two lattice-sized passes, one gathering
-    ``active`` in position order and one lookup from position to number,
-    the work is on arrays of active size: each entry looks up its stencil
-    partners' numbers, and one assignment puts the products of the active
-    ones in the band.
+    of active entries.  The active entries are found in flat order and
+    sorted by position through the stencil's ``position``; each looks up
+    its stencil partners' numbers in a table by position, the one array of
+    lattice size, and one assignment puts the products of the active ones
+    in the band.
 
     ``M`` is the Jacobian of ``shrink(., t)`` at ``z``, with ``t = c lam``:
     ``M_A^{-1} - I`` is ``a / (1 - a) (I - zh zh^T)`` on an active pair,
@@ -784,7 +789,7 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     one update of the diagonal and one of the first superdiagonal.
     """
     st = _stencil(geom.grid)
-    pos = np.flatnonzero(active.take(st.lattice))  # the active positions, in order
+    pos = np.sort(st.position.take(np.flatnonzero(active)))  # the active positions, in order
     flat, axis = st.lattice.take(pos), st.axis.take(pos)
     seq = np.arange(pos.size)
     number = np.full(st.diag.size + 1, -1)  # by position; -1 off the active entries
@@ -798,7 +803,7 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     # added to.
     band.reshape(-1)[(bw - np.maximum(lag, -1)) * pos.size + col] = st.products
     band[bw] = st.diag[pos]
-    core = mag.take(flat)
+    core = mag.take(flat % mag.size)  # a pair's entries share their cell's magnitude
     zh = z.take(flat) / core
     pair = geom.in_pair.take(flat)
     w = lam / (core - t)  # a / ((1 - a) c) on a pair's entries
@@ -894,8 +899,8 @@ def _grid_newton(p: _Problem, q, max_steps: int, damped: bool = False):
         du = p.slopes_at(q)
     while solves < max_steps:
         z = q + c * du
-        mag = p.geom.group_norm(z)
-        active = mag > t
+        mag = constraint_magnitude(z, p.geom.paired)
+        active = (mag > t) & p.geom.keep
         q_new = np.zeros_like(q)
         if active.any():
             band, flat, zh = _newton_band(p.geom, z, mag, active, p.lam, t, delta)

@@ -17,9 +17,10 @@ from the left is the monotone choice.
 Each field gets one pass of the edge slopes, one lattice: the projection
 takes that of the field it returns, and the step's ``max_slope`` (its
 hosted entries) and the next step's flux (its x edges) reuse it, as the
-next step reuses its mass.  A step returns a new field and multiplier
-that nothing else refers to, so snapshots hold them as they are; only
-snapshot 0 copies the caller's initial field.
+next step reuses its mass.  The start field's lattice serves the run's
+admissibility test and, when that passes, step 1's flux.  A step returns
+a new field and multiplier that nothing else refers to, so snapshots hold
+them as they are; only snapshot 0 copies the caller's initial field.
 
 What a run holds fixed is built once.  The kernel stencil
 (:func:`kernel_for`) and a time-independent source field
@@ -62,7 +63,8 @@ from .constitutive import (
     lipschitz_bound,
 )
 from .grid import (
-    CONSTRAINT_MODES, Grid, HeightField, _check_int, _unchecked, admissible, integrate, max_slope
+    CONSTRAINT_MODES, Grid, HeightField, _check_int, _unchecked, admissible, edge_slopes,
+    integrate, max_slope,
 )
 from .kernels import DiscreteKernel, build_kernel, nonlocal_slope
 from .projection import (
@@ -101,6 +103,10 @@ class SourceSpec:
     ``tabulated`` reads a CSV whose first column is time and remaining
     columns are per-node rates in row-major node order, held piecewise
     constant; every entry must be finite.
+
+    Its hash is taken once, by the constructor, over its numbers alone, whose hashes are
+    the same in every process (a string's is not), so an unpickled spec
+    keeps a valid one; ``center`` is stored as a tuple of floats.
     """
 
     kind: str = "zero"
@@ -119,6 +125,11 @@ class SourceSpec:
                 raise ValueError(f"source {name} must be finite, got {value}")
         if self.kind == "tabulated" and not self.path:
             raise ValueError("a tabulated source needs a path to its rate table")
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "_hash", hash((self.center, self.width, self.rate)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -523,9 +534,10 @@ def run(
         snapshot_every=snapshot_every,
     )
 
-    u, warm, slopes, mass = u0, None, None, None
+    u, warm, mass = u0, None, None
+    slopes = edge_slopes(grid, u0.values) if n_steps else None
     try:
-        if n_steps and not admissible(u0, params.lam, numerics.constraint_mode):
+        if n_steps and not admissible(u0, params.lam, numerics.constraint_mode, slopes=slopes):
             logger.warning("initial data is not admissible; projecting onto the cone")
             res = r.resolve(u0, 0.0, dt, None)
             u, warm, slopes = res.u, res.dual, res.slopes

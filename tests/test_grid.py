@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ def test_make_grid_1d_spacing():
 def test_make_grid_2d_spacing():
     g = make_grid(2, (1.0, 1.0), (9, 9))
     assert g.spacing == (0.1, 0.1)
+
+
+def test_grid_hash_is_kept_and_agrees_with_equality():
+    a, b = make_grid(2, (1.0, 1.3), (5, 7)), Grid((1, 1.3), [5.0, 7])
+    assert a == b and a is not b and hash(a) == hash(b)
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a) and {a: 1}[back] == 1
+    assert make_grid(2, (1.0, 1.3), (7, 5)) != a
 
 
 def test_make_grid_rejects_small_count():
@@ -208,18 +217,43 @@ def test_edge_slopes_include_boundary_edges():
     assert e[-1] == pytest.approx(-0.2 / g.spacing[0])
 
 
+def _layouts(a: np.ndarray) -> list[np.ndarray]:
+    """``a``'s values in three other memory layouts: a transposed view, Fortran
+    order, and every other entry of an array twice as large on each axis."""
+    wide = np.zeros(tuple(2 * m for m in a.shape))
+    sliced = wide[(slice(None, None, 2),) * a.ndim]
+    sliced[...] = a
+    return [np.ascontiguousarray(a.T).T, np.asfortranarray(a), sliced]
+
+
+def _adjoint_reference(g, q) -> np.ndarray:
+    """D^T q axis by axis, as its definition reads: ``(qa[:-1] - qa[1:]) / h``
+    along axis ``a`` of its edges, summed over the axes in order."""
+    out = None
+    for a, h in enumerate(g.spacing):
+        qa = axis_edges(q, a)
+        along = lambda index: qa[(slice(None),) * a + (index,)]  # noqa: E731
+        d = (along(slice(None, -1)) - along(slice(1, None))) / h
+        out = d if out is None else out + d
+    return out
+
+
 @pytest.mark.parametrize(
     "dim, extents, counts, mode",
     [
         pytest.param(1, 1.0, (9,), "isotropic", id="1d"),
+        pytest.param(1, 1.0, (8,), "isotropic", id="1d-even"),
         pytest.param(2, (1.0, 1.3), (5, 7), "isotropic", id="5x7-isotropic"),
         pytest.param(2, (1.0, 1.3), (5, 7), "componentwise", id="5x7-componentwise"),
+        pytest.param(2, (1.0, 1.3), (6, 9), "isotropic", id="6x9-isotropic"),
+        pytest.param(2, (1.0, 1.0), (64, 64), "isotropic", id="64x64-isotropic"),
     ],
 )
 def test_edge_slopes_lattice_structural_zeros_and_adjoint(dim, extents, counts, mode):
     # the lattice (dim, *(counts + 1)) holds every edge once, per axis in
     # axis_edges, and its other entries are exact zeros that neither D^T nor
-    # the constraint norm sees
+    # the constraint norm sees; both operators match their per-axis
+    # definitions bitwise, whatever the memory layout of their input
     g = make_grid(dim, extents, counts)
     rng = np.random.default_rng(3)
     structural = np.ones((dim,) + tuple(m + 1 for m in counts), dtype=bool)
@@ -232,9 +266,10 @@ def test_edge_slopes_lattice_structural_zeros_and_adjoint(dim, extents, counts, 
         assert du.shape == (dim,) + tuple(m + 1 for m in counts)
         for a, h in enumerate(g.spacing):
             padded = np.pad(u, [(1, 1) if b == a else (0, 0) for b in range(dim)])
-            want = np.diff(padded, axis=a) / h
-            np.testing.assert_allclose(axis_edges(du, a), want, rtol=1e-15, atol=0.0)
+            assert np.array_equal(axis_edges(du, a), np.diff(padded, axis=a) / h)
         assert np.all(du[structural] == 0.0)
+        for other in _layouts(u):
+            assert np.array_equal(edge_slopes(g, other), du)
         # the first edge of an axis shares its cell with structural zeros,
         # so it is a constraint of its own in either mode
         norms = np.broadcast_to(constraint_magnitude(du, paired(g, mode)), du.shape)
@@ -242,10 +277,20 @@ def test_edge_slopes_lattice_structural_zeros_and_adjoint(dim, extents, counts, 
             first = (slice(None),) * a + (0,)
             assert np.array_equal(axis_edges(norms, a)[first], np.abs(axis_edges(du, a)[first]))
         q = np.where(structural, 0.0, rng.normal(size=du.shape))
-        np.testing.assert_allclose(np.vdot(du, q), np.vdot(u, edge_slopes_adjoint(g, q)), rtol=1e-12)
-        # a structural entry lies on no interior node, so D^T does not see it
+        aq = edge_slopes_adjoint(g, q)
+        assert np.array_equal(aq, _adjoint_reference(g, q))
+        assert aq.shape == g.shape and aq.flags.c_contiguous and not np.shares_memory(aq, q)
+        np.testing.assert_allclose(np.vdot(du, q), np.vdot(u, aq), rtol=1e-12)
+        for other in _layouts(q):
+            assert np.array_equal(edge_slopes_adjoint(g, other), aq)
+        # a structural entry lies on no interior node, so D^T does not see
+        # it, whatever its value: inf - inf only warns of the NaN it makes
         noisy = q + structural * rng.normal(size=q.shape)
-        assert edge_slopes_adjoint(g, noisy).tobytes() == edge_slopes_adjoint(g, q).tobytes()
+        assert edge_slopes_adjoint(g, noisy).tobytes() == aq.tobytes()
+        with np.errstate(invalid="ignore"):
+            for bad in (np.inf, np.nan):
+                broken = np.where(structural, bad, q)
+                assert edge_slopes_adjoint(g, broken).tobytes() == aq.tobytes()
 
 
 def test_admissible_cone_and_hat():

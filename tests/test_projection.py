@@ -1053,8 +1053,8 @@ def _random_newton_state(grid, mode, seed, lam):
         # one steep edge across each wall, off the corners
         za[(1,) * a + (0,)] = 2.0 * t
         za[(1,) * a + (-1,)] = -2.0 * t
-    mag = geom.group_norm(z)
-    return geom, c, t, z, mag, mag > t
+    mag = constraint_magnitude(z, geom.paired)
+    return geom, c, t, z, mag, (mag > t) & geom.keep
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.37])
@@ -1097,9 +1097,11 @@ def test_newton_band_matches_dense_block(counts, mode, seed, delta):
     dense = _dense_slopes(g)[act]
     want = minv[np.ix_(act, act)] / c + dense @ dense.T + delta * np.eye(act.size)
 
-    # the numbered entries are the active ones, each once
+    # the numbered entries are the active ones, each once, in the order of
+    # their stencil positions (cell by cell), which keeps the band narrow
     assert np.array_equal(np.sort(flat), act)
-    np.testing.assert_array_equal(zh, z.take(flat) / mag.take(flat))
+    assert np.all(np.diff(np.argsort(projection._stencil(g).lattice)[flat]) > 0)
+    np.testing.assert_array_equal(zh, z.take(flat) / np.broadcast_to(mag, z.shape).take(flat))
     # numbering cell by cell keeps the band within two grid lines
     assert band.shape[0] - 1 <= 2 * (ny + 1)
     number = np.argsort(flat)  # the band row of each active entry, in lattice order

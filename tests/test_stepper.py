@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -645,6 +646,32 @@ def test_step_loop_carries_mass_and_slopes_and_owns_fields(case):
         assert unchanged(), f"snapshot {i} shares an array with another"
 
 
+@pytest.mark.parametrize("height", [0.08, 0.4])
+def test_run_takes_the_start_fields_slopes_once(height, monkeypatch):
+    # The admissibility test's lattice of u0 is step 1's when u0 is in the
+    # cone, and the projection's lattice of its result is otherwise: either
+    # way the edge slopes of u0 are taken once, and the run is unchanged.
+    from barchan import grid, kernels
+
+    g = make_grid(1, 1.0, 64)
+    u0 = skew_hump(g, 0.35, height, 0.26, 0.45)
+    p = wind_params(lam=0.5, T=0.01)
+    assert admissible(u0, p.lam) == (height == 0.08)
+    want = run(p, u0)
+    taken, real = [], grid.edge_slopes
+
+    def counting(on, values):
+        taken.append(values is u0.values)
+        return real(on, values)
+
+    for module in (grid, kernels, stepper, projection):
+        monkeypatch.setattr(module, "edge_slopes", counting)
+    traj = run(p, u0)
+    assert sum(taken) == 1 and len(traj.steps) == len(want.steps) >= 2
+    assert traj.snapshots[-1].u == want.snapshots[-1].u
+    assert [d.max_slope for d in traj.steps] == [d.max_slope for d in want.steps]
+
+
 # The windy dune of the crest-advance test (T = 0.06, the kernel radius held
 # at 0.15), run at n and 2n + 1 nodes.  The L1 distance of the final fields,
 # the fine one sampled at the coarse nodes, falls by about 2 per refinement:
@@ -940,6 +967,18 @@ def test_params_validation():
 def test_source_validation(field, value):
     with pytest.raises(ValueError, match=field):
         SourceSpec("patch", **{field: value})
+
+
+def test_source_spec_hash_is_kept_and_agrees_with_equality():
+    s = SourceSpec("patch", center=(0.5,), width=0.1, rate=2.0)
+    t = SourceSpec("patch", center=[0.5], width=0.1, rate=2)
+    assert s == t and hash(s) == hash(t) and t.center == (0.5,)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and hash(back) == hash(s)
+    assert SourceSpec("patch", center=(0.5,), width=0.1, rate=3.0) != s
+    # equal numbers of another kind hash alike but are not equal
+    other = SourceSpec("tabulated", center=(0.5,), width=0.1, rate=2.0, path="rates.csv")
+    assert hash(other) == hash(s) and other != s and len({s, other}) == 2
 
 
 def test_source_center_entries_checked():
