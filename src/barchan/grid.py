@@ -298,10 +298,12 @@ def edge_slopes_adjoint(grid: Grid, L: np.ndarray) -> np.ndarray:
     subtraction of its flat lattice from itself shifted back by
     ``stride_a``, over the cells of lines 1 to ``counts[0]`` (``lines``),
     divided in place; the axes are summed on those lines, and the nodes'
-    strided view of the sum is copied out.  The subtraction also passes
-    cells that are not nodes, where it may read structural zeros, but the
-    result does not depend on them (a non-finite one included, which at
-    most warns).
+    view of the sum is returned C-contiguous: copied in 2D, where it is
+    strided, and the sum itself in 1D, where the nodes fill the lines.
+    Either way it is an array that shares no memory with ``L``.  The
+    subtraction also passes cells that are not nodes, where it may read
+    structural zeros, but the result does not depend on them (a non-finite
+    one included, which at most warns).
     """
     lay = grid._layout
     L = L.ravel()
@@ -315,7 +317,7 @@ def edge_slopes_adjoint(grid: Grid, L: np.ndarray) -> np.ndarray:
             total = d
         else:
             total += d
-    return total.reshape(lay.lines)[lay.in_lines].copy()
+    return np.ascontiguousarray(total.reshape(lay.lines)[lay.in_lines])
 
 
 def axis_edges(L: np.ndarray, a: int) -> np.ndarray:
@@ -356,10 +358,9 @@ def constraint_magnitude(L: np.ndarray, pairs: bool) -> np.ndarray:
     return np.abs(L)
 
 
-def node_slope_magnitude(field: HeightField, mode: str = "isotropic", slopes=None) -> np.ndarray:
-    """Per-node magnitude of the forward differences under the given norm;
-    ``slopes`` are the field's :func:`edge_slopes` if the caller has them."""
-    L = edge_slopes(field.grid, field.values) if slopes is None else slopes
+def node_slope_magnitude(field: HeightField, mode: str = "isotropic") -> np.ndarray:
+    """Per-node magnitude of the forward differences under the given norm."""
+    L = edge_slopes(field.grid, field.values)
     return hosted(constraint_magnitude(L, paired(field.grid, mode))).max(0)
 
 

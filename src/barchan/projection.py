@@ -12,9 +12,11 @@ All dual vectors, edge slopes and Newton iterates live on the lattice of
 :func:`~barchan.grid.edge_slopes`, shape ``(dim, *(counts + 1))``, and so
 do ``warm_dual`` and the result's ``dual`` and ``slopes``.  The pair that
 interior node ``i`` hosts shares cell ``i + 1``; the first edge of an axis
-shares a cell of the padding with structural zeros.  So a constraint's
-magnitude is one formula, :func:`~barchan.grid.constraint_magnitude`: the
-cell norm when paired, ``|L|`` otherwise.
+shares a cell of the padding with structural zeros.  So every route
+measures a constraint one way: its magnitude is
+:func:`~barchan.grid.constraint_magnitude`, the cell norm when paired (one
+entry per cell) and ``|L|`` otherwise, and it exists where the geometry's
+bool mask ``keep`` holds (see :class:`_ConeGeometry`).
 
 Two solvers compute it:
 
@@ -114,7 +116,8 @@ POLISH_DAMPING = 1e-12
 _AS_IS = contextlib.nullcontext()  # numpy's error state left as it is
 
 class NonConvergedError(RuntimeError):
-    """Raised in strict mode when a projection exhausts its iterations."""
+    """Raised in strict mode for a projection whose result fails its
+    certificate (``converged`` False), out of iterations or not."""
 
 
 class MultiplierField(_Field):
@@ -193,15 +196,16 @@ def _implied_edges(grid: Grid, pairs: bool) -> tuple[tuple[int, tuple[int, ...]]
 
 
 class _ConeGeometry:
-    """The constraint norms of one grid and constraint mode on the lattice of
-    :func:`edge_slopes`, all from :func:`constraint_magnitude`.  Its arrays
-    are read-only, so :func:`_geometry` shares one per pair.
+    """The slope constraints of one grid and constraint mode on the lattice
+    of :func:`edge_slopes`.  Its arrays are read-only, so :func:`_geometry`
+    shares one per pair.
 
     When ``paired`` the two entries of an interior cell form a Euclidean
-    pair; every other edge is its own constraint.  ``keep`` is False on the
-    structural zeros and on the ``implied`` constraints (see
-    :func:`_implied_edges`), which carry no dual; ``in_pair`` marks the
-    entries of the pairs.
+    pair; every other edge is its own constraint.  A constraint's magnitude
+    is ``constraint_magnitude(q, paired)``, and it exists where ``keep``
+    is True: ``keep`` is False on the structural zeros and on the
+    ``implied`` constraints (see :func:`_implied_edges`), which carry no
+    dual.  ``in_pair`` marks the entries of the pairs.
     """
 
     def __init__(self, grid: Grid, mode: str):
@@ -209,7 +213,7 @@ class _ConeGeometry:
         self.paired = paired(grid, mode)
         self.op_norm = 2.0 * math.sqrt(sum(1.0 / s**2 for s in grid.spacing))
         self.implied = _implied_edges(grid, self.paired)
-        self.shape = (grid.dim,) + tuple(m + 1 for m in grid.counts)
+        self.shape = grid._layout.shape
         self.keep = np.zeros(self.shape, dtype=bool)
         for a in range(grid.dim):
             axis_edges(self.keep, a)[...] = True
@@ -228,21 +232,11 @@ class _ConeGeometry:
         the one that implies it, also in rounding, so it is not dropped."""
         return float(constraint_magnitude(q, self.paired).max())
 
-    def dual_l1(self, q) -> float:
-        """Sum of per-constraint magnitudes (support function weight)."""
-        return float(constraint_magnitude(q, self.paired).sum())
-
-    def group_norm(self, q) -> np.ndarray:
-        """The lattice holding, at every entry, the magnitude of the
-        constraint the entry belongs to (its pair's norm when paired), and 0
-        on the structural zeros and the implied constraints."""
-        return constraint_magnitude(q, self.paired) * self.keep
-
     def shrink(self, q, t: float) -> np.ndarray:
         """prox of t * (sum of per-constraint magnitudes): magnitude
-        soft-threshold, producing hard zeros below t."""
-        g = self.group_norm(q)
-        return np.where(g > t, q * (1.0 - t / np.maximum(g, t)), 0.0)
+        soft-threshold, producing hard zeros below t and off ``keep``."""
+        g = constraint_magnitude(q, self.paired)
+        return np.where((g > t) & self.keep, q * (1.0 - t / np.maximum(g, t)), 0.0)
 
     def multiplier(self, mag, lam: float) -> np.ndarray:
         """Per-node multiplier from the constraint magnitudes ``mag`` of a
@@ -701,12 +695,10 @@ class _Stencil(NamedTuple):
     """``D D^T`` of one grid over the positions of its dual lattice, and
     the lattice entry at each position."""
 
-    offsets: np.ndarray  # (k,): the offsets of the entries above the diagonal
-    products: np.ndarray  # (k,): their values
-    partners: np.ndarray  # (size, k): p + offsets[k], or size where none is coupled to p
+    products: np.ndarray  # (k,): the values of the entries above the diagonal
+    partners: np.ndarray  # (size, k): p + the k-th offset, or size where none is coupled to p
     diag: np.ndarray  # (size,)
     lattice: np.ndarray  # (size,): the flat lattice index of the entry at position p
-    axis: np.ndarray  # (size,): its axis
     position: np.ndarray  # (size,): the inverse of lattice, the position of each flat index
 
 
@@ -726,13 +718,13 @@ def _stencil(grid: Grid) -> _Stencil:
     2W - 1, 2W`` with ``W = ny + 1`` in 2D.  With the axis along x first,
     they would be ``1, 2, 2W - 1, 2W, 2W + 1``: a band one row wider.  The
     structural zeros lie on no interior node, so their rows are empty.
-    ``lattice`` and ``axis`` invert the numbering: the flat index ``a *
-    prod(cells) + ravel(c)`` and the axis ``a`` of the entry at each
-    position; ``position`` is the numbering itself, by flat index.
+    ``lattice`` inverts the numbering: the flat index ``a * prod(cells) +
+    ravel(c)`` of the entry at each position; ``position`` is the
+    numbering itself, by flat index.
     """
-    dim = grid.dim
-    cells = tuple(m + 1 for m in grid.counts)
-    position = np.arange(dim * math.prod(cells)).reshape(cells + (dim,))[..., ::-1]
+    dim, lay = grid.dim, grid._layout
+    cells = lay.shape[1:]
+    position = np.arange(dim * lay.size).reshape(cells + (dim,))[..., ::-1]
     by_flat = np.moveaxis(position, -1, 0).ravel()
     lattice = np.argsort(by_flat)
     inner = (slice(1, None),) * dim
@@ -756,12 +748,10 @@ def _stencil(grid: Grid) -> _Stencil:
     for k, (d, _, rows) in enumerate(pairs):
         partners[rows, k] = rows + d
     return _Stencil(
-        offsets=np.array([d for d, _, _ in pairs]),
         products=np.array([p for _, p, _ in pairs]),
         partners=partners,
         diag=diag,
         lattice=lattice,
-        axis=lattice // math.prod(cells),
         position=by_flat,
     )
 
@@ -770,9 +760,11 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     """The upper band of ``(M_A^{-1} - I) / c + D_A D_A^T + delta I`` over
     the active entries, for :func:`_banded_solve`; with it ``flat``, the
     flat lattice indices of the active entries in band order, and ``zh =
-    z / |z_g|`` on them.  ``mag`` is ``constraint_magnitude(z,
-    geom.paired)``, one entry per cell when paired and per lattice entry
-    otherwise, and ``active`` the lattice ``(mag > t) & geom.keep``.
+    z / |z_g|`` on them.  The constraints are measured as everywhere (see
+    :class:`_ConeGeometry`): ``mag`` is ``constraint_magnitude(z,
+    geom.paired)``, one entry per cell when paired, so an entry reads its
+    magnitude at ``flat % mag.size``, and ``active`` is the lattice ``(mag
+    > t) & geom.keep``.
 
     The entries are numbered in the order of their positions in
     :func:`_stencil`, cell by cell, so the band spans at most two grid lines
@@ -790,7 +782,7 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     """
     st = _stencil(geom.grid)
     pos = np.sort(st.position.take(np.flatnonzero(active)))  # the active positions, in order
-    flat, axis = st.lattice.take(pos), st.axis.take(pos)
+    flat = st.lattice.take(pos)
     seq = np.arange(pos.size)
     number = np.full(st.diag.size + 1, -1)  # by position; -1 off the active entries
     number[pos] = seq
@@ -808,7 +800,9 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     pair = geom.in_pair.take(flat)
     w = lam / (core - t)  # a / ((1 - a) c) on a pair's entries
     band[bw] += np.where(pair, w * (1.0 - zh * zh), 0.0)
-    second = pair[1:] & (axis[1:] == 0)  # the entry along x of a pair, after the one along y
+    # the entry along x of a pair, after the one along y: axis 0's entries
+    # are the first prod(cells) of the flat lattice
+    second = pair[1:] & (flat[1:] < geom.grid._layout.size)
     band[bw - 1, 1:] -= np.where(second, w[1:] * (zh[:-1] * zh[1:]), 0.0)
     if delta:
         band[bw] += delta
@@ -818,12 +812,12 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
 def _first_break(geom: _ConeGeometry, z0, z1, t: float) -> float:
     """The first ``s`` in (0, 1) at which a constraint enters or leaves the
     active set (``|z_g| = t``) along ``z0 + s (z1 - z0)``; 1 if none does."""
-    n0, n1, nd = geom.group_norm(z0), geom.group_norm(z1), geom.group_norm(z1 - z0)
-    # |z0 + s dz|^2 - t^2 = a s^2 + b s + c0 on each entry's constraint
+    n0, n1, nd = (constraint_magnitude(z, geom.paired) for z in (z0, z1, z1 - z0))
+    # |z0 + s dz|^2 - t^2 = a s^2 + b s + c0 on each constraint
     a, c0 = nd * nd, n0 * n0 - t * t
     b = n1 * n1 - a - n0 * n0
     disc = b * b - 4.0 * a * c0
-    ok = (a > 0.0) & (disc >= 0.0)
+    ok = geom.keep & (a > 0.0) & (disc >= 0.0)
     root = np.sqrt(np.where(ok, disc, 0.0))
     den = np.where(ok, 2.0 * a, 1.0)
     first = 1.0
@@ -993,7 +987,7 @@ def _best_multiple(grid: Grid, v: np.ndarray, q: np.ndarray, lam: float, mode: s
     the start projection's dual at this multiple (see :func:`~barchan.stepper.run`).
     """
     aq = edge_slopes_adjoint(grid, q)
-    num = float(np.vdot(aq, v)) - lam * _geometry(grid, mode).dual_l1(q)
+    num = float(np.vdot(aq, v)) - lam * float(constraint_magnitude(q, paired(grid, mode)).sum())
     return num / float(np.vdot(aq, aq)) if num > 0.0 else 0.0
 
 

@@ -503,7 +503,11 @@ def run(
     v_max`` raises :class:`CFLViolationError`; ``dt_max`` does not bound
     it, and without wind nothing does.  Initial data outside the admissible
     cone is projected onto it with a logged warning: the resolvent step of
-    ``u0`` with a zero drive, so snapshot 0 holds the projection.  Every
+    ``u0`` with a zero drive, so snapshot 0 holds the projection.  The start
+    test is :func:`~barchan.grid.admissible`, which allows every constraint
+    up to ``lam + TOL_CONSTRAINT``, where the projection's own short-cut
+    needs ``lam``: so a ``u0`` at most ``TOL_CONSTRAINT`` above the cone
+    starts unprojected, and step 1's projection meets it.  Every
     projection of the run, that one included, follows the one policy of
     ``numerics.strict``.  A strict run stops at the first projection that
     fails its certificate and returns the partial trajectory with

@@ -934,6 +934,27 @@ def test_newton_settles_on_a_hump(mode, pdhg_budgets):
 
 
 @pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_project_settles_a_smooth_cold_gaussian_hump(n, mode):
+    # a smooth hump, steeper than the cone, projected from a zero dual: it
+    # converges and lands within both certified errors of the PDHG
+    # projection.  Today every case ends in the PDHG fallback: isotropic,
+    # the Newton loop gives up after 6 solves on a block with no Cholesky
+    # factor; componentwise, its first block is singular.  project takes
+    # 1,062 (isotropic) and 449 (componentwise) iterations at 32x32, and 393
+    # and 354 at 64x64.  The fallback is not asserted, so that a 2D Newton
+    # route that settles this input can tighten the test.
+    g = make_grid(2, (1.0, 1.0), (n, n))
+    X, Y = g.meshgrid()
+    v = HeightField(g, 0.3 * np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.02))
+    res = project(v, 1.0, mode=mode)
+    assert res.converged and res.iterations > 0
+    oracle = project_pdhg(v, 1.0, mode=mode)
+    cert = _certified(res, v) + _certified(oracle, v)
+    assert np.max(np.abs(res.u.values - oracle.u.values)) <= cert
+
+
+@pytest.mark.parametrize("mode", ["isotropic", "componentwise"])
 def test_newton_singular_block_falls_back_to_pdhg(mode, pdhg_budgets):
     # cold white noise: nearly every edge is active, and loops of active
     # edges carry divergence-free duals, so the first active block is
@@ -1138,23 +1159,25 @@ def test_stencil_is_dense_d_dt(dim, counts, offsets):
     # 2W - 1, 2W (W = ny + 1) in 2D
     g = make_grid(dim, 1.0, counts)
     st = projection._stencil(g)
-    assert st.offsets.tolist() == offsets
+    assert st.partners.shape[1] == len(offsets) == len(st.products)
     d = _dense_slopes(g)
     dense = d @ d.T
     size = d.shape[0]
     axis, cell = np.divmod(np.arange(size), size // dim)  # rows of d: the lattice, axis first
     pos = dim * cell + (dim - 1 - axis)
-    # lattice and axis invert the numbering: the entry at each position
+    # lattice and position invert the numbering: the entry at each position,
+    # whose axis its flat index tells, and the position of each entry
     np.testing.assert_array_equal(st.lattice[pos], np.arange(size))
-    np.testing.assert_array_equal(st.axis[pos], axis)
+    np.testing.assert_array_equal(st.lattice[pos] // (size // dim), axis)
+    np.testing.assert_array_equal(st.position, pos)
     lattice = np.zeros((size, size))
     lattice[np.ix_(pos, pos)] = dense
     np.testing.assert_allclose(np.diag(lattice), st.diag, rtol=1e-14, atol=0.0)
     built = np.zeros_like(lattice)
-    for k, product in enumerate(st.products):
+    for k, (offset, product) in enumerate(zip(offsets, st.products)):
         rows = np.flatnonzero(st.partners[:, k] < size)
-        assert np.all(st.partners[rows, k] == rows + st.offsets[k])
-        built[rows, rows + st.offsets[k]] += product
+        assert rows.size and np.all(st.partners[rows, k] == rows + offset)
+        built[rows, rows + offset] += product
     np.testing.assert_allclose(built, np.triu(lattice, 1), rtol=1e-14, atol=0.0)
 
 
@@ -1177,7 +1200,8 @@ def test_best_multiple_maximises_the_dual_objective_along_the_dual(dim, counts, 
 
     def objective(s):
         aq = s * edge_slopes_adjoint(g, q)
-        return float(np.vdot(aq, w)) - lam * geom.dual_l1(s * q) - 0.5 * float(np.vdot(aq, aq))
+        l1 = float(constraint_magnitude(s * q, geom.paired).sum())
+        return float(np.vdot(aq, w)) - lam * l1 - 0.5 * float(np.vdot(aq, aq))
 
     for w in (v, 0.8 * v + 0.3 * rng.normal(size=g.shape)):
         best = projection._best_multiple(g, w, q, lam, mode)
@@ -1289,22 +1313,24 @@ def test_lattice_norms_match_per_constraint_definitions(dim, extents, counts, mo
         q = _random_lattice(g, rng)
         edges = [axis_edges(q, a) for a in range(dim)]
         mag = _per_constraint(g, mode, edges)
-        # max_norm and dual_l1 count every constraint once, implied ones too
+        # max_norm and the sum of constraint_magnitude count every
+        # constraint once, implied ones too
         assert geom.max_norm(q) == max(m.max() for m in mag)
         if isotropic_2d:  # each pair once, and the first edge of each axis
             want_l1 = mag[0][1:, :].sum() + mag[0][0].sum() + mag[1][:, 0].sum()
         else:
             want_l1 = sum(m.sum() for m in mag)
-        np.testing.assert_allclose(geom.dual_l1(q), want_l1, rtol=1e-13)
+        l1 = float(constraint_magnitude(q, geom.paired).sum())
+        np.testing.assert_allclose(l1, want_l1, rtol=1e-13)
         # the multiplier reads the constraint each node hosts
         hosted = [_hosted(m, a) for a, m in enumerate(mag)]
         want_m = (hosted[0] if isotropic_2d else sum(hosted)) / lam
         got_m = geom.multiplier(constraint_magnitude(q, geom.paired), lam)
         np.testing.assert_allclose(got_m, want_m, rtol=1e-15, atol=0.0)
-        # group_norm and shrink zero the implied corners
+        # keep and shrink zero the implied corners
         for a, ix in geom.implied:
             mag[a][ix] = 0.0
-        norms = geom.group_norm(q)
+        norms = constraint_magnitude(q, geom.paired) * geom.keep
         for a, want in enumerate(mag):
             np.testing.assert_array_equal(axis_edges(norms, a), want)
         shrunk = geom.shrink(q, t)
@@ -1315,6 +1341,33 @@ def test_lattice_norms_match_per_constraint_definitions(dim, extents, counts, mo
         structural = q == 0.0
         assert structural.sum() == (dim - 1) * (sum(counts) + dim)
         assert np.all(shrunk[structural] == 0.0) and np.all(norms[structural] == 0.0)
+
+
+@pytest.mark.parametrize("dim, extents, counts, mode", LATTICE_CASES)
+def test_shrink_and_first_break_read_one_constraint_rule(dim, extents, counts, mode):
+    # the active set is (constraint_magnitude > t) & keep on every route:
+    # shrink is nonzero exactly there (on the nonzero entries), and
+    # _first_break finds the first s at which it changes along z0 + s dz,
+    # to the resolution of a dense scan, or 1 when it never changes
+    g = make_grid(dim, extents, counts)
+    geom = _ConeGeometry(g, mode)
+    rng = np.random.default_rng(13)
+    s = np.linspace(0.0, 1.0, 20_001)
+
+    def active(z, keep):
+        return (constraint_magnitude(z, geom.paired) > t) & keep
+
+    for _ in range(20):
+        t = rng.uniform(0.3, 1.5)
+        q = _random_lattice(g, rng)  # nonzero on every edge, implied ones too
+        want = np.broadcast_to(active(q, geom.keep), q.shape) & (q != 0.0)
+        np.testing.assert_array_equal(geom.shrink(q, t) != 0.0, want)
+        z0 = _random_lattice(g, rng)
+        z1 = z0 + rng.choice([0.01, 0.1, 1.0]) * _random_lattice(g, rng)
+        scan = active(z0[..., None] + (z1 - z0)[..., None] * s, geom.keep[..., None])
+        changed = (scan != scan[..., :1]).reshape(-1, s.size).any(0)
+        want = s[changed.argmax()] if changed.any() else 1.0
+        assert abs(projection._first_break(geom, z0, z1, t) - want) <= 1e-4
 
 
 @pytest.mark.parametrize("scale", [0.9, 1.1])

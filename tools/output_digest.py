@@ -3,12 +3,13 @@
     python3 tools/output_digest.py ROOT [--seeds N]
 
 Runs ``workloads.solve`` from ``ROOT/perfbench``, on the package in
-``ROOT/src``, for seeds 0 to N - 1 of every workload, and prints one line
-per workload: its name, the digest of its outputs over those seeds and the
-total projection iterations of its runs over those seeds (the start
-projections included: every ``iterations`` that ``stepper.resolvent_step``
-returns), so a change in solve counts shows even where the digest alone
-would only say that the outputs differ.
+``ROOT/src``, for seeds 0 to N - 1 of every workload (N is 16 unless
+given: seeds 0-15, the seeds that CI and every bitwise claim use), and
+prints one line per workload: its name, the digest of its outputs over
+those seeds and the total projection iterations of its runs over those
+seeds (the start projections included: every ``iterations`` that
+``stepper.resolvent_step`` returns), so a change in solve counts shows
+even where the digest alone would only say that the outputs differ.
 The digest walks the outputs whole: on every workload the trajectory's
 snapshot times, fields and multipliers and every ``StepDiagnostics``
 field (with the run's inputs and failure), and on ``audit1d`` also the
@@ -58,7 +59,7 @@ def feed(h, obj) -> None:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", type=Path, help="checkout whose perfbench/ and src/ to run")
-    parser.add_argument("--seeds", type=int, default=4, help="run seeds 0 to N - 1")
+    parser.add_argument("--seeds", type=int, default=16, help="run seeds 0 to N - 1")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
