@@ -114,7 +114,10 @@ def h_eval(profile: HProfile, r):
     if profile.kind == "constant":
         out = np.full_like(arr, profile.value)
     elif profile.kind == "smooth_ramp":
-        out = np.maximum(arr, 0.0) / np.sqrt(1.0 + arr * arr)
+        # r * r overflows above about 1.3e154; H is 1 to the last bit long
+        # before 1e150, so the square is taken of r capped there
+        x = np.maximum(arr, 0.0)
+        out = x / np.sqrt(1.0 + np.minimum(x, 1e150) ** 2)
     else:
         # 1 - (erf(-r / sqrt(eps)) - erf(-1 / eps)) / 2, in place
         x = np.divide(arr, -math.sqrt(profile.eps))

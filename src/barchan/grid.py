@@ -369,19 +369,13 @@ def max_slope(field: HeightField, mode: str = "isotropic", slopes=None) -> float
     return float(hosted(constraint_magnitude(L, paired(field.grid, mode))).max())
 
 
-def admissible(
-    field: HeightField,
-    lam: float,
-    mode: str = "isotropic",
-    tol: float = TOL_CONSTRAINT,
-    slopes=None,
-) -> bool:
+def admissible(field: HeightField, lam: float, mode: str = "isotropic", slopes=None) -> bool:
     """Membership test for the lam-Lipschitz cone with zero boundary values:
     every slope constraint, the edges crossing the boundary included, is at
-    most ``lam + tol``; ``slopes`` are the field's :func:`edge_slopes` if
-    the caller has them."""
+    most ``lam + TOL_CONSTRAINT``; ``slopes`` are the field's
+    :func:`edge_slopes` if the caller has them."""
     L = edge_slopes(field.grid, field.values) if slopes is None else slopes
-    return bool(constraint_magnitude(L, paired(field.grid, mode)).max() <= lam + tol)
+    return bool(constraint_magnitude(L, paired(field.grid, mode)).max() <= lam + TOL_CONSTRAINT)
 
 
 def integrate(grid: Grid, a: np.ndarray) -> float:

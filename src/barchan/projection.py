@@ -66,9 +66,9 @@ The 2D Newton solves call LAPACK from scipy's compiled extension
 ``scipy.linalg._flapack``, loaded alone on the first of them: the
 ``scipy.linalg`` package costs about 0.16 s to import, more than the rest
 of the solver, and a 1D projection loads no scipy at all.  Each solve is
-``dpbsv`` (banded Cholesky), or ``dgtsv`` or ``dgbsv`` (pivoted) when a
-damped polish meets an indefinite block.  LAPACK runs under
-the caller's BLAS thread count.  The root ``conftest.py`` and
+``dpbsv`` (banded Cholesky), or ``dgbsv`` (banded LU with partial
+pivoting) when a damped polish meets an indefinite block.  LAPACK runs
+under the caller's BLAS thread count.  The root ``conftest.py`` and
 ``perfbench/run.py`` pin it to one thread; library callers are not
 pinned.  On these narrow bands that matters: for 314 unknowns the banded
 Cholesky and solve took 704 us unpinned against 207 us pinned (2 cores).
@@ -107,8 +107,11 @@ from .grid import (
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
 # Linear solves a Newton route may take before its fallback (the exact
-# path dynamic program in 1D, PDHG otherwise) takes over: twice the most
-# measured on a 64x64 dune, 8, on its first time step started cold.
+# path dynamic program in 1D, PDHG otherwise) takes over.  On the 64x64
+# dune of perfbench's dune2d, seeds 0-15, no projection takes more than 5:
+# the cold start projection and step 1 take 5 on every seed, later steps 2
+# or 3.  The cap also decides when a degenerate input falls back, so it
+# is kept well above that.
 NEWTON_MAX_STEPS = 16
 # Relative Tikhonov weight of a damped Newton solve (see _grid_newton): far
 # below every nonzero eigenvalue of a block, enough to factor a singular one.
@@ -501,7 +504,7 @@ def _pdhg(p: _Problem, q: np.ndarray, max_iter: int):
 
 @cache
 def _lapack():
-    """LAPACK's ``(dpbsv, dgtsv, dgbsv)`` from scipy's compiled extension
+    """LAPACK's ``(dpbsv, dgbsv)`` from scipy's compiled extension
     ``scipy.linalg._flapack``, loaded alone (see the module docstring).  The
     extension needs numpy only, so it is found with ``find_spec``, which
     runs no scipy code, and loaded from its file; it is registered in
@@ -522,7 +525,7 @@ def _lapack():
         flapack = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(flapack)
         sys.modules[name] = flapack
-    return flapack.dpbsv, flapack.dgtsv, flapack.dgbsv
+    return flapack.dpbsv, flapack.dgbsv
 
 
 def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.ndarray:
@@ -538,23 +541,18 @@ def _banded_solve(band: np.ndarray, rhs: np.ndarray, pivot: bool = False) -> np.
     which cost ten times the solve of a few dozen unknowns.  ``dpbsv``
     solves every band, one unknown included, so the results are bitwise
     those of ``cho_solve_banded((cholesky_banded(band), False), rhs)``.
-    Pivoted, the routines and arguments are those of ``solve_banded``, so
-    its results are matched bitwise: ``dgtsv`` for two rows and otherwise
-    ``dgbsv`` on its ``3 bw + 1``-row layout (the upper band, the mirrored
-    lower band and ``bw`` rows of fill).
+    Pivoted, ``dgbsv`` solves every band on its ``3 bw + 1``-row layout
+    (``bw`` rows of fill, the upper band and the mirrored lower band).
     """
-    dpbsv, dgtsv, dgbsv = _lapack()
+    dpbsv, dgbsv = _lapack()
     _, x, info = dpbsv(band, rhs)
-    bw = band.shape[0] - 1
     if info > 0 and pivot:
-        if bw == 1:
-            *_, x, info = dgtsv(band[0, 1:], band[1], band[0, 1:], rhs)
-        else:
-            lu = np.zeros((3 * bw + 1, band.shape[1]))
-            lu[bw : 2 * bw + 1] = band
-            for d in range(1, bw + 1):
-                lu[2 * bw + d, :-d] = band[bw - d, d:]
-            _, _, x, info = dgbsv(bw, bw, lu, rhs, overwrite_ab=True)
+        bw = band.shape[0] - 1
+        lu = np.zeros((3 * bw + 1, band.shape[1]))
+        lu[bw : 2 * bw + 1] = band
+        for d in range(1, bw + 1):
+            lu[2 * bw + d, :-d] = band[bw - d, d:]
+        _, _, x, info = dgbsv(bw, bw, lu, rhs, overwrite_ab=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK's banded solver")
     if info > 0:
@@ -756,11 +754,11 @@ def _stencil(grid: Grid) -> _Stencil:
     )
 
 
-def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delta: float = 0.0):
-    """The upper band of ``(M_A^{-1} - I) / c + D_A D_A^T + delta I`` over
-    the active entries, for :func:`_banded_solve`; with it ``flat``, the
-    flat lattice indices of the active entries in band order, and ``zh =
-    z / |z_g|`` on them.  The constraints are measured as everywhere (see
+def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float):
+    """The upper band of ``(M_A^{-1} - I) / c + D_A D_A^T`` over the active
+    entries, for :func:`_banded_solve`; with it ``flat``, the flat lattice
+    indices of the active entries in band order, and ``zh = z / |z_g|`` on
+    them.  The constraints are measured as everywhere (see
     :class:`_ConeGeometry`): ``mag`` is ``constraint_magnitude(z,
     geom.paired)``, one entry per cell when paired, so an entry reads its
     magnitude at ``flat % mag.size``, and ``active`` is the lattice ``(mag
@@ -804,8 +802,6 @@ def _newton_band(geom: _ConeGeometry, z, mag, active, lam: float, t: float, delt
     # are the first prod(cells) of the flat lattice
     second = pair[1:] & (flat[1:] < geom.grid._layout.size)
     band[bw - 1, 1:] -= np.where(second, w[1:] * (zh[:-1] * zh[1:]), 0.0)
-    if delta:
-        band[bw] += delta
     return band, flat, zh
 
 
@@ -847,9 +843,10 @@ def _grid_newton(p: _Problem, q, max_steps: int, damped: bool = False):
     KKT point: the iteration stops only when ``p.certify(u, q).ok`` holds.
 
     ``damped`` is for a start near the solution of a degenerate problem
-    (PDHG's stalled iterate).  Each solve then adds ``POLISH_DAMPING |D|^2``
-    times ``I`` to the block and times the current ``q_A`` to the
-    right-hand side, so a loop of active edges keeps its dual instead of
+    (PDHG's stalled iterate).  Each solve then adds ``delta =
+    POLISH_DAMPING |D|^2`` to the diagonal of the block that
+    :func:`_newton_band` builds, and ``delta`` times the current ``q_A`` to
+    the right-hand side, so a loop of active edges keeps its dual instead of
     making the block singular.  Where a pair's curvature is far above the
     damping, rounding can still leave the block without a Cholesky factor;
     banded LU solves it then.  And a step that does not lower the duality
@@ -877,7 +874,7 @@ def _grid_newton(p: _Problem, q, max_steps: int, damped: bool = False):
     """
     c = 2.0 / p.geom.op_norm**2
     t = c * p.lam
-    delta = POLISH_DAMPING * p.geom.op_norm**2 if damped else 0.0
+    delta = POLISH_DAMPING * p.geom.op_norm**2
 
     def evaluate(q):  # the edge slopes of u = v - D^T q, and the pair's certificate
         aq = edge_slopes_adjoint(p.grid, q)
@@ -897,9 +894,10 @@ def _grid_newton(p: _Problem, q, max_steps: int, damped: bool = False):
         active = (mag > t) & p.geom.keep
         q_new = np.zeros_like(q)
         if active.any():
-            band, flat, zh = _newton_band(p.geom, z, mag, active, p.lam, t, delta)
+            band, flat, zh = _newton_band(p.geom, z, mag, active, p.lam, t)
             rhs = p.dv.take(flat) - p.lam * zh
             if damped:
+                band[-1] += delta  # the diagonal
                 rhs += delta * q.take(flat)
             try:
                 q_act = _banded_solve(band, rhs, pivot=damped)

@@ -43,6 +43,7 @@ from .constitutive import gamma_sup_on, h_sup, lipschitz_bound
 from .grid import (
     Grid,
     HeightField,
+    _check_int,
     admissible,
     dist_to_boundary,
     integrate,
@@ -60,6 +61,8 @@ from .stepper import (
 )
 
 COMP_TOL = 1e-6
+# Relative slack of the exponential L1 envelope of a contraction report.
+ENV_TOL = 0.05
 # Memory budget of one (X, S, *grid) temporary of a vi_residual call in
 # vi_report, which sets how many test functions each call takes.
 _VI_BLOCK_BYTES = 128 * 1024
@@ -154,9 +157,8 @@ def make_test_functions(
 ) -> TestFunctionSet:
     """Canonical admissible fields (zero, the maximal cone, hats) plus
     random members built by projecting smoothed noise onto the cone: the
-    first ``count`` of them, which must be nonnegative."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    first ``count`` of them, ``count`` a nonnegative integer."""
+    _check_int("count", count, 0)
     dist = dist_to_boundary(grid)
     # At ridge kinks of the distance cone every forward difference hits
     # -lam at once, so the discrete isotropic slope reaches lam * sqrt(dim);
@@ -298,9 +300,10 @@ def vi_report(traj: Trajectory, test_functions: TestFunctionSet, tol: float) -> 
     return VIReport(records=records, worst=float(np.max(top)), tol=tol)
 
 
-def complementarity_report(traj: Trajectory, comp_tol: float = COMP_TOL) -> ComplementarityReport:
+def complementarity_report(traj: Trajectory) -> ComplementarityReport:
     """Per-snapshot integral of m * max(0, lam - |grad u|); converged
-    projections keep it at solver-tolerance level."""
+    projections keep it at solver-tolerance level, and the report passes
+    when its worst is at most ``COMP_TOL``."""
     lam = traj.params.lam
     mode = traj.numerics.constraint_mode
     products = []
@@ -308,7 +311,7 @@ def complementarity_report(traj: Trajectory, comp_tol: float = COMP_TOL) -> Comp
         slack = np.maximum(0.0, lam - node_slope_magnitude(snap.u, mode))
         products.append(integrate(traj.grid, snap.m.values * slack))
     arr = np.array(products)
-    return ComplementarityReport(products=arr, worst=float(arr.max()), tol=comp_tol)
+    return ComplementarityReport(products=arr, worst=float(arr.max()))
 
 
 def gronwall_constant(params: ModelParams, kernel: DiscreteKernel, grid: Grid) -> float:
@@ -328,11 +331,10 @@ def gronwall_constant(params: ModelParams, kernel: DiscreteKernel, grid: Grid) -
     )
 
 
-def contraction_report(
-    traj1: Trajectory, traj2: Trajectory, env_tol: float = 0.05
-) -> ContractionReport:
+def contraction_report(traj1: Trajectory, traj2: Trajectory) -> ContractionReport:
     """Distance series between two runs of identical data, with the
-    exponential L1 envelope and the L2 monotonicity flag."""
+    exponential L1 envelope, allowed a relative slack of ``ENV_TOL``, and
+    the L2 monotonicity flag, allowed a rise of ``STEP_TOL`` a step."""
     if traj1.params != traj2.params:
         raise ValueError("trajectories were produced with different parameters")
     if traj1.grid != traj2.grid:
@@ -351,7 +353,7 @@ def contraction_report(
     C = gronwall_constant(traj1.params, kernel_for(traj1.params, grid), grid)
     if l1[0] > 0.0:
         envelope_ok = bool(
-            np.all(l1 <= l1[0] * np.exp(C * (times - times[0])) * (1.0 + env_tol))
+            np.all(l1 <= l1[0] * np.exp(C * (times - times[0])) * (1.0 + ENV_TOL))
         )
     else:
         envelope_ok = bool(np.all(l1 <= 1e-12))
@@ -361,7 +363,7 @@ def contraction_report(
         l1_series=l1,
         l2_series=l2,
         envelope_constant=C,
-        env_tol=env_tol,
+        env_tol=ENV_TOL,
         l1_envelope_ok=envelope_ok,
         l2_nonincreasing=l2_mono,
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def test_smooth_ramp_vanishes_on_lee_side():
     p = HProfile.smooth_ramp()
     r = np.linspace(-10.0, 0.0, 101)
     np.testing.assert_array_equal(h_eval(p, r), 0.0)
+
+
+def test_smooth_ramp_saturates_on_slopes_whose_square_overflows():
+    # r * r overflows above about 1.3e154, which gave 0 and, at inf, NaN
+    p = HProfile.smooth_ramp()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = h_eval(p, np.array([1e150, 1e200, np.inf, -1e200]))
+        assert h_eval(p, math.inf) == 1.0
+    np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from barchan import projection
 from barchan.grid import (
@@ -1089,7 +1090,8 @@ def test_newton_band_matches_dense_block(counts, mode, seed, delta):
     g = make_grid(2, (1.0, 1.3), counts)
     lam = 1.3
     geom, c, t, z, mag, active = _random_newton_state(g, mode, seed, lam)
-    band, flat, zh = projection._newton_band(geom, z, mag, active, lam, t, delta)
+    band, flat, zh = projection._newton_band(geom, z, mag, active, lam, t)
+    band[-1] += delta  # the diagonal, as the damped polish adds it
     nx, ny = counts
     edges = [axis_edges(active, a) for a in range(2)]
     sel = np.concatenate([m.ravel() for m in edges])
@@ -1443,9 +1445,10 @@ def test_banded_solve_cholesky_and_pivoted_fallback():
         projection._banded_solve(indefinite, np.array([4.0, 1.0, 4.0]))
     got = projection._banded_solve(indefinite, np.array([4.0, 1.0, 4.0]), pivot=True)
     np.testing.assert_allclose(got, [1.0, 1.0, 1.0], rtol=1e-14)
-    # the pivoted route returns solve_banded's results bit for bit, on
-    # tridiagonal bands (its ?gtsv route) and wider ones (?gbsv); a negative
-    # diagonal entry makes every band indefinite, so Cholesky fails first
+    # the pivoted route returns LAPACK's banded LU (?gbsv) results bit for
+    # bit at every width, on the layout with bw rows of fill, and
+    # solve_banded's to rounding; a negative diagonal entry makes every band
+    # indefinite, so Cholesky fails first
     for rows in (2, 4, 9):
         for n in (2, 5, 30):
             band = rng.uniform(-1.0, 1.0, (rows, n))
@@ -1459,7 +1462,10 @@ def test_banded_solve_cholesky_and_pivoted_fallback():
             for d in range(1, bw + 1):
                 full[bw + d, :-d] = band[bw - d, d:]
             got = projection._banded_solve(band, rhs, pivot=True)
-            assert got.tobytes() == solve_banded((bw, bw), full, rhs).tobytes()
+            lu = np.concatenate([np.zeros((bw, n)), full])
+            *_, want, info = dgbsv(bw, bw, lu, rhs)
+            assert info == 0 and got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(got, solve_banded((bw, bw), full, rhs), rtol=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["isotropic", "componentwise"])

@@ -204,9 +204,10 @@ def test_test_functions_inadmissible_member_raises(monkeypatch):
         make_test_functions(g, 0.9, count=8, seed=3)
 
 
-@pytest.mark.parametrize("count", [-1, -4])
+@pytest.mark.parametrize("count", [-1, -4, 2.5, True])
 def test_test_functions_reject_negative_count(count):
-    # ``xis[:count]`` would silently drop canonical members
+    # ``xis[:count]`` would silently drop canonical members on a negative
+    # count, fail on a float one and take one member for True
     g = make_grid(1, 1.0, 15)
     with pytest.raises(ValueError, match="count"):
         make_test_functions(g, 1.0, count, 0)
